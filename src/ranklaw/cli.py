@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, corr, fit, ingest, rank, regime, stats, urnsim
-from .errors import RanklawError
+from .errors import IngestError, RanklawError
 
 SCHEMA_VERSION = 1
 LOCK_NAME = ".ranklaw.lock"
@@ -237,6 +237,8 @@ def cmd_regime(args, out: OutputDir) -> None:
 
 
 def cmd_simulate(args, out: OutputDir) -> None:
+    if args.replicates < 1:
+        raise RanklawError(f"--replicates must be >= 1; got {args.replicates}")
     config = urnsim.UrnConfig(
         n_urns=args.urns, total_balls=args.balls, a=args.offset,
         k0=args.k0, capacity=args.capacity, seed=args.seed,
@@ -264,9 +266,12 @@ def cmd_report(args, out: OutputDir) -> None:
 
     names = {rec.entity_id: rec.name for rec in ati.records}
     x = rank.rank_desc(averages, names=names, criterion=ati.quantity_label)
-    pop_values = {
-        eid: v for eid, v in pop.values_for_year(pop.years[-1]).items()
-    }
+    census_year = pop.years[-1]
+    pop_values = pop.values_for_year(census_year)
+    missing = next((eid for eid, v in pop_values.items() if v is None), None)
+    if missing is not None:
+        raise IngestError(f"{args.population}: missing population for "
+                          f"{missing!r} in year {census_year}")
     y = rank.rank_desc(pop_values, names=names, criterion=pop.quantity_label)
     pairs = rank.pair_ranks(x, y)
     ids = [eid for eid, _, _ in pairs.entries]

@@ -21,34 +21,11 @@ from .errors import SimulationError
 from .fit import ModelKind, RankSizeModel, model_eval
 from .rank import RankedSeries, TieBreak, rank_desc
 
-# Lanczos approximation, g = 607/128, truncated at 15 coefficients
-# (Boost/Godfrey coefficient set); relative error below 1e-13 for x > 0.
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_COEF = (
-    0.99999999999999709182,
-    57.156235665862923517, -59.597960355475491248, 14.136097974741747174,
-    -0.49191381609762019978, 0.33994649984811888699e-4,
-    0.46523628927048575665e-4, -0.98374475304879564677e-4,
-    0.15808870322491248884e-3, -0.21026444172410488319e-3,
-    0.21743961811521264320e-3, -0.16431810653676389022e-3,
-    0.84418223983852743293e-4, -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-
-
 def log_gamma(x: float) -> float:
     """Natural log of the Gamma function for x > 0."""
     if x <= 0:
         raise SimulationError(f"log_gamma needs x > 0; got {x}")
-    if x < 0.5:
-        # reflection keeps the series argument away from 0
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    xx = x - 1.0
-    series = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        series += c / (xx + i)
-    t = xx + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (xx + 0.5) * math.log(t) - t + math.log(series)
+    return math.lgamma(x)
 
 
 def beta_fn(x: float, y: float) -> float:
@@ -124,11 +101,13 @@ class UrnConfig:
     k0: int = 1                # initial balls per urn
     capacity: int | None = None
     seed: int = 0
-    trace: bool = False
 
     def __post_init__(self):
         if self.n_urns < 1 or self.total_balls < 0:
             raise SimulationError("n_urns >= 1 and total_balls >= 0 required")
+        if not math.isfinite(self.n_urns * (self.k0 + self.a)):
+            raise SimulationError("total attachment weight n_urns * (k0 + a) "
+                                  f"must be finite; got a = {self.a}")
         if self.k0 < 0:
             raise SimulationError("k0 must be >= 0")
         if self.k0 + self.a <= 0:
@@ -140,7 +119,6 @@ class UrnConfig:
 @dataclass(frozen=True)
 class UrnOutcome:
     occupancy: tuple[int, ...]
-    choices: tuple[int, ...] | None = None
 
     @property
     def total(self) -> int:
@@ -191,15 +169,24 @@ def simulate_urns(config: UrnConfig,
 
     Each ball lands in urn i with probability (k_i + a) / sum_j (k_j + a);
     urns at capacity leave the choice set.  Deterministic for a fixed seed.
+
+    When no urn can reach the capacity this is a Polya urn, whose added
+    counts are exactly Dirichlet-multinomial(total_balls, k0 + a) (Johnson &
+    Kotz 1977; Blackwell & MacQueen 1973), so they are drawn in one step.
+    A binding capacity retires urns and breaks exchangeability, so that case
+    places the balls one at a time through a Fenwick tree.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    k = [config.k0] * config.n_urns
     cap = config.capacity
-    weights = [0.0 if cap is not None and config.k0 >= cap else config.k0 + config.a
+    if cap is None or cap >= config.k0 + config.total_balls:
+        alpha = np.full(config.n_urns, config.k0 + config.a)
+        added = rng.multinomial(config.total_balls, rng.dirichlet(alpha))
+        return UrnOutcome(tuple((config.k0 + added).tolist()))
+    k = [config.k0] * config.n_urns
+    weights = [0.0 if config.k0 >= cap else config.k0 + config.a
                for _ in range(config.n_urns)]
     tree = _Fenwick(weights)
-    choices: list[int] = [] if config.trace else None
     for placed in range(config.total_balls):
         total = tree.total()
         if total <= 0:
@@ -208,13 +195,11 @@ def simulate_urns(config: UrnConfig,
             )
         urn = tree.find(rng.random() * total)
         k[urn] += 1
-        if cap is not None and k[urn] >= cap:
+        if k[urn] >= cap:
             tree.add(urn, -(k[urn] - 1 + config.a))  # retire the urn
         else:
             tree.add(urn, 1.0)
-        if choices is not None:
-            choices.append(urn)
-    return UrnOutcome(tuple(k), tuple(choices) if choices is not None else None)
+    return UrnOutcome(tuple(k))
 
 
 def replicate_occupancies(config: UrnConfig, replicates: int) -> np.ndarray:

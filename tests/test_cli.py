@@ -164,3 +164,37 @@ def test_report_pipeline(tmp_path):
     assert "Kendall tau  1" in text
     assert "[rank-size fit]" in text
     assert "[two-regime split]" in text
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--a", "nan"), ("--a", "inf"), ("--replicates", "0"), ("--replicates", "-4"),
+])
+def test_simulate_rejects_bad_arguments(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    code = cli.main(["simulate", "--urns", "3", "--balls", "5", flag, value,
+                     "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ranklaw: simulate:") and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+def test_report_missing_population_cell(tmp_path, capsys):
+    ati = tmp_path / "ati.csv"
+    ati.write_text(
+        "entity_id,name,region,province,2007,2008\n"
+        "c1,Alpha,R1,P1,100,110\nc2,Beta,R1,P1,200,210\nc3,Gamma,R2,P2,50,55\n"
+    )
+    pop = tmp_path / "pop.csv"
+    pop.write_text(
+        "entity_id,name,region,province,2007,2008\n"
+        "c1,Alpha,R1,P1,900,1000\nc2,Beta,R1,P1,2900,3000\nc3,Gamma,R2,P2,480,NA\n"
+    )
+    out = tmp_path / "out"
+    code = cli.main(["report", "--input", str(ati), "--population", str(pop),
+                     "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(pop) in err and "'c3'" in err and "2008" in err
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []

@@ -146,6 +146,61 @@ def test_simulate_capacity_cap_respected():
     assert sum(occ) == 20
 
 
+def test_simulate_capped_stream_pinned():
+    # binding capacities take the sequential sampler; these draws are pinned
+    cfg = UrnConfig(n_urns=8, total_balls=60, a=0.5, k0=2, capacity=12, seed=3)
+    assert urnsim.simulate_urns(cfg).occupancy == (12, 5, 12, 12, 11, 12, 7, 5)
+
+
+@pytest.mark.parametrize("k0,balls", [(1, 15), (0, 40), (3, 0)])
+def test_simulate_nonbinding_capacity_equals_uncapped(k0, balls):
+    base = UrnConfig(n_urns=6, total_balls=balls, a=0.5, k0=k0, seed=4)
+    uncapped = urnsim.simulate_urns(base).occupancy
+    for cap in (k0 + balls, k0 + balls + 1, 10**9):
+        capped = UrnConfig(n_urns=6, total_balls=balls, a=0.5, k0=k0,
+                           capacity=cap, seed=4)
+        assert urnsim.simulate_urns(capped).occupancy == uncapped
+
+
+def _assert_dirmult_moments(added: np.ndarray, cfg: UrnConfig):
+    """One urn's added count against the exact Dirichlet-multinomial moments.
+
+    Tolerances are 5 standard errors for len(added) replicates: the exact
+    standard deviation for the mean, and the sample fourth central moment
+    for the variance.
+    """
+    T, alpha = cfg.total_balls, cfg.k0 + cfg.a
+    A = cfg.n_urns * alpha
+    p = alpha / A
+    mean, var = T * p, T * p * (1 - p) * (T + A) / (1 + A)
+    R = added.size
+    assert abs(added.mean() - mean) < 5 * math.sqrt(var / R)
+    s2 = added.var(ddof=1)
+    m4 = ((added - added.mean()) ** 4).mean()
+    assert abs(s2 - var) < 5 * math.sqrt((m4 - s2 ** 2) / R)
+
+
+@pytest.mark.parametrize("n_urns,balls,a,k0", [
+    (20, 2000, 1.0, 1), (5, 500, -0.7, 1), (10, 300, 0.5, 0),
+])
+def test_uncapped_urn_count_has_dirmult_moments(n_urns, balls, a, k0):
+    cfg = UrnConfig(n_urns=n_urns, total_balls=balls, a=a, k0=k0)
+    rng = np.random.default_rng(2024)
+    added = np.array([urnsim.simulate_urns(cfg, rng).occupancy[0] - k0
+                      for _ in range(4000)], dtype=float)
+    _assert_dirmult_moments(added, cfg)
+
+
+def test_sequential_sampler_has_dirmult_moments():
+    # a capacity of k0 + balls - 1 forces the ball-by-ball sampler; with
+    # alpha = 0.5 over 10 urns no urn comes near it, so the law is uncapped
+    cfg = UrnConfig(n_urns=10, total_balls=300, a=0.5, k0=0, capacity=299)
+    rng = np.random.default_rng(2025)
+    added = np.array([urnsim.simulate_urns(cfg, rng).occupancy[0]
+                      for _ in range(600)], dtype=float)
+    _assert_dirmult_moments(added, cfg)
+
+
 def test_simulate_capacity_equals_k0_errors_immediately():
     cfg = UrnConfig(n_urns=3, total_balls=1, k0=2, capacity=2)
     with pytest.raises(SimulationError, match="after 0 of 1"):
@@ -165,6 +220,9 @@ def test_simulate_invalid_configs():
         UrnConfig(n_urns=1, total_balls=1, k0=1, a=-1.0)
     with pytest.raises(SimulationError):
         UrnConfig(n_urns=1, total_balls=1, k0=2, capacity=1)
+    for a in (math.nan, math.inf, -math.inf, 1e308):
+        with pytest.raises(SimulationError, match="must be finite"):
+            UrnConfig(n_urns=3, total_balls=5, a=a)
 
 
 def test_preferential_profile_is_convex_decreasing():
