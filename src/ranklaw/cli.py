@@ -8,7 +8,9 @@ byte-identical outputs; floats are formatted at 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from .errors import IngestError, RanklawError
 
 SCHEMA_VERSION = 1
 LOCK_NAME = ".ranklaw.lock"
+STAGE_NAME = ".ranklaw.stage"
 
 
 def _fmt(v: float) -> str:
@@ -26,29 +29,57 @@ def _fmt(v: float) -> str:
 
 
 class OutputDir:
-    """Tracks files written by one run so failures leave no partial output."""
+    """Stages one run's files so only a finished run's outputs reach the directory.
+
+    write() puts each file into a fresh staging directory inside the output
+    directory; commit() moves them into place and release() discards whatever
+    is left, so a failed run leaves the previous outputs untouched.  An
+    existing output is unlinked before the new file is renamed onto its free
+    name, never truncated or renamed over: on ext4 with auto_da_alloc,
+    replacing a non-empty file either way forces the new file's writeback.
+    """
 
     def __init__(self, path: Path):
         self.path = path
-        self.written: list[Path] = []
         path.mkdir(parents=True, exist_ok=True)
         self.lock = path / LOCK_NAME
-        if self.lock.exists():
-            raise RanklawError(f"output directory locked by another run: {self.lock}")
-        self.lock.write_text(str(os.getpid()))
+        try:
+            fd = os.open(self.lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            raise RanklawError(f"output directory locked by another run: {self.lock}") from None
+        self.stage = path / STAGE_NAME
+        self.staged: list[str] = []
+        try:
+            with os.fdopen(fd, "w") as f:
+                f.write(str(os.getpid()))
+            shutil.rmtree(self.stage, ignore_errors=True)  # left by a killed run
+            self.stage.mkdir()
+        except BaseException:
+            self.release()
+            raise
 
-    def write(self, name: str, text: str) -> Path:
-        target = self.path / name
-        target.write_text(text)
-        self.written.append(target)
-        return target
+    def write(self, name: str, text: str) -> None:
+        (self.stage / name).write_text(text)
+        self.staged.append(name)
 
-    def rollback(self):
-        for f in self.written:
-            f.unlink(missing_ok=True)
+    def commit(self) -> None:
+        for name in self.staged:
+            target = self.path / name
+            target.unlink(missing_ok=True)
+            os.rename(self.stage / name, target)
 
-    def release(self):
+    def release(self) -> None:
+        shutil.rmtree(self.stage, ignore_errors=True)
         self.lock.unlink(missing_ok=True)
+
+
+@contextlib.contextmanager
+def _naming(path: str):
+    """Prefix an IngestError raised in the block with the file it concerns."""
+    try:
+        yield
+    except IngestError as exc:
+        raise IngestError(f"{path}: {exc}") from None
 
 
 def _load_panel(path: str) -> ingest.Panel:
@@ -56,7 +87,8 @@ def _load_panel(path: str) -> ingest.Panel:
         text = Path(path).read_text()
     except OSError as exc:
         raise RanklawError(f"ingest: cannot read {path}: {exc}") from exc
-    return ingest.parse_panel(text)
+    with _naming(path):
+        return ingest.parse_panel(text)
 
 
 def _load_ranked(path: str, window: list[int] | None) -> rank.RankedSeries:
@@ -66,18 +98,20 @@ def _load_ranked(path: str, window: list[int] | None) -> rank.RankedSeries:
         (l for l in text.splitlines() if l.strip() and not l.startswith("#")), ""
     )
     if first.replace("\t", ",").startswith("rank,"):
-        entries = []
+        entries: dict[str, float] = {}
         delim = "\t" if "\t" in first else ","
-        for line in text.splitlines()[1:]:
+        for row, line in enumerate(text.splitlines()[1:], start=2):
             if not line.strip() or line.startswith("#"):
                 continue
             r, eid, value = line.split(delim)
-            entries.append((eid, float(value)))
-        return rank.rank_desc(dict(entries), rule=rank.TieBreak.ENTITY_ID,
+            if eid in entries:
+                raise IngestError(f"{path}: duplicate entity_id {eid!r} at row {row}")
+            entries[eid] = float(value)
+        return rank.rank_desc(entries, rule=rank.TieBreak.ENTITY_ID,
                               criterion=Path(path).stem)
-    panel = ingest.parse_panel(text)
-    window = window or list(panel.years)
-    averages = ingest.average_over_years(panel, window)
+    with _naming(path):
+        panel = ingest.parse_panel(text)
+        averages = ingest.average_over_years(panel, window or list(panel.years))
     names = {rec.entity_id: rec.name for rec in panel.records}
     return rank.rank_desc(averages, names=names, criterion=panel.quantity_label)
 
@@ -141,7 +175,8 @@ def cmd_describe(args, out: OutputDir) -> None:
         sections.append(stats.format_summary(summary, label=f"[{year}]"))
         for key, value in stats.summary_key_values(summary).items():
             machine[f"{year}.{key}"] = value
-    averages = ingest.average_over_years(panel, window)
+    with _naming(args.input):
+        averages = ingest.average_over_years(panel, window)
     summary = stats.describe(list(averages.values()))
     sections.append(stats.format_summary(summary, label="[window average]"))
     for key, value in stats.summary_key_values(summary).items():
@@ -154,8 +189,8 @@ def cmd_describe(args, out: OutputDir) -> None:
 
 def cmd_rank(args, out: OutputDir) -> None:
     panel = _load_panel(args.input)
-    window = args.window or list(panel.years)
-    averages = ingest.average_over_years(panel, window)
+    with _naming(args.input):
+        averages = ingest.average_over_years(panel, args.window or list(panel.years))
     names = {rec.entity_id: rec.name for rec in panel.records}
     series = rank.rank_desc(averages, rule=_tie_rule(args.ties), names=names,
                             criterion=panel.quantity_label)
@@ -196,7 +231,8 @@ def cmd_corr(args, out: OutputDir) -> None:
 
 def cmd_pairwise(args, out: OutputDir) -> None:
     panel = _load_panel(args.input)
-    matrix = corr.pairwise_matrix(panel, args.window or None)
+    with _naming(args.input):
+        matrix = corr.pairwise_matrix(panel, args.window or None)
     out.write("pairwise_pq.csv", corr.format_pq_matrix(matrix))
     out.write("pairwise_tau_z.csv", corr.format_tau_z_matrix(matrix))
 
@@ -260,7 +296,8 @@ def cmd_report(args, out: OutputDir) -> None:
 
     parts = [f"# ranklaw report (schema_version {SCHEMA_VERSION})", ""]
 
-    averages = ingest.average_over_years(ati, window)
+    with _naming(args.input):
+        averages = ingest.average_over_years(ati, window)
     parts.append(stats.format_summary(stats.describe(list(averages.values())),
                                       label="[summary: window-average values]"))
 
@@ -402,13 +439,13 @@ def main(argv: list[str] | None = None) -> int:
     out_path = Path(args.out or os.environ.get("RANKLAW_OUT_DIR") or ".")
     try:
         out = OutputDir(out_path)
-    except RanklawError as exc:
+    except (RanklawError, OSError) as exc:
         print(f"ranklaw: {exc}", file=sys.stderr)
         return 1
     try:
         args.func(args, out)
+        out.commit()
     except (RanklawError, OSError, ValueError) as exc:
-        out.rollback()
         print(f"ranklaw: {args.command}: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -91,12 +91,6 @@ def _orthogonal_sq_dist(x, y, slope):
     return (y - slope * x) ** 2 / (1.0 + slope * slope)
 
 
-def fit_origin_line(points: ScatterSet) -> float:
-    """Single origin-constrained total-least-squares slope for the whole set."""
-    x, y = points.arrays()
-    return _tls_origin_slope(x, y)
-
-
 def two_line_split(points: ScatterSet, k: int = 2, max_iter: int = 100,
                    outlier_ids: tuple[str, ...] = ()) -> RegimeSplit:
     """k-lines clustering (k in {2, 3}) with origin-constrained lines.
@@ -176,17 +170,6 @@ def two_line_split(points: ScatterSet, k: int = 2, max_iter: int = 100,
         iterations=iterations,
         objective_trace=tuple(trace),
     )
-
-
-def split_objective(points: ScatterSet, slopes, assignments: dict[str, int]) -> float:
-    """Sum of squared orthogonal residuals for a given labeling (test hook)."""
-    total = 0.0
-    for eid, x, y in points.points:
-        if eid not in assignments:
-            continue
-        s = slopes[assignments[eid] - 1]
-        total += float(_orthogonal_sq_dist(np.float64(x), np.float64(y), s))
-    return total
 
 
 def loglog_power_fit(points: ScatterSet) -> tuple[float, float, float]:

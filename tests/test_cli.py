@@ -1,6 +1,7 @@
 import pytest
 
 from ranklaw import cli, rank
+from ranklaw.errors import RanklawError
 from tests.conftest import LONG_PANEL, REGION_COUNTS_2011
 
 
@@ -198,3 +199,101 @@ def test_report_missing_population_cell(tmp_path, capsys):
     assert str(pop) in err and "'c3'" in err and "2008" in err
     assert "Traceback" not in err
     assert list(out.iterdir()) == []
+
+
+def _corr_argv(tmp_path, population):
+    panel = tmp_path / "panel.csv"
+    panel.write_text(LONG_PANEL)
+    return ["corr", "--input", str(panel), "--population", str(population),
+            "--out", str(tmp_path / "out")]
+
+
+def test_failed_rerun_keeps_previous_outputs(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(_corr_argv(tmp_path, tmp_path / "panel.csv")) == 0
+    before = {name: (out / name).read_bytes() for name in ("corr.txt", "rank_diff.txt")}
+    assert cli.main(_corr_argv(tmp_path, tmp_path / "missing.csv")) == 1
+    assert {name: (out / name).read_bytes() for name in before} == before
+    assert sorted(p.name for p in out.iterdir()) == sorted(before)
+
+
+@pytest.mark.parametrize("error", [RanklawError, RuntimeError])
+def test_error_after_a_write_keeps_previous_outputs(tmp_path, monkeypatch, error):
+    out = tmp_path / "out"
+    assert cli.main(_corr_argv(tmp_path, tmp_path / "panel.csv")) == 0
+    before = (out / "corr.txt").read_bytes()
+
+    def crash(args, outdir):
+        outdir.write("corr.txt", "partial\n")
+        raise error("boom")
+
+    # main binds each subcommand when building its parser
+    monkeypatch.setattr(cli, "cmd_corr", crash)
+    if error is RanklawError:
+        assert cli.main(_corr_argv(tmp_path, tmp_path / "panel.csv")) == 1
+    else:
+        with pytest.raises(RuntimeError):
+            cli.main(_corr_argv(tmp_path, tmp_path / "panel.csv"))
+    assert (out / "corr.txt").read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == ["corr.txt", "rank_diff.txt"]
+
+
+def test_rerun_replaces_outputs_with_new_files(tmp_path):
+    out = tmp_path / "out"
+    argv = _corr_argv(tmp_path, tmp_path / "panel.csv")
+    assert cli.main(argv) == 0
+    first = {p.name: (p.stat().st_ino, p.read_bytes()) for p in out.iterdir()}
+    assert cli.main(argv) == 0
+    second = {p.name: (p.stat().st_ino, p.read_bytes()) for p in out.iterdir()}
+    assert sorted(first) == sorted(second) == ["corr.txt", "rank_diff.txt"]
+    for name, (ino, data) in first.items():
+        assert second[name][0] != ino   # a new file, not the old one truncated
+        assert second[name][1] == data
+
+
+def test_stage_left_by_killed_run_is_cleared(tmp_path):
+    out = tmp_path / "out"
+    (out / cli.STAGE_NAME).mkdir(parents=True)
+    (out / cli.STAGE_NAME / "occupancy.csv").write_text("stale\n")
+    assert cli.main(["simulate", "--urns", "2", "--balls", "3", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["occupancy.csv"]
+    assert (out / "occupancy.csv").read_text() != "stale\n"
+
+
+def test_missing_window_value_names_the_file(tmp_path, capsys):
+    ati = tmp_path / "ati.csv"
+    ati.write_text(
+        "entity_id,name,region,province,2007,2008\n"
+        "c1,Alpha,R1,P1,100,110\nc2,Beta,R1,P1,200,NA\nc3,Gamma,R2,P2,50,55\n"
+    )
+    pop = tmp_path / "pop.csv"
+    pop.write_text(
+        "entity_id,name,region,province,2008\n"
+        "c1,Alpha,R1,P1,1000\nc2,Beta,R1,P1,3000\nc3,Gamma,R2,P2,500\n"
+    )
+    out = tmp_path / "out"
+    code = cli.main(["report", "--input", str(ati), "--population", str(pop),
+                     "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{ati}: missing value for 'c2' in year 2008" in err
+    assert list(out.iterdir()) == []
+
+
+def test_duplicate_id_in_ranking_file(tmp_path, capsys):
+    ranking = tmp_path / "ranked.csv"
+    ranking.write_text("rank,entity_id,value\n1,a,60\n2,b,50\n3,c,40\n"
+                       "4,b,30\n5,d,20\n6,e,10\n")
+    code = cli.main(["fit", "--input", str(ranking), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{ranking}: duplicate entity_id 'b' at row 5" in err
+
+
+def test_failed_stage_setup_releases_the_lock(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / cli.STAGE_NAME).write_text("not a directory\n")
+    assert cli.main(["simulate", "--urns", "2", "--balls", "3", "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (out / cli.LOCK_NAME).exists()
