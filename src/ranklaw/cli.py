@@ -94,22 +94,10 @@ def _load_panel(path: str) -> ingest.Panel:
 def _load_ranked(path: str, window: list[int] | None) -> rank.RankedSeries:
     """Load a ranked series from either an exported ranking file or a panel."""
     text = Path(path).read_text()
-    first = next(
-        (l for l in text.splitlines() if l.strip() and not l.startswith("#")), ""
-    )
-    if first.replace("\t", ",").startswith("rank,"):
-        entries: dict[str, float] = {}
-        delim = "\t" if "\t" in first else ","
-        for row, line in enumerate(text.splitlines()[1:], start=2):
-            if not line.strip() or line.startswith("#"):
-                continue
-            r, eid, value = line.split(delim)
-            if eid in entries:
-                raise IngestError(f"{path}: duplicate entity_id {eid!r} at row {row}")
-            entries[eid] = float(value)
-        return rank.rank_desc(entries, rule=rank.TieBreak.ENTITY_ID,
-                              criterion=Path(path).stem)
     with _naming(path):
+        if ingest.is_ranking(text):
+            return rank.rank_desc(ingest.parse_ranking(text), rule=rank.TieBreak.ENTITY_ID,
+                                  criterion=Path(path).stem)
         panel = ingest.parse_panel(text)
         averages = ingest.average_over_years(panel, window or list(panel.years))
     names = {rec.entity_id: rec.name for rec in panel.records}
@@ -117,19 +105,8 @@ def _load_ranked(path: str, window: list[int] | None) -> rank.RankedSeries:
 
 
 def _load_scatter(path: str) -> regime.ScatterSet:
-    text = Path(path).read_text()
-    lines = [l for l in text.splitlines() if l.strip() and not l.startswith("#")]
-    if not lines:
-        raise RanklawError(f"regime: empty scatter file {path}")
-    delim = "\t" if "\t" in lines[0] else ","
-    header = [h.strip() for h in lines[0].split(delim)]
-    if header[:3] != ["entity_id", "x", "y"]:
-        raise RanklawError("regime: scatter file must have columns entity_id,x,y")
-    points = []
-    for line in lines[1:]:
-        eid, x, y = line.split(delim)[:3]
-        points.append((eid, float(x), float(y)))
-    return regime.ScatterSet(tuple(points))
+    with _naming(path):
+        return regime.ScatterSet(tuple(ingest.parse_scatter(Path(path).read_text())))
 
 
 def _tie_rule(name: str) -> rank.TieBreak:
@@ -238,11 +215,12 @@ def cmd_pairwise(args, out: OutputDir) -> None:
 
 
 def cmd_fit(args, out: OutputDir) -> None:
-    series = _load_ranked(args.input, args.window)
-    if args.drop_top:
-        series = fit.remove_top_outliers(series, args.drop_top)
+    ranked = _load_ranked(args.input, args.window)
+    series = fit.remove_top_outliers(ranked, args.drop_top)
+    dropped = tuple(eid for eid, _, _ in ranked.entries[:args.drop_top])
     kind = fit.ModelKind(args.model)
-    result = fit.fit_model(series, kind=kind, A=args.amplitude, scale=args.scale)
+    result = fit.fit_model(series, kind=kind, A=args.amplitude, scale=args.scale,
+                           excluded=dropped)
     out.write("fit_report.txt", fit.format_fit_report(result))
     out.write("fit_table.csv", fit.fit_table(series, result))
     outliers = fit.detect_outliers(series, result, threshold=args.threshold)

@@ -1,14 +1,16 @@
-"""Nonlinear least-squares fitting of rank-size laws.
+"""Least-squares fitting of rank-size laws.
 
-Three model shapes share one damped (Levenberg-Marquardt) fitting engine:
+Three model shapes are fitted:
 
 * lavalette3      y(r) = A m1 r^-m2 (N - r + 1)^m3   (doubly decreasing)
 * powerlaw        y(r) = A c  r^-beta
 * powerlaw_cutoff y(r) = A h  r^-alpha exp(-lambda r),  lambda >= 0
 
 A is a fixed order-of-magnitude amplitude chosen up front, never fitted.
-Fitting defaults to log-scale residuals; head-dominated linear residuals
-are available as an option and both R^2 values are always reported.
+Fitting defaults to log-scale residuals, where every model is linear in
+(log(A p0), p1, p2) and the optimum has a closed form.  Head-dominated linear
+residuals are available as an option, fitted by a damped (Levenberg-Marquardt)
+loop started from the log-scale optimum; both R^2 values are always reported.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ import numpy as np
 
 from .errors import FitError
 from .rank import RankedSeries
+
+
+MAX_ITER = 500   # linear-scale Levenberg-Marquardt iterations
+TOL = 1e-8       # relative parameter step that counts as converged
 
 
 class ModelKind(enum.Enum):
@@ -85,18 +91,21 @@ def _log_predict(kind: ModelKind, A: float, N: int, params, r: np.ndarray) -> np
     return np.log(A * h) - alpha * np.log(r) - lam * r
 
 
+def _log_design(kind: ModelKind, N: int, r: np.ndarray) -> np.ndarray:
+    """Columns of log(yhat) as a linear function of (log(A p0), p1, p2)."""
+    cols = [np.ones(r.size), -np.log(r)]
+    if kind is ModelKind.LAVALETTE3:
+        cols.append(np.log(N - r + 1))
+    elif kind is ModelKind.POWERLAW_CUTOFF:
+        cols.append(-r)
+    return np.column_stack(cols)
+
+
 def _log_jacobian(kind: ModelKind, N: int, params, r: np.ndarray) -> np.ndarray:
     """d log(yhat) / d params, one column per parameter."""
-    if kind is ModelKind.LAVALETTE3:
-        m1 = params[0]
-        return np.column_stack(
-            (np.full(r.size, 1.0 / m1), -np.log(r), np.log(N - r + 1))
-        )
-    if kind is ModelKind.POWERLAW:
-        c = params[0]
-        return np.column_stack((np.full(r.size, 1.0 / c), -np.log(r)))
-    h = params[0]
-    return np.column_stack((np.full(r.size, 1.0 / h), -np.log(r), -r))
+    jac = _log_design(kind, N, r)
+    jac[:, 0] /= params[0]
+    return jac
 
 
 def model_eval(model: RankSizeModel, r):
@@ -129,40 +138,23 @@ def default_amplitude(values) -> float:
     return 10.0 ** math.floor(math.log10(top))
 
 
-def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """(intercept, slope) least squares; degenerate x gives slope 0."""
-    if x.size < 2 or np.ptp(x) == 0:
-        return float(np.mean(y)), 0.0
-    slope, intercept = np.polyfit(x, y, 1)
-    return float(intercept), float(slope)
+def _lstsq(design: np.ndarray, target: np.ndarray) -> np.ndarray:
+    coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+    if rank < design.shape[1]:
+        raise FitError("singular design matrix: the ranks do not determine the parameters")
+    return coef
 
 
-def _initial_params(kind: ModelKind, A: float, N: int,
-                    r: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Deterministic start: decay exponent from the middle half of the ranks,
-    tail exponent from the last quarter, amplitude from the residual intercept."""
+def _log_optimum(kind: ModelKind, A: float, N: int,
+                 r: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Exact log-scale least-squares parameters, with lambda >= 0 for the cutoff."""
+    design = _log_design(kind, N, r)
     logy = np.log(y)
-    logr = np.log(r)
-    mid = (r >= N / 4) & (r <= 3 * N / 4)
-    if mid.sum() < 2:
-        mid = np.ones(r.size, dtype=bool)
-    _, slope = _ols(logr[mid], logy[mid])
-    decay = max(-slope, 1e-3)
-
-    if kind is ModelKind.POWERLAW:
-        intercept, slope = _ols(logr, logy)
-        return np.array([math.exp(intercept) / A, max(-slope, 1e-3)])
-
-    tail = r >= 3 * N / 4
-    if tail.sum() < 2:
-        tail = np.ones(r.size, dtype=bool)
-    head_removed = logy + decay * logr
-    if kind is ModelKind.LAVALETTE3:
-        intercept, m3 = _ols(np.log(N - r[tail] + 1), head_removed[tail])
-        return np.array([max(math.exp(intercept) / A, 1e-12), decay, m3])
-    intercept, slope = _ols(r[tail], head_removed[tail])
-    lam = max(-slope, 0.0)
-    return np.array([max(math.exp(intercept) / A, 1e-12), decay, lam])
+    coef = _lstsq(design, logy)
+    if kind is ModelKind.POWERLAW_CUTOFF and coef[2] < 0:
+        # a convex objective with one bound: the optimum lies on lambda = 0
+        coef = np.append(_lstsq(design[:, :2], logy), 0.0)
+    return np.array([math.exp(coef[0]) / A, *coef[1:]])
 
 
 def _residuals(kind, A, N, params, r, y, scale) -> np.ndarray:
@@ -190,14 +182,17 @@ def _clamp(kind: ModelKind, params: np.ndarray) -> np.ndarray:
 
 def fit_model(series: RankedSeries, kind: ModelKind = ModelKind.LAVALETTE3,
               A: float | None = None, scale: str = "log",
-              max_iter: int = 500, tol: float = 1e-8,
-              initial: tuple[float, ...] | None = None,
               excluded: tuple[str, ...] = ()) -> FitResult:
-    """Damped least-squares fit of a rank-size model to a ranked series.
+    """Least-squares fit of a rank-size model to a ranked series.
 
-    Damping is multiplicative: divided by 10 after an accepted step,
-    multiplied by 10 after a rejected one.  Convergence is declared when the
-    relative parameter step of an accepted iteration falls below tol.
+    On the log scale the optimum comes from one linear least-squares solve,
+    reported as converged after 0 iterations.  On the linear scale a damped
+    Levenberg-Marquardt loop starts from that log-scale optimum.  Damping is
+    multiplicative: divided by 10 after an accepted step, multiplied by 10
+    after a rejected one.  Convergence is declared when the relative parameter
+    step of an accepted iteration falls below TOL; the loop gives up after
+    MAX_ITER iterations.  `excluded` lists entity ids removed before fitting,
+    for the report.
     """
     if scale not in ("log", "linear"):
         raise FitError(f"unknown scale {scale!r}")
@@ -205,23 +200,19 @@ def fit_model(series: RankedSeries, kind: ModelKind = ModelKind.LAVALETTE3,
     n_params = len(PARAM_NAMES[kind])
     if r.size < n_params + 1:
         raise FitError(f"need at least {n_params + 1} points, got {r.size}")
-    if np.any(y <= 0) and scale == "log":
-        raise FitError("log-scale fitting needs strictly positive values")
+    if np.any(y <= 0):
+        raise FitError("fitting needs strictly positive values")
     N = series.n
     if A is None:
         A = default_amplitude(y)
 
-    if initial is not None:
-        params = _clamp(kind, np.asarray(initial, dtype=float))
-    else:
-        params = _clamp(kind, _initial_params(kind, A, N, r, y))
-
+    params = _log_optimum(kind, A, N, r, y)
     res = _residuals(kind, A, N, params, r, y, scale)
     ssr = float(res @ res)
     damping = 1e-3
-    converged = False
+    converged = scale == "log"  # the log-scale optimum needs no iteration
     iterations = 0
-    while iterations < max_iter and not converged:
+    while iterations < MAX_ITER and not converged:
         iterations += 1
         jac = _jacobian(kind, A, N, params, r, scale)
         jtj = jac.T @ jac
@@ -242,7 +233,7 @@ def fit_model(series: RankedSeries, kind: ModelKind = ModelKind.LAVALETTE3,
             rel_step = np.max(np.abs(trial - params) / (np.abs(params) + 1e-300))
             params, res, ssr = trial, trial_res, trial_ssr
             damping = max(damping / 10.0, 1e-15)
-            if rel_step < tol:
+            if rel_step < TOL:
                 converged = True
         else:
             damping *= 10.0

@@ -1,4 +1,5 @@
-"""Panel ingestion: delimited-text parsing, merge ledgers, regional aggregation.
+"""Input parsing and panel handling: delimited-text panels, ranking and scatter
+files, merge ledgers, regional aggregation.
 
 A Panel is an entity-by-year table of one measured quantity (e.g. aggregated
 tax income or population), keyed by a stable entity id carrying region and
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field, replace
 from statistics import fmean
 
@@ -20,6 +22,8 @@ MISSING_MARKERS = {"", "NA", "NaN", "nan", "null", "None"}
 
 LONG_COLUMNS = ["entity_id", "name", "region", "province", "year", "value"]
 ID_COLUMNS = LONG_COLUMNS[:4]
+RANKING_COLUMNS = ["rank", "entity_id", "value"]
+SCATTER_COLUMNS = ["entity_id", "x", "y"]
 
 
 @dataclass(frozen=True)
@@ -113,23 +117,57 @@ class ColumnSchema:
     region_overrides: dict[str, str] = field(default_factory=dict)
 
 
-def _detect_delimiter(header_line: str, schema: ColumnSchema) -> str:
-    if schema.delimiter is not None:
-        return schema.delimiter
-    return "\t" if "\t" in header_line else ","
+def _number(raw: str, row_num: int) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise IngestError(f"malformed value {raw!r} at row {row_num}") from None
+    if not math.isfinite(value):
+        raise IngestError(f"non-finite value {raw!r} at row {row_num}")
+    return value
 
 
 def _parse_value(raw: str, row_num: int) -> float | None:
     raw = raw.strip()
     if raw in MISSING_MARKERS:
         return None
-    try:
-        value = float(raw)
-    except ValueError:
-        raise IngestError(f"malformed value {raw!r} at row {row_num}") from None
+    value = _number(raw, row_num)
     if value < 0:
         raise IngestError(f"negative value at row {row_num}")
     return value
+
+
+def _body(text: str) -> list[tuple[int, str]]:
+    """(1-based line number, line) of every line that is not blank or a '#' comment."""
+    return [(n, line) for n, line in enumerate(text.splitlines(), start=1)
+            if line.strip() and not line.startswith("#")]
+
+
+def _table(text: str, columns: list[str], delimiter: str | None = None):
+    """(header line number, header, rows) of a delimited file whose header starts
+    with `columns`.  rows yields (line number, fields) for each data row and
+    rejects a row whose field count differs from the header's.  The delimiter
+    defaults to tab if the header contains one, comma otherwise."""
+    body = _body(text)
+    if not body:
+        raise IngestError("empty input: no header row")
+    header_no, header_line = body[0]
+    delim = delimiter or ("\t" if "\t" in header_line else ",")
+    reader = csv.reader((line for _, line in body), delimiter=delim)
+    header = [h.strip() for h in next(reader)]
+    if header[: len(columns)] != columns:
+        raise IngestError(
+            f"header must start with {','.join(columns)}; got {','.join(header)}"
+        )
+
+    def rows():
+        for (row_num, _), row in zip(body[1:], reader):
+            if len(row) != len(header):
+                raise IngestError(
+                    f"malformed row {row_num}: expected {len(header)} fields, got {len(row)}"
+                )
+            yield row_num, row
+    return header_no, header, rows()
 
 
 def parse_panel(text, schema: ColumnSchema | None = None) -> Panel:
@@ -143,32 +181,18 @@ def parse_panel(text, schema: ColumnSchema | None = None) -> Panel:
     schema = schema or ColumnSchema()
     if hasattr(text, "read"):
         text = text.read()
-    lines = io.StringIO(text).read().splitlines()
 
     quantity_label = schema.quantity_label
     provenance = ""
-    body: list[tuple[int, str]] = []  # (1-based line number, line)
-    for lineno, line in enumerate(lines, start=1):
+    for line in text.splitlines():
         if line.startswith("#"):
             meta = line[1:].strip()
             if meta.startswith("quantity_label:"):
                 quantity_label = meta.split(":", 1)[1].strip()
             elif meta.startswith("provenance:"):
                 provenance = meta.split(":", 1)[1].strip()
-            continue
-        if line.strip():
-            body.append((lineno, line))
-    if not body:
-        raise IngestError("empty input: no header row")
 
-    header_no, header_line = body[0]
-    delim = _detect_delimiter(header_line, schema)
-    header = next(csv.reader([header_line], delimiter=delim))
-    header = [h.strip() for h in header]
-    if header[: len(ID_COLUMNS)] != ID_COLUMNS:
-        raise IngestError(
-            f"header must start with {','.join(ID_COLUMNS)}; got {','.join(header)}"
-        )
+    header_no, header, rows = _table(text, ID_COLUMNS, schema.delimiter)
     tail = header[len(ID_COLUMNS):]
     long_form = tail == ["year", "value"]
     if not long_form:
@@ -182,19 +206,10 @@ def parse_panel(text, schema: ColumnSchema | None = None) -> Panel:
         if not wide_years:
             raise IngestError("wide form needs at least one year column")
 
-    reader = csv.reader((line for _, line in body[1:]), delimiter=delim)
-    row_nums = [n for n, _ in body[1:]]
-
     # entity_id -> (name, region, province, {year: value})
     entities: dict[str, tuple[str, str, str, dict[int, float | None]]] = {}
     years: set[int] = set()
-    for row_num, row in zip(row_nums, reader):
-        if long_form and len(row) != 6:
-            raise IngestError(f"malformed row {row_num}: expected 6 fields, got {len(row)}")
-        if not long_form and len(row) != 4 + len(wide_years):
-            raise IngestError(
-                f"malformed row {row_num}: expected {4 + len(wide_years)} fields, got {len(row)}"
-            )
+    for row_num, row in rows:
         entity_id, name, region, province = (f.strip() for f in row[:4])
         region = schema.region_overrides.get(entity_id, region)
         if schema.region_codes is not None and region not in schema.region_codes:
@@ -228,6 +243,34 @@ def parse_panel(text, schema: ColumnSchema | None = None) -> Panel:
         for eid, (name, region, province, vals) in entities.items()
     )
     return Panel(quantity_label, year_list, records, provenance)
+
+
+def is_ranking(text: str) -> bool:
+    """Whether the text has the `rank,entity_id,value` layout rather than a panel's."""
+    body = _body(text)
+    return bool(body) and body[0][1].replace("\t", ",").startswith("rank,")
+
+
+def parse_ranking(text: str) -> dict[str, float]:
+    """Values by entity id from a `rank,entity_id,value` file; ranks are not read."""
+    values: dict[str, float] = {}
+    for row_num, row in _table(text, RANKING_COLUMNS)[2]:
+        eid = row[1]
+        if eid in values:
+            raise IngestError(f"duplicate entity_id {eid!r} at row {row_num}")
+        values[eid] = _number(row[2], row_num)
+    return values
+
+
+def parse_scatter(text: str) -> list[tuple[str, float, float]]:
+    """(entity_id, x, y) points from a file whose columns start entity_id,x,y."""
+    points: dict[str, tuple[str, float, float]] = {}
+    for row_num, row in _table(text, SCATTER_COLUMNS)[2]:
+        eid = row[0]
+        if eid in points:
+            raise IngestError(f"duplicate entity_id {eid!r} at row {row_num}")
+        points[eid] = (eid, _number(row[1], row_num), _number(row[2], row_num))
+    return list(points.values())
 
 
 def parse_merge_ledger(text, delimiter: str | None = None) -> MergeLedger:

@@ -297,3 +297,44 @@ def test_failed_stage_setup_releases_the_lock(tmp_path, capsys):
     assert cli.main(["simulate", "--urns", "2", "--balls", "3", "--out", str(out)]) == 1
     assert "Traceback" not in capsys.readouterr().err
     assert not (out / cli.LOCK_NAME).exists()
+
+
+@pytest.mark.parametrize("cell", ["inf", "NAN", "1e400"])
+def test_non_finite_panel_value(tmp_path, capsys, cell):
+    panel = tmp_path / "panel.csv"
+    panel.write_text("entity_id,name,region,province,2007,2008\n"
+                     f"c1,Alpha,R1,P1,100,110\nc2,Beta,R1,P1,200,{cell}\n")
+    out = tmp_path / "out"
+    assert cli.main(["rank", "--input", str(panel), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"ranklaw: rank: {panel}: non-finite value {cell!r} at row 3\n"
+    assert not (out / "ranked.csv").exists()
+
+
+@pytest.mark.parametrize("command, header, row, message", [
+    ("fit", "rank,entity_id,value", "3,c", "malformed row 4: expected 3 fields, got 2"),
+    ("fit", "rank,entity_id,value", "3,c,x", "malformed value 'x' at row 4"),
+    ("fit", "rank,entity_id,value", "3,c,inf", "non-finite value 'inf' at row 4"),
+    ("regime", "entity_id,x,y", "c,3", "malformed row 4: expected 3 fields, got 2"),
+    ("regime", "entity_id,x,y", "c,3,x", "malformed value 'x' at row 4"),
+    ("regime", "entity_id,x,y", "c,1e400,3", "non-finite value '1e400' at row 4"),
+    ("regime", "entity_id,x,y", "a,3,3", "duplicate entity_id 'a' at row 4"),
+])
+def test_bad_ranking_or_scatter_row(tmp_path, capsys, command, header, row, message):
+    good = ["1,a,60", "2,b,50"] if command == "fit" else ["a,1,2", "b,2,4"]
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join([header, *good, row]) + "\n")
+    out = tmp_path / "out"
+    assert cli.main([command, "--input", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"ranklaw: {command}: {data}: {message}\n"
+    assert list(out.iterdir()) == []
+
+
+def test_fit_drop_top_lists_the_dropped_ids(tmp_path):
+    ranking = _write_region_ranking(tmp_path / "ranked.csv")
+    out = tmp_path / "out"
+    assert cli.main(["fit", "--input", str(ranking), "--drop-top", "2",
+                     "--out", str(out)]) == 0
+    report = (out / "fit_report.txt").read_text()
+    assert "excluded: reg00,reg01\n" in report
+    assert "N: 18\n" in report

@@ -130,8 +130,57 @@ def test_cutoff_fit_roundtrip():
 def test_fit_rejects_nonpositive_values_on_log_scale():
     values = {"a": 3.0, "b": 2.0, "c": 1.0, "d": 0.0}
     series = rank.rank_desc(values)
-    with pytest.raises(FitError, match="positive"):
-        fit.fit_model(series, scale="log")
+    for scale in ("log", "linear"):
+        with pytest.raises(FitError, match="positive"):
+            fit.fit_model(series, scale=scale)
+
+
+def _paper_scale_series():
+    # the powerlaw_cutoff normal matrix of this series has a condition number
+    # near 1e17, so an iterative log-scale solve would stop as singular
+    truth = _lav3(1e3, 8092, 1.0, 0.75, 0.45)
+    return urnsim.generate_ranksize(truth, noise_sigma=0.1, seed=1)
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_log_fit_is_the_exact_least_squares_optimum(kind):
+    series = _paper_scale_series()
+    r = np.array([rank for _, _, rank in series.entries])
+    y = np.array([value for _, value, _ in series.entries])
+    cols = [np.ones(r.size), -np.log(r)]
+    if kind is ModelKind.LAVALETTE3:
+        cols.append(np.log(r.size - r + 1))
+    elif kind is ModelKind.POWERLAW_CUTOFF:
+        cols.append(-r)
+    coef = np.linalg.lstsq(np.column_stack(cols), np.log(y), rcond=None)[0]
+    result = fit.fit_model(series, kind=kind, A=1e3)
+    assert result.iterations == 0
+    assert result.converged
+    want = (math.exp(coef[0]) / 1e3, *coef[1:])
+    for got, expected in zip(result.model.params, want):
+        assert got == pytest.approx(expected, rel=1e-9)
+    if kind is ModelKind.POWERLAW_CUTOFF:
+        assert result.model.params[2] > 0
+
+
+def test_cutoff_rate_held_at_zero_when_unconstrained_optimum_is_negative():
+    # y = 5 r^-0.8 exp(+0.01 r) still decreases on 1..50, but its rate is negative
+    r = np.arange(1, 51, dtype=float)
+    y = 5.0 * r ** -0.8 * np.exp(0.01 * r)
+    series = rank.rank_desc({f"e{int(ri):02d}": float(v) for ri, v in zip(r, y)},
+                            rule=rank.TieBreak.ENTITY_ID)
+    cutoff = fit.fit_model(series, kind=ModelKind.POWERLAW_CUTOFF, A=1.0)
+    power = fit.fit_model(series, kind=ModelKind.POWERLAW, A=1.0)
+    assert cutoff.model.params[2] == 0.0
+    assert cutoff.model.params[:2] == pytest.approx(power.model.params, rel=1e-12)
+
+
+def test_log_fit_rejects_ranks_that_cannot_determine_the_parameters():
+    # average-rank ties leave two distinct ranks for three parameters
+    series = rank.rank_desc({"a": 2.0, "b": 2.0, "c": 1.0, "d": 1.0},
+                            rule=rank.TieBreak.AVERAGE_RANK)
+    with pytest.raises(FitError, match="singular"):
+        fit.fit_model(series)
 
 
 def test_fit_needs_enough_points():
