@@ -91,14 +91,28 @@ def _load_panel(path: str) -> ingest.Panel:
         return ingest.parse_panel(text)
 
 
-def _load_ranked(path: str, window: list[int] | None) -> rank.RankedSeries:
+def _merged(panel: ingest.Panel, merges: str | None) -> ingest.Panel:
+    """The panel with the merge ledger at path `merges` applied, if one is given."""
+    if not merges:
+        return panel
+    with _naming(merges):
+        ledger = ingest.parse_merge_ledger(Path(merges).read_text())
+        return ingest.apply_merge_ledger(panel, ledger)
+
+
+def _load_ranked(path: str, window: list[int] | None,
+                 merges: str | None = None) -> rank.RankedSeries:
     """Load a ranked series from either an exported ranking file or a panel."""
     text = Path(path).read_text()
     with _naming(path):
         if ingest.is_ranking(text):
+            if merges:
+                raise IngestError("--merges needs a panel, not a ranking file")
             return rank.rank_desc(ingest.parse_ranking(text), rule=rank.TieBreak.ENTITY_ID,
                                   criterion=Path(path).stem)
         panel = ingest.parse_panel(text)
+    panel = _merged(panel, merges)
+    with _naming(path):
         averages = ingest.average_over_years(panel, window or list(panel.years))
     names = {rec.entity_id: rec.name for rec in panel.records}
     return rank.rank_desc(averages, names=names, criterion=panel.quantity_label)
@@ -125,10 +139,7 @@ def _machine_doc(section: str, pairs: dict) -> str:
 
 
 def cmd_ingest(args, out: OutputDir) -> None:
-    panel = _load_panel(args.input)
-    if args.merges:
-        ledger = ingest.parse_merge_ledger(Path(args.merges).read_text())
-        panel = ingest.apply_merge_ledger(panel, ledger)
+    panel = _merged(_load_panel(args.input), args.merges)
     out.write("panel.csv", ingest.serialize_panel(panel))
     if args.population:
         pop = _load_panel(args.population)
@@ -175,7 +186,7 @@ def cmd_rank(args, out: OutputDir) -> None:
 
 
 def cmd_corr(args, out: OutputDir) -> None:
-    x = _load_ranked(args.input, args.window)
+    x = _load_ranked(args.input, args.window, args.merges)
     y = _load_ranked(args.population, args.window)
     pairs = rank.pair_ranks(x, y)
     ids = [eid for eid, _, _ in pairs.entries]
@@ -265,10 +276,7 @@ def cmd_simulate(args, out: OutputDir) -> None:
 
 
 def cmd_report(args, out: OutputDir) -> None:
-    ati = _load_panel(args.input)
-    if args.merges:
-        ledger = ingest.parse_merge_ledger(Path(args.merges).read_text())
-        ati = ingest.apply_merge_ledger(ati, ledger)
+    ati = _merged(_load_panel(args.input), args.merges)
     pop = _load_panel(args.population)
     window = args.window or list(ati.years)
 
@@ -360,6 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--population", required=True,
                    help="second input (ranking file or panel)")
+    p.add_argument("--merges", help="merge ledger applied to the --input panel")
     p.set_defaults(func=cmd_corr)
 
     p = sub.add_parser("pairwise", help="year-pair Kendall matrices for one panel")

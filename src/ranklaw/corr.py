@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CorrelationError
+from .errors import CorrelationError, require_finite
 from .ingest import Panel, average_over_years
 from .rank import RankPairs
 
@@ -92,6 +92,8 @@ def kendall_counts_xy(x, y) -> PairCounts:
     y = np.asarray(y, dtype=float)
     if x.size != y.size:
         raise CorrelationError(f"length mismatch: {x.size} vs {y.size}")
+    require_finite(x, CorrelationError)
+    require_finite(y, CorrelationError)
     n = x.size
     n0 = n * (n - 1) // 2
     order = np.lexsort((y, x))
@@ -165,6 +167,8 @@ def pearson_pi(x, y) -> float:
         raise CorrelationError(f"length mismatch: {x.size} vs {y.size}")
     if x.size < 2:
         raise CorrelationError("pearson_pi needs n >= 2")
+    require_finite(x, CorrelationError)
+    require_finite(y, CorrelationError)
     dx = x - x.mean()
     dy = y - y.mean()
     sx = float(np.sqrt(np.sum(dx * dx)))

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by the toolkit modules."""
+"""Exception hierarchy shared by the toolkit modules, and the input checks that raise it."""
+
+import numpy as np
 
 
 class RanklawError(Exception):
@@ -31,3 +33,24 @@ class RegimeError(RanklawError):
 
 class SimulationError(RanklawError):
     """Invalid urn-process configuration or exhausted capacity."""
+
+
+def require_finite(values, error: type[RanklawError], labels=None) -> None:
+    """Raise `error` naming the first NaN or infinite entry of `values`.
+
+    The entry is named by labels[i] when labels are given, else by position.
+    Only NaN and +/-inf are refused: tied values are legal.
+    """
+    values = np.asarray(values, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        where = f"for {labels[i]!r}" if labels is not None else f"at position {i}"
+        raise error(f"non-finite value {values[i]} {where}")
+
+
+def id_sample(ids) -> str:
+    """How many ids differ, and at most the first 10 of them, for a message."""
+    ids = sorted(ids)
+    more = f" and {len(ids) - 10} more" if len(ids) > 10 else ""
+    return f"{len(ids)} ids: {', '.join(map(repr, ids[:10]))}{more}"

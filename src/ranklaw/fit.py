@@ -205,6 +205,8 @@ def fit_model(series: RankedSeries, kind: ModelKind = ModelKind.LAVALETTE3,
     N = series.n
     if A is None:
         A = default_amplitude(y)
+    elif not (math.isfinite(A) and A > 0):
+        raise FitError(f"amplitude A must be positive and finite; got {A}")
 
     params = _log_optimum(kind, A, N, r, y)
     res = _residuals(kind, A, N, params, r, y, scale)
@@ -325,7 +327,10 @@ def format_fit_report(fit: FitResult) -> str:
     lines += [
         f"scale: {fit.scale}",
         f"r_squared_{fit.scale}: {format(fit.r_squared, '.12g')}",
-        f"r_squared_linear: {format(fit.r_squared_linear, '.12g')}",
+    ]
+    if fit.scale == "log":  # on the linear scale the line above is this one
+        lines.append(f"r_squared_linear: {format(fit.r_squared_linear, '.12g')}")
+    lines += [
         f"chi_squared: {format(fit.chi_squared, '.12g')}",
         f"excluded: {','.join(fit.excluded) if fit.excluded else '(none)'}",
         f"iterations: {fit.iterations}",

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field, replace
 from statistics import fmean
 
-from .errors import IngestError
+from .errors import IngestError, id_sample
 
 MISSING_MARKERS = {"", "NA", "NaN", "nan", "null", "None"}
 
@@ -344,8 +344,8 @@ def aggregate_by_region(ati_panel: Panel, pop_panel: Panel,
     ati_mean averages those yearly totals.
     """
     if ati_panel.entity_ids != pop_panel.entity_ids:
-        diff = sorted(ati_panel.entity_ids ^ pop_panel.entity_ids)
-        raise IngestError(f"entity sets differ between panels: {diff}")
+        diff = id_sample(ati_panel.entity_ids ^ pop_panel.entity_ids)
+        raise IngestError(f"entity sets differ between panels in {diff}")
     census_year = census_year if census_year is not None else pop_panel.years[-1]
     pop = pop_panel.by_id()
 

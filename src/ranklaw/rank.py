@@ -6,7 +6,7 @@ import enum
 import io
 from dataclasses import dataclass
 
-from .errors import RankingError
+from .errors import RankingError, id_sample, require_finite
 from .stats import SummaryStats, describe
 
 
@@ -69,6 +69,7 @@ def rank_desc(values: dict[str, float],
     """
     if not values:
         raise RankingError("cannot rank an empty map")
+    require_finite(list(values.values()), RankingError, list(values))
     names = names or {}
 
     def sort_key(eid):
@@ -105,8 +106,8 @@ def pair_ranks(x: RankedSeries, y: RankedSeries) -> RankPairs:
     x_ranks = x.ranks()
     y_ranks = y.ranks()
     if x_ranks.keys() != y_ranks.keys():
-        diff = sorted(x_ranks.keys() ^ y_ranks.keys())
-        raise RankingError(f"entity sets differ: {diff}")
+        diff = id_sample(x_ranks.keys() ^ y_ranks.keys())
+        raise RankingError(f"entity sets differ in {diff}")
     entries = tuple(
         (eid, x_ranks[eid], y_ranks[eid]) for eid in sorted(x_ranks)
     )

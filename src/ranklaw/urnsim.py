@@ -5,6 +5,11 @@ constant offset; in the long-time limit occupancy follows a Yule-Simon
 distribution with a hyperbolic tail.  A hard per-urn capacity reproduces the
 high-rank collapse that motivates the doubly decreasing rank-size form.
 
+Both cases are sampled exactly without placing balls one by one: without a
+binding capacity the added counts are one Dirichlet-multinomial draw; with
+one, each urn is an independent capped birth process and the occupancy is
+read off the earliest birth times over all urns (see simulate_urns).
+
 The random stream is numpy's PCG64 (default_rng); replicate substreams are
 spawned from SeedSequence(seed) so runs reproduce across platforms.
 """
@@ -125,44 +130,6 @@ class UrnOutcome:
         return sum(self.occupancy)
 
 
-class _Fenwick:
-    """Partial-sum tree over per-urn attachment weights (O(log n) per ball)."""
-
-    def __init__(self, weights):
-        self.n = len(weights)
-        self.tree = [0.0] * (self.n + 1)
-        for i, w in enumerate(weights):
-            self.add(i, w)
-
-    def add(self, i, delta):
-        i += 1
-        while i <= self.n:
-            self.tree[i] += delta
-            i += i & (-i)
-
-    def total(self):
-        return self.prefix(self.n)
-
-    def prefix(self, i):
-        s = 0.0
-        while i > 0:
-            s += self.tree[i]
-            i -= i & (-i)
-        return s
-
-    def find(self, target):
-        """Smallest index i with prefix(i+1) > target."""
-        idx = 0
-        bit = 1 << (self.n.bit_length())
-        while bit:
-            nxt = idx + bit
-            if nxt <= self.n and self.tree[nxt] <= target:
-                target -= self.tree[nxt]
-                idx = nxt
-            bit >>= 1
-        return idx
-
-
 def simulate_urns(config: UrnConfig,
                   rng: np.random.Generator | None = None) -> UrnOutcome:
     """Run one preferential-attachment filling sequence.
@@ -173,33 +140,50 @@ def simulate_urns(config: UrnConfig,
     When no urn can reach the capacity this is a Polya urn, whose added
     counts are exactly Dirichlet-multinomial(total_balls, k0 + a) (Johnson &
     Kotz 1977; Blackwell & MacQueen 1973), so they are drawn in one step.
-    A binding capacity retires urns and breaks exchangeability, so that case
-    places the balls one at a time through a Fenwick tree.
+
+    A binding capacity retires urns and breaks exchangeability.  That case
+    runs every urn as an independent linear birth process of rate k + a that
+    stops at the capacity (Athreya & Karlin 1968): by memorylessness the
+    order of births across urns is exactly the urn process, so the
+    occupancy counts each urn's share of the total_balls earliest births.
+    Births are drawn in blocks, only for urns whose last drawn birth is
+    still earlier than the total_balls-th earliest time drawn so far, so
+    memory stays O(n_urns + total_balls) however loose the capacity.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    cap = config.capacity
-    if cap is None or cap >= config.k0 + config.total_balls:
-        alpha = np.full(config.n_urns, config.k0 + config.a)
-        added = rng.multinomial(config.total_balls, rng.dirichlet(alpha))
-        return UrnOutcome(tuple((config.k0 + added).tolist()))
-    k = [config.k0] * config.n_urns
-    weights = [0.0 if config.k0 >= cap else config.k0 + config.a
-               for _ in range(config.n_urns)]
-    tree = _Fenwick(weights)
-    for placed in range(config.total_balls):
-        total = tree.total()
-        if total <= 0:
-            raise SimulationError(
-                f"all urns at capacity after {placed} of {config.total_balls} balls"
-            )
-        urn = tree.find(rng.random() * total)
-        k[urn] += 1
-        if k[urn] >= cap:
-            tree.add(urn, -(k[urn] - 1 + config.a))  # retire the urn
-        else:
-            tree.add(urn, 1.0)
-    return UrnOutcome(tuple(k))
+    n, T, k0, cap = config.n_urns, config.total_balls, config.k0, config.capacity
+    if cap is None or cap >= k0 + T:
+        alpha = np.full(n, k0 + config.a)
+        added = rng.multinomial(T, rng.dirichlet(alpha))
+        return UrnOutcome(tuple((k0 + added).tolist()))
+    room = cap - k0                  # births each urn can take
+    if T > n * room:
+        raise SimulationError(f"all urns at capacity after {n * room} of {T} balls")
+    urns = np.arange(n)              # urns whose next birth may still count
+    frontier = np.zeros(n)           # their last drawn birth time
+    times, owner = np.empty(0), np.empty(0, dtype=np.intp)
+    drawn, width, t_star = 0, -(-T // n), np.inf   # first width: mean births per urn
+    while urns.size:
+        # an urn once dropped never returns, so every urn left has drawn
+        # `drawn` births and the next block's rates are shared
+        w = min(width, room - drawn)
+        rates = k0 + config.a + np.arange(drawn, drawn + w)
+        block = frontier[:, None] + np.cumsum(
+            rng.standard_exponential((urns.size, w)) / rates, axis=1)
+        times = np.concatenate((times, block.ravel()))
+        owner = np.concatenate((owner, np.repeat(urns, w)))
+        if times.size >= T:
+            # t_star only falls as births are added, so later times never count
+            t_star = np.partition(times, T - 1)[T - 1]
+            keep = times <= t_star
+            times, owner = times[keep], owner[keep]
+        drawn, width = drawn + w, 2 * width
+        live = (block[:, -1] < t_star) & (drawn < room)
+        urns, frontier = urns[live], block[live, -1]
+    first = np.argpartition(times, T - 1)[:T]
+    added = np.bincount(owner[first], minlength=n)
+    return UrnOutcome(tuple((k0 + added).tolist()))
 
 
 def replicate_occupancies(config: UrnConfig, replicates: int) -> np.ndarray:

@@ -338,3 +338,71 @@ def test_fit_drop_top_lists_the_dropped_ids(tmp_path):
     report = (out / "fit_report.txt").read_text()
     assert "excluded: reg00,reg01\n" in report
     assert "N: 18\n" in report
+
+
+def test_linear_scale_fit_report_keys_are_unique(tmp_path):
+    ranking = _write_region_ranking(tmp_path / "ranked.csv")
+    out = tmp_path / "out"
+    assert cli.main(["fit", "--input", str(ranking), "--model", "powerlaw",
+                     "--scale", "linear", "--out", str(out)]) == 0
+    keys = [line.partition(":")[0] for line in
+            (out / "fit_report.txt").read_text().splitlines()]
+    assert len(keys) == len(set(keys))
+    assert "r_squared_linear" in keys
+
+
+MERGE_INCOME = """\
+entity_id,name,region,province,2007,2008
+c1,Alpha,R1,P1,100,110
+c2,Beta,R1,P1,200,210
+c3,Gamma,R2,P2,50,55
+c4,Delta,R2,P2,80,60
+"""
+MERGE_POPULATION = """\
+entity_id,name,region,province,2001,2011
+m1,AlphaBeta,R1,P1,30,31
+c3,Gamma,R2,P2,5,6
+c4,Delta,R2,P2,9,8
+"""
+
+
+def test_corr_applies_merges_to_the_input_panel(tmp_path, capsys):
+    income, pop, ledger = (tmp_path / "income.csv", tmp_path / "pop.csv",
+                           tmp_path / "merges.csv")
+    income.write_text(MERGE_INCOME)
+    pop.write_text(MERGE_POPULATION)
+    ledger.write_text("target_id,target_name,component_ids,effective_year\n"
+                      "m1,AlphaBeta,c1;c2,2008\n")
+    argv = ["corr", "--input", str(income), "--population", str(pop), "--format", "machine"]
+    assert cli.main(argv + ["--out", str(tmp_path / "plain")]) == 1
+    assert "entity sets differ in 3 ids: 'c1', 'c2', 'm1'\n" in capsys.readouterr().err
+    out = tmp_path / "merged"
+    assert cli.main(argv + ["--merges", str(ledger), "--out", str(out)]) == 0
+    text = (out / "corr.txt").read_text()
+    assert "n: 3\n" in text
+    assert "kendall_tau: 1\n" in text
+
+
+def test_entity_set_mismatch_lists_at_most_ten_ids(tmp_path, capsys):
+    x = _write_region_ranking(tmp_path / "x.csv")
+    y = tmp_path / "y.csv"
+    y.write_text(x.read_text().replace(",reg", ",other"))
+    assert cli.main(["corr", "--input", str(x), "--population", str(y),
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "entity sets differ in 40 ids: " in err
+    assert err.count("'") == 2 * 10
+    assert err.endswith(" and 30 more\n")
+
+
+@pytest.mark.parametrize("amplitude", ["0", "-5", "nan", "inf"])
+def test_fit_rejects_a_bad_amplitude(tmp_path, capsys, amplitude):
+    ranking = _write_region_ranking(tmp_path / "ranked.csv")
+    out = tmp_path / "out"
+    assert cli.main(["fit", "--input", str(ranking), "--A", amplitude,
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"ranklaw: fit: amplitude A must be positive and finite; "
+                   f"got {float(amplitude)}\n")
+    assert list(out.iterdir()) == []

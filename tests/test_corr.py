@@ -202,3 +202,14 @@ def test_matrix_formatting_layout():
     assert row_2008[1] == str(m.counts[("2007", "2008")].q)
     tz = corr.format_tau_z_matrix(m).splitlines()
     assert tz[1].split(",")[1] == "-"
+
+
+@pytest.mark.parametrize("x, y", [
+    ([1.0, math.nan, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]),
+    ([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, math.inf, 4.0]),
+])
+def test_correlations_reject_non_finite_values(x, y):
+    with pytest.raises(CorrelationError, match="non-finite value"):
+        corr.kendall_counts_xy(x, y)
+    with pytest.raises(CorrelationError, match="non-finite value"):
+        corr.pearson_pi(x, y)

@@ -91,3 +91,9 @@ def test_export_ranked_series():
     s = rank.rank_desc({"a": 3.0, "b": 1.0})
     text = rank.export_ranked_series(s)
     assert text.splitlines() == ["rank,entity_id,value", "1,a,3", "2,b,1"]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rank_desc_rejects_non_finite_values(bad):
+    with pytest.raises(RankingError, match="non-finite value .* for 'b'"):
+        rank.rank_desc({"a": 1.0, "b": bad, "c": 3.0})

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -147,9 +149,138 @@ def test_simulate_capacity_cap_respected():
 
 
 def test_simulate_capped_stream_pinned():
-    # binding capacities take the sequential sampler; these draws are pinned
+    # binding capacities take the event-time sampler; these draws are pinned
     cfg = UrnConfig(n_urns=8, total_balls=60, a=0.5, k0=2, capacity=12, seed=3)
-    assert urnsim.simulate_urns(cfg).occupancy == (12, 5, 12, 12, 11, 12, 7, 5)
+    assert urnsim.simulate_urns(cfg).occupancy == (12, 12, 12, 12, 8, 8, 8, 4)
+
+
+class _Fenwick:
+    """Partial-sum tree over per-urn attachment weights (O(log n) per ball)."""
+
+    def __init__(self, weights):
+        self.n = len(weights)
+        self.tree = [0.0] * (self.n + 1)
+        for i, w in enumerate(weights):
+            self.add(i, w)
+
+    def add(self, i, delta):
+        i += 1
+        while i <= self.n:
+            self.tree[i] += delta
+            i += i & (-i)
+
+    def total(self):
+        s, i = 0.0, self.n
+        while i > 0:
+            s += self.tree[i]
+            i -= i & (-i)
+        return s
+
+    def find(self, target):
+        """Smallest index i with prefix(i+1) > target."""
+        idx = 0
+        bit = 1 << (self.n.bit_length())
+        while bit:
+            nxt = idx + bit
+            if nxt <= self.n and self.tree[nxt] <= target:
+                target -= self.tree[nxt]
+                idx = nxt
+            bit >>= 1
+        return idx
+
+
+def _sequential_urns(config: UrnConfig, rng: np.random.Generator) -> tuple[int, ...]:
+    """Reference sampler: place the balls one at a time through a Fenwick tree."""
+    cap = config.capacity
+    k = [config.k0] * config.n_urns
+    tree = _Fenwick([0.0 if config.k0 >= cap else config.k0 + config.a
+                     for _ in range(config.n_urns)])
+    for placed in range(config.total_balls):
+        total = tree.total()
+        if total <= 0:
+            raise SimulationError(
+                f"all urns at capacity after {placed} of {config.total_balls} balls")
+        urn = tree.find(rng.random() * total)
+        k[urn] += 1
+        if k[urn] >= cap:
+            tree.add(urn, -(k[urn] - 1 + config.a))  # retire the urn
+        else:
+            tree.add(urn, 1.0)
+    return tuple(k)
+
+
+def _exact_capped_law(n, balls, a, k0, cap) -> dict[tuple[int, ...], Fraction]:
+    """Occupancy law after `balls` steps of the capped urn chain, in exact arithmetic."""
+    law = {(k0,) * n: Fraction(1)}
+    for _ in range(balls):
+        step = defaultdict(Fraction)
+        for state, p in law.items():
+            total = sum(k + a for k in state if k < cap)
+            for i, k in enumerate(state):
+                if k < cap:
+                    step[state[:i] + (k + 1,) + state[i + 1:]] += p * (k + a) / total
+        law = step
+    return law
+
+
+def _chi2_z(draws: list[tuple[int, ...]], law: dict) -> float:
+    """Standardized Pearson chi-squared of observed occupancies against `law`.
+
+    Cells are pooled, rarest first, until each expects at least 5 of the
+    len(draws) replicates, the usual condition for the chi-squared law to
+    hold; the statistic is then standardized by its mean df and sd sqrt(2 df).
+    """
+    R = len(draws)
+    observed = defaultdict(int)
+    for occ in draws:
+        assert occ in law, f"impossible occupancy {occ}"
+        observed[occ] += 1
+    cells, pending_e, pending_o = [], 0.0, 0
+    for state in sorted(law, key=law.get):
+        pending_e += R * float(law[state])
+        pending_o += observed[state]
+        if pending_e >= 5:
+            cells.append((pending_o, pending_e))
+            pending_e, pending_o = 0.0, 0
+    if pending_e:
+        o, e = cells.pop()
+        cells.append((o + pending_o, e + pending_e))
+    chi2 = sum((o - e) ** 2 / e for o, e in cells)
+    df = len(cells) - 1
+    return (chi2 - df) / math.sqrt(2 * df)
+
+
+@pytest.mark.parametrize("n_urns,balls,a,k0,cap", [
+    (3, 6, Fraction(1, 2), 1, 4), (4, 7, Fraction(1), 0, 3), (3, 5, Fraction(-1, 2), 1, 4),
+])
+def test_capped_samplers_match_exact_law(n_urns, balls, a, k0, cap):
+    # 10 000 replicates per sampler; |z| < 5 is five standard deviations of
+    # the chi-squared statistic under the exact law
+    law = _exact_capped_law(n_urns, balls, a, k0, cap)
+    assert sum(law.values()) == 1
+    cfg = UrnConfig(n_urns=n_urns, total_balls=balls, a=float(a), k0=k0, capacity=cap)
+    rng = np.random.default_rng(2026)
+    R = 10_000
+    event_time = [urnsim.simulate_urns(cfg, rng).occupancy for _ in range(R)]
+    sequential = [_sequential_urns(cfg, rng) for _ in range(R)]
+    assert abs(_chi2_z(event_time, law)) < 5
+    assert abs(_chi2_z(sequential, law)) < 5
+
+
+def test_loose_capacity_at_scale_stays_small():
+    # a capacity that barely binds would need n * (cap - k0) = 8e8 birth
+    # times (6.5 GB) if drawn in full; the blocked draw holds O(n + balls)
+    # of them, and the bound allows 64 float64 per urn and per ball
+    cfg = UrnConfig(n_urns=8092, total_balls=100_000, capacity=99_999, seed=6)
+    tracemalloc.start()
+    try:
+        outcome = urnsim.simulate_urns(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.total == cfg.n_urns * cfg.k0 + cfg.total_balls
+    assert len(outcome.occupancy) == cfg.n_urns
+    assert peak < 64 * 8 * (cfg.n_urns + cfg.total_balls)
 
 
 @pytest.mark.parametrize("k0,balls", [(1, 15), (0, 40), (3, 0)])
@@ -192,7 +323,7 @@ def test_uncapped_urn_count_has_dirmult_moments(n_urns, balls, a, k0):
 
 
 def test_sequential_sampler_has_dirmult_moments():
-    # a capacity of k0 + balls - 1 forces the ball-by-ball sampler; with
+    # a capacity of k0 + balls - 1 forces the event-time sampler; with
     # alpha = 0.5 over 10 urns no urn comes near it, so the law is uncapped
     cfg = UrnConfig(n_urns=10, total_balls=300, a=0.5, k0=0, capacity=299)
     rng = np.random.default_rng(2025)
