@@ -114,8 +114,8 @@ def _load_ranked(path: str, window: list[int] | None,
     panel = _merged(panel, merges)
     with _naming(path):
         averages = ingest.average_over_years(panel, window or list(panel.years))
-    names = {rec.entity_id: rec.name for rec in panel.records}
-    return rank.rank_desc(averages, names=names, criterion=panel.quantity_label)
+    return rank.rank_desc(averages, names=dict(zip(panel.ids, panel.names)),
+                          criterion=panel.quantity_label)
 
 
 def _load_scatter(path: str) -> regime.ScatterSet:
@@ -158,8 +158,8 @@ def cmd_describe(args, out: OutputDir) -> None:
     sections = []
     machine: dict = {}
     for year in window:
-        values = [v for v in panel.values_for_year(year).values() if v is not None]
-        summary = stats.describe(values)
+        values = panel.column(year)
+        summary = stats.describe(values[~np.isnan(values)])
         sections.append(stats.format_summary(summary, label=f"[{year}]"))
         for key, value in stats.summary_key_values(summary).items():
             machine[f"{year}.{key}"] = value
@@ -179,8 +179,8 @@ def cmd_rank(args, out: OutputDir) -> None:
     panel = _load_panel(args.input)
     with _naming(args.input):
         averages = ingest.average_over_years(panel, args.window or list(panel.years))
-    names = {rec.entity_id: rec.name for rec in panel.records}
-    series = rank.rank_desc(averages, rule=_tie_rule(args.ties), names=names,
+    series = rank.rank_desc(averages, rule=_tie_rule(args.ties),
+                            names=dict(zip(panel.ids, panel.names)),
                             criterion=panel.quantity_label)
     out.write("ranked.csv", rank.export_ranked_series(series))
 
@@ -287,14 +287,15 @@ def cmd_report(args, out: OutputDir) -> None:
     parts.append(stats.format_summary(stats.describe(list(averages.values())),
                                       label="[summary: window-average values]"))
 
-    names = {rec.entity_id: rec.name for rec in ati.records}
+    names = dict(zip(ati.ids, ati.names))
     x = rank.rank_desc(averages, names=names, criterion=ati.quantity_label)
     census_year = pop.years[-1]
-    pop_values = pop.values_for_year(census_year)
-    missing = next((eid for eid, v in pop_values.items() if v is None), None)
-    if missing is not None:
+    census = pop.column(census_year)
+    if np.isnan(census).any():
+        missing = pop.ids[np.argmax(np.isnan(census))]
         raise IngestError(f"{args.population}: missing population for "
                           f"{missing!r} in year {census_year}")
+    pop_values = dict(zip(pop.ids, census.tolist()))
     y = rank.rank_desc(pop_values, names=names, criterion=pop.quantity_label)
     pairs = rank.pair_ranks(x, y)
     ids = [eid for eid, _, _ in pairs.entries]

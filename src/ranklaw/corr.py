@@ -226,20 +226,21 @@ def pairwise_matrix(panel: Panel, window: list[int] | None = None,
     Columns are the window years plus, optionally, the window average.
     """
     window = list(window) if window is not None else list(panel.years)
-    ids = sorted(panel.entity_ids)
-    columns: dict[str, list[float]] = {}
+    order = sorted(range(len(panel.ids)), key=panel.ids.__getitem__)
+    columns: dict[str, np.ndarray] = {}
     for year in window:
-        values = panel.values_for_year(year)
-        missing = [eid for eid in ids if values[eid] is None]
-        if missing:
-            raise CorrelationError(f"missing values in year {year}: {missing[:5]}")
-        columns[str(year)] = [values[eid] for eid in ids]
+        values = panel.column(year)[order]
+        missing = np.flatnonzero(np.isnan(values))
+        if missing.size:
+            raise CorrelationError(f"missing values in year {year}: "
+                                   f"{[panel.ids[order[i]] for i in missing[:5]]}")
+        columns[str(year)] = values
     if include_average:
         avg = average_over_years(panel, window)
-        columns[AVERAGE_LABEL] = [avg[eid] for eid in ids]
+        columns[AVERAGE_LABEL] = np.array([avg[panel.ids[i]] for i in order])
 
     labels = tuple(columns)
-    n = len(ids)
+    n = len(order)
     counts: dict[tuple[str, str], PairCounts] = {}
     tau: dict[tuple[str, str], float] = {}
     zs: dict[tuple[str, str], float] = {}

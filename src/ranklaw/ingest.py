@@ -3,9 +3,10 @@ files, merge ledgers, regional aggregation.
 
 A Panel is an entity-by-year table of one measured quantity (e.g. aggregated
 tax income or population), keyed by a stable entity id carrying region and
-province membership.  Administrative consolidations are applied through a
-MergeLedger; per-year values of merged entities are summed, which preserves
-panel-wide totals.
+province membership, and held as columns: one tuple per label and one float64
+matrix of entities by years.  Administrative consolidations are applied
+through a MergeLedger; per-year values of merged entities are summed, which
+preserves panel-wide totals.
 """
 
 from __future__ import annotations
@@ -13,8 +14,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from statistics import fmean
+from types import SimpleNamespace
+
+import numpy as np
 
 from .errors import IngestError, id_sample
 
@@ -37,31 +41,61 @@ class EntityRecord:
     values: dict[int, float | None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Panel:
+    """An entity-by-year table held as columns.
+
+    ids, names, regions and provinces are aligned tuples in first-appearance
+    order; values is a read-only float64 matrix with one row per entity and
+    one column per year, NaN marking a missing cell.  records, by_id(),
+    values_for_year() and entity_ids are per-entity views built on each call.
+    """
+
     quantity_label: str
     years: tuple[int, ...]
-    records: tuple[EntityRecord, ...]
+    ids: tuple[str, ...]
+    names: tuple[str, ...]
+    regions: tuple[str, ...]
+    provinces: tuple[str, ...]
+    values: np.ndarray
     provenance: str = ""
 
     def __post_init__(self):
-        seen = set()
-        for rec in self.records:
-            if rec.entity_id in seen:
-                raise IngestError(f"duplicate entity_id {rec.entity_id!r}")
-            seen.add(rec.entity_id)
+        if len(set(self.ids)) < len(self.ids):
+            raise IngestError("duplicate entity_id among the panel ids")
+        self.values.setflags(write=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, Panel):
+            return NotImplemented
+        return ({**vars(self), "values": None} == {**vars(other), "values": None}
+                and np.array_equal(self.values, other.values, equal_nan=True))
+
+    def column(self, year: int) -> np.ndarray:
+        """The values of one year, aligned with ids."""
+        if year not in self.years:
+            raise IngestError(f"year {year} not in panel years {list(self.years)}")
+        return self.values[:, self.years.index(year)]
 
     @property
     def entity_ids(self) -> set[str]:
-        return {rec.entity_id for rec in self.records}
+        return set(self.ids)
+
+    @property
+    def records(self) -> tuple[EntityRecord, ...]:
+        return tuple(
+            EntityRecord(eid, name, region, province,
+                         {y: None if v != v else v for y, v in zip(self.years, row)})
+            for eid, name, region, province, row in zip(
+                self.ids, self.names, self.regions, self.provinces, self.values.tolist())
+        )
 
     def by_id(self) -> dict[str, EntityRecord]:
         return {rec.entity_id: rec for rec in self.records}
 
     def values_for_year(self, year: int) -> dict[str, float | None]:
-        if year not in self.years:
-            raise IngestError(f"year {year} not in panel years {list(self.years)}")
-        return {rec.entity_id: rec.values.get(year) for rec in self.records}
+        return {eid: None if v != v else v
+                for eid, v in zip(self.ids, self.column(year).tolist())}
 
 
 @dataclass(frozen=True)
@@ -137,37 +171,87 @@ def _parse_value(raw: str, row_num: int) -> float | None:
     return value
 
 
-def _body(text: str) -> list[tuple[int, str]]:
-    """(1-based line number, line) of every line that is not blank or a '#' comment."""
-    return [(n, line) for n, line in enumerate(text.splitlines(), start=1)
-            if line.strip() and not line.startswith("#")]
+def _body(text: str) -> tuple[list[str], list[int], list[str]]:
+    """The '#' comment lines of a text, and the line numbers and lines of the
+    others that are not blank."""
+    comments, numbers, lines = [], [], []
+    for n, line in enumerate(text.splitlines(), start=1):
+        if line.startswith("#"):
+            comments.append(line)
+        elif line.strip():
+            numbers.append(n)
+            lines.append(line)
+    return comments, numbers, lines
 
 
 def _table(text: str, columns: list[str], delimiter: str | None = None):
-    """(header line number, header, rows) of a delimited file whose header starts
-    with `columns`.  rows yields (line number, fields) for each data row and
-    rejects a row whose field count differs from the header's.  The delimiter
-    defaults to tab if the header contains one, comma otherwise."""
-    body = _body(text)
-    if not body:
+    """(comment lines, header line number, header, row line numbers, rows, error)
+    of a delimited file whose header starts with `columns`; the delimiter
+    defaults to tab if the header has one, comma otherwise.  The rows stop
+    before the first with a wrong field count, whose IngestError is `error`
+    (else None), for the caller to raise once the rows before it pass."""
+    comments, numbers, lines = _body(text)
+    if not lines:
         raise IngestError("empty input: no header row")
-    header_no, header_line = body[0]
-    delim = delimiter or ("\t" if "\t" in header_line else ",")
-    reader = csv.reader((line for _, line in body), delimiter=delim)
+    reader = csv.reader(lines, delimiter=delimiter or ("\t" if "\t" in lines[0] else ","))
     header = [h.strip() for h in next(reader)]
     if header[: len(columns)] != columns:
         raise IngestError(
             f"header must start with {','.join(columns)}; got {','.join(header)}"
         )
+    rows = list(reader)
+    row_nums = numbers[1: len(rows) + 1]
+    lengths = list(map(len, rows))
+    if lengths.count(len(header)) == len(rows):
+        return comments, numbers[0], header, row_nums, rows, None
+    bad = next(i for i, k in enumerate(lengths) if k != len(header))
+    error = IngestError(
+        f"malformed row {row_nums[bad]}: expected {len(header)} fields, got {lengths[bad]}"
+    )
+    return comments, numbers[0], header, row_nums[:bad], rows[:bad], error
 
-    def rows():
-        for (row_num, _), row in zip(body[1:], reader):
-            if len(row) != len(header):
-                raise IngestError(
-                    f"malformed row {row_num}: expected {len(header)} fields, got {len(row)}"
-                )
-            yield row_num, row
-    return header_no, header, rows()
+
+def _converted(cells, convert) -> list:
+    """convert(cell) for each cell, with None where it raises ValueError."""
+    try:
+        return list(map(convert, cells))
+    except ValueError:
+        return [_or_none(convert, cell) for cell in cells]
+
+
+def _or_none(convert, cell):
+    try:
+        return convert(cell)
+    except ValueError:
+        return None
+
+
+def _value_column(raw) -> tuple[np.ndarray, np.ndarray]:
+    """(values, NaN where missing; cells _parse_value would reject) of a column."""
+    cells = list(map(str.strip, raw))
+    missing = np.fromiter(map(MISSING_MARKERS.__contains__, cells), bool, len(cells))
+    if missing.any():
+        cells = ["nan" if m else c for c, m in zip(cells, missing.tolist())]
+    values = np.array(_converted(cells, float), dtype=float)
+    with np.errstate(invalid="ignore"):
+        return values, ~missing & ~(np.isfinite(values) & (values >= 0))
+
+
+def _row_error(row: list[str], row_num: int, schema: ColumnSchema,
+               long_form: bool) -> IngestError:
+    """The error of a row known to fail a check: the first check it fails."""
+    entity_id = row[0].strip()
+    region = schema.region_overrides.get(entity_id, row[2].strip())
+    if schema.region_codes is not None and region not in schema.region_codes:
+        return IngestError(f"unknown region code {region!r} at row {row_num}")
+    if long_form and _or_none(int, row[4]) is None:
+        return IngestError(f"malformed year {row[4]!r} at row {row_num}")
+    try:
+        for raw in row[5:] if long_form else row[4:]:
+            _parse_value(raw, row_num)
+    except IngestError as exc:
+        return exc
+    return IngestError(f"duplicate entity_id {entity_id!r} at row {row_num}")
 
 
 def parse_panel(text, schema: ColumnSchema | None = None) -> Panel:
@@ -176,23 +260,24 @@ def parse_panel(text, schema: ColumnSchema | None = None) -> Panel:
     Long form has columns entity_id,name,region,province,year,value; wide form
     replaces (year, value) with one column per year.  Lines starting with '#'
     carry optional metadata (quantity_label, provenance) and are skipped
-    otherwise.
+    otherwise.  Each check runs on whole columns; an error names the first
+    row, in file order, that fails one.
     """
     schema = schema or ColumnSchema()
     if hasattr(text, "read"):
         text = text.read()
 
+    comments, header_no, header, row_nums, rows, error = _table(
+        text, ID_COLUMNS, schema.delimiter)
     quantity_label = schema.quantity_label
     provenance = ""
-    for line in text.splitlines():
-        if line.startswith("#"):
-            meta = line[1:].strip()
-            if meta.startswith("quantity_label:"):
-                quantity_label = meta.split(":", 1)[1].strip()
-            elif meta.startswith("provenance:"):
-                provenance = meta.split(":", 1)[1].strip()
+    for line in comments:
+        meta = line[1:].strip()
+        if meta.startswith("quantity_label:"):
+            quantity_label = meta.split(":", 1)[1].strip()
+        elif meta.startswith("provenance:"):
+            provenance = meta.split(":", 1)[1].strip()
 
-    header_no, header, rows = _table(text, ID_COLUMNS, schema.delimiter)
     tail = header[len(ID_COLUMNS):]
     long_form = tail == ["year", "value"]
     if not long_form:
@@ -206,70 +291,93 @@ def parse_panel(text, schema: ColumnSchema | None = None) -> Panel:
         if not wide_years:
             raise IngestError("wide form needs at least one year column")
 
-    # entity_id -> (name, region, province, {year: value})
-    entities: dict[str, tuple[str, str, str, dict[int, float | None]]] = {}
-    years: set[int] = set()
-    for row_num, row in rows:
-        entity_id, name, region, province = (f.strip() for f in row[:4])
-        region = schema.region_overrides.get(entity_id, region)
-        if schema.region_codes is not None and region not in schema.region_codes:
-            raise IngestError(f"unknown region code {region!r} at row {row_num}")
-        if long_form:
-            try:
-                year = int(row[4])
-            except ValueError:
-                raise IngestError(f"malformed year {row[4]!r} at row {row_num}") from None
-            row_values = {year: _parse_value(row[5], row_num)}
-        else:
-            row_values = {
-                y: _parse_value(raw, row_num) for y, raw in zip(wide_years, row[4:])
-            }
-        years.update(row_values)
+    n = len(rows)
+    columns = list(zip(*rows)) or [()] * len(header)
+    ids, names, regions, provinces = (list(map(str.strip, c)) for c in columns[:4])
+    if schema.region_overrides:
+        regions = [schema.region_overrides.get(e, r) for e, r in zip(ids, regions)]
+    index: dict[str, int] = {}
+    entity = np.array([index.setdefault(e, len(index)) for e in ids], dtype=np.intp)
+    # a row is its entity's first where the running max of entity indices steps up
+    new = np.diff(np.maximum.accumulate(entity), prepend=-1) > 0
+    first = np.flatnonzero(new)
 
-        if entity_id in entities:
-            prev = entities[entity_id]
-            if not long_form or (prev[0], prev[1], prev[2]) != (name, region, province):
-                raise IngestError(f"duplicate entity_id {entity_id!r} at row {row_num}")
-            if any(y in prev[3] for y in row_values):
-                raise IngestError(f"duplicate entity_id {entity_id!r} at row {row_num}")
-            prev[3].update(row_values)
-        else:
-            entities[entity_id] = (name, region, province, dict(row_values))
+    bad = np.zeros(n, dtype=bool)
+    if schema.region_codes is not None:
+        bad |= ~np.fromiter(map(schema.region_codes.__contains__, regions), bool, n)
+    cells = [_value_column(c) for c in (columns[5:] if long_form else columns[4:])]
+    for _, invalid in cells:
+        bad |= invalid
+    if long_form:
+        row_years = _converted(columns[4], int)
+        if None in row_years:
+            bad |= np.fromiter((y is None for y in row_years), bool, n)
+        year_list = sorted(set(row_years) - {None})
+        # a malformed year, flagged above, may take any column
+        year_index = {None: 0} | {y: j for j, y in enumerate(year_list)}
+        year_col = np.fromiter(map(year_index.__getitem__, row_years), np.intp, n)
+        # every row repeats the name, region and province of its entity's first
+        first_of_row = first[entity].tolist()
+        for labels in (names, regions, provinces):
+            firsts = [labels[i] for i in first_of_row]
+            bad |= np.fromiter(map(str.__ne__, labels, firsts), bool, n)
+        cell = entity * len(year_list) + year_col
+        repeated = np.bincount(cell, minlength=len(index) * len(year_list))[cell] > 1
+        seen: set[int] = set()
+        for i in np.flatnonzero(repeated).tolist():
+            bad[i] |= cell[i] in seen
+            seen.add(cell[i])
+        targets = [year_col]
+    else:
+        bad |= ~new
+        year_list = sorted(set(wide_years)) if n else []  # a panel's years are its rows'
+        targets = [year_list.index(year) for year in wide_years] if n else []
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise _row_error(rows[i], row_nums[i], schema, long_form)
+    if error is not None:
+        raise error
 
-    year_list = tuple(sorted(years))
-    records = tuple(
-        EntityRecord(eid, name, region, province,
-                     {y: vals.get(y) for y in year_list})
-        for eid, (name, region, province, vals) in entities.items()
-    )
-    return Panel(quantity_label, year_list, records, provenance)
+    values = np.full((len(index), len(year_list)), np.nan)
+    for target, (column, _) in zip(targets, cells):
+        values[entity, target] = column
+    names, regions, provinces = ([labels[i] for i in first.tolist()]
+                                 for labels in (names, regions, provinces))
+    return Panel(quantity_label, tuple(year_list), tuple(index), tuple(names),
+                 tuple(regions), tuple(provinces), values, provenance)
 
 
 def is_ranking(text: str) -> bool:
     """Whether the text has the `rank,entity_id,value` layout rather than a panel's."""
-    body = _body(text)
-    return bool(body) and body[0][1].replace("\t", ",").startswith("rank,")
+    lines = _body(text)[2]
+    return bool(lines) and lines[0].replace("\t", ",").startswith("rank,")
 
 
 def parse_ranking(text: str) -> dict[str, float]:
     """Values by entity id from a `rank,entity_id,value` file; ranks are not read."""
+    _, _, _, row_nums, rows, error = _table(text, RANKING_COLUMNS)
     values: dict[str, float] = {}
-    for row_num, row in _table(text, RANKING_COLUMNS)[2]:
+    for row_num, row in zip(row_nums, rows):
         eid = row[1]
         if eid in values:
             raise IngestError(f"duplicate entity_id {eid!r} at row {row_num}")
         values[eid] = _number(row[2], row_num)
+    if error is not None:
+        raise error
     return values
 
 
 def parse_scatter(text: str) -> list[tuple[str, float, float]]:
     """(entity_id, x, y) points from a file whose columns start entity_id,x,y."""
+    _, _, _, row_nums, rows, error = _table(text, SCATTER_COLUMNS)
     points: dict[str, tuple[str, float, float]] = {}
-    for row_num, row in _table(text, SCATTER_COLUMNS)[2]:
+    for row_num, row in zip(row_nums, rows):
         eid = row[0]
         if eid in points:
             raise IngestError(f"duplicate entity_id {eid!r} at row {row_num}")
         points[eid] = (eid, _number(row[1], row_num), _number(row[2], row_num))
+    if error is not None:
+        raise error
     return list(points.values())
 
 
@@ -298,41 +406,38 @@ def parse_merge_ledger(text, delimiter: str | None = None) -> MergeLedger:
 
 
 def apply_merge_ledger(panel: Panel, ledger: MergeLedger) -> Panel:
-    """Replace each entry's component records with one summed target record.
+    """Replace each entry's component rows with one summed target row.
 
     Per-year target values are the sum of the component values, so panel-wide
     totals are preserved.  A year is missing in the target iff it is missing
-    in any component.
+    in any component.  A target takes its region and province from its first
+    component.
     """
-    by_id = panel.by_id()
-    merged_away: set[str] = set()
+    index = {eid: i for i, eid in enumerate(panel.ids)}
     for entry in ledger.entries:
         for cid in entry.component_ids:
-            if cid not in by_id:
+            if cid not in index:
                 raise IngestError(f"unknown component_id {cid!r}")
-            merged_away.add(cid)
-
-    survivors = [rec for rec in panel.records if rec.entity_id not in merged_away]
-    survivor_ids = {rec.entity_id for rec in survivors}
-
-    new_records = list(survivors)
+    merged_away = {index[cid] for entry in ledger.entries for cid in entry.component_ids}
+    keep = [i for i in range(len(panel.ids)) if i not in merged_away]
+    taken = {panel.ids[i] for i in keep}
     for entry in ledger.entries:
-        if entry.target_id in survivor_ids:
+        if entry.target_id in taken:
             raise IngestError(
                 f"target_id {entry.target_id!r} collides with a surviving record"
             )
-        components = [by_id[cid] for cid in entry.component_ids]
-        values: dict[int, float | None] = {}
-        for year in panel.years:
-            parts = [c.values.get(year) for c in components]
-            values[year] = None if any(p is None for p in parts) else sum(parts)
-        first = components[0]
-        new_records.append(
-            EntityRecord(entry.target_id, entry.target_name, first.region,
-                         first.province, values)
-        )
-        survivor_ids.add(entry.target_id)
-    return replace(panel, records=tuple(new_records))
+        taken.add(entry.target_id)
+
+    sources = keep + [index[entry.component_ids[0]] for entry in ledger.entries]
+    sums = [sum(panel.values[index[cid]] for cid in entry.component_ids)
+            for entry in ledger.entries]
+    return Panel(
+        panel.quantity_label, panel.years,
+        tuple([panel.ids[i] for i in keep] + [entry.target_id for entry in ledger.entries]),
+        tuple([panel.names[i] for i in keep] + [entry.target_name for entry in ledger.entries]),
+        tuple(panel.regions[i] for i in sources), tuple(panel.provinces[i] for i in sources),
+        np.vstack([panel.values[keep], *sums]), panel.provenance,
+    )
 
 
 def aggregate_by_region(ati_panel: Panel, pop_panel: Panel,
@@ -341,44 +446,40 @@ def aggregate_by_region(ati_panel: Panel, pop_panel: Panel,
 
     n_inhabitants sums the population panel at census_year (default: its last
     declared year); ati_by_year sums the member-city values per year and
-    ati_mean averages those yearly totals.
+    ati_mean averages those yearly totals.  Sums add the cities in panel order.
     """
-    if ati_panel.entity_ids != pop_panel.entity_ids:
-        diff = id_sample(ati_panel.entity_ids ^ pop_panel.entity_ids)
+    if set(ati_panel.ids) != set(pop_panel.ids):
+        diff = id_sample(set(ati_panel.ids) ^ set(pop_panel.ids))
         raise IngestError(f"entity sets differ between panels in {diff}")
     census_year = census_year if census_year is not None else pop_panel.years[-1]
-    pop = pop_panel.by_id()
+    pop_index = {eid: i for i, eid in enumerate(pop_panel.ids)}
+    rows = [pop_index[eid] for eid in ati_panel.ids]
+    population = (pop_panel.column(census_year)[rows] if census_year in pop_panel.years
+                  else np.full(len(rows), np.nan))
 
-    regions: dict[str, list[EntityRecord]] = {}
-    for rec in ati_panel.records:
-        regions.setdefault(rec.region, []).append(rec)
+    regions = sorted(set(ati_panel.regions))
+    code = {region: r for r, region in enumerate(regions)}
+    member = np.array([code[region] for region in ati_panel.regions], dtype=np.intp)
+    gaps = np.isnan(ati_panel.values).any(axis=1) | np.isnan(population)
+    if gaps.any():
+        # the first gap region by region, income years before population
+        cities = np.flatnonzero(member == member[gaps].min())
+        for year, column in zip(ati_panel.years, ati_panel.values[cities].T):
+            if np.isnan(column).any():
+                eid = ati_panel.ids[cities[np.argmax(np.isnan(column))]]
+                raise IngestError(f"missing value for {eid!r} in year {year}")
+        eid = ati_panel.ids[cities[np.argmax(np.isnan(population[cities]))]]
+        raise IngestError(f"missing population for {eid!r} in year {census_year}")
 
+    # a weighted bincount adds each region's cities one by one in panel order
+    counts = np.bincount(member, minlength=len(regions)).tolist()
+    sums = [np.bincount(member, weights, len(regions)).tolist()
+            for weights in (population, *ati_panel.values.T)]
     aggregates = []
-    for region in sorted(regions):
-        members = regions[region]
-        ati_by_year: dict[int, float] = {}
-        for year in ati_panel.years:
-            total = 0.0
-            for rec in members:
-                v = rec.values.get(year)
-                if v is None:
-                    raise IngestError(
-                        f"missing value for {rec.entity_id!r} in year {year}"
-                    )
-                total += v
-            ati_by_year[year] = total
-        n_inhab = 0.0
-        for rec in members:
-            v = pop[rec.entity_id].values.get(census_year)
-            if v is None:
-                raise IngestError(
-                    f"missing population for {rec.entity_id!r} in year {census_year}"
-                )
-            n_inhab += v
-        aggregates.append(
-            RegionAggregate(region, len(members), n_inhab, ati_by_year,
-                            fmean(ati_by_year.values()))
-        )
+    for r, region in enumerate(regions):
+        ati_by_year = {year: totals[r] for year, totals in zip(ati_panel.years, sums[1:])}
+        aggregates.append(RegionAggregate(region, counts[r], sums[0][r], ati_by_year,
+                                          fmean(ati_by_year.values())))
     return aggregates
 
 
@@ -387,18 +488,12 @@ def average_over_years(panel: Panel, window: list[int]) -> dict[str, float]:
     missing_years = [y for y in window if y not in panel.years]
     if missing_years:
         raise IngestError(f"window years {missing_years} not in panel")
-    out = {}
-    for rec in panel.records:
-        vals = []
-        for year in window:
-            v = rec.values.get(year)
-            if v is None:
-                raise IngestError(
-                    f"missing value for {rec.entity_id!r} in year {year}"
-                )
-            vals.append(v)
-        out[rec.entity_id] = fmean(vals)
-    return out
+    block = panel.values[:, [panel.years.index(y) for y in window]]
+    gaps = np.isnan(block)
+    if gaps.any():
+        i, j = divmod(int(np.argmax(gaps)), len(window))
+        raise IngestError(f"missing value for {panel.ids[i]!r} in year {window[j]}")
+    return dict(zip(panel.ids, map(fmean, block.tolist())))
 
 
 def serialize_panel(panel: Panel) -> str:
@@ -409,11 +504,16 @@ def serialize_panel(panel: Panel) -> str:
         out.write(f"# provenance: {panel.provenance}\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(LONG_COLUMNS)
-    for rec in sorted(panel.records, key=lambda r: r.entity_id):
-        for year in panel.years:
-            v = rec.values.get(year)
-            writer.writerow([
-                rec.entity_id, rec.name, rec.region, rec.province, year,
-                "" if v is None else format(v, ".12g"),
-            ])
+    order = sorted(range(len(panel.ids)), key=panel.ids.__getitem__)
+    # each entity's four label fields go through the csv writer once; the
+    # year and value fields never need quoting
+    labels: list[str] = []
+    csv.writer(SimpleNamespace(write=labels.append), lineterminator="\n").writerows(
+        (panel.ids[i], panel.names[i], panel.regions[i], panel.provinces[i]) for i in order)
+    years = [f",{year}," for year in panel.years]
+    out.writelines(
+        head[:-1] + year + ("" if v != v else format(v, ".12g")) + "\n"
+        for head, row in zip(labels, panel.values[order].tolist())
+        for year, v in zip(years, row)
+    )
     return out.getvalue()
