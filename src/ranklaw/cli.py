@@ -226,6 +226,8 @@ def cmd_pairwise(args, out: OutputDir) -> None:
 
 
 def cmd_fit(args, out: OutputDir) -> None:
+    if not 0 < args.threshold < float("inf"):
+        raise RanklawError(f"--threshold must be positive and finite; got {args.threshold}")
     ranked = _load_ranked(args.input, args.window)
     series = fit.remove_top_outliers(ranked, args.drop_top)
     dropped = tuple(eid for eid, _, _ in ranked.entries[:args.drop_top])

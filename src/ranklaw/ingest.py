@@ -194,12 +194,15 @@ def _table(text: str, columns: list[str], delimiter: str | None = None):
     if not lines:
         raise IngestError("empty input: no header row")
     reader = csv.reader(lines, delimiter=delimiter or ("\t" if "\t" in lines[0] else ","))
-    header = [h.strip() for h in next(reader)]
-    if header[: len(columns)] != columns:
-        raise IngestError(
-            f"header must start with {','.join(columns)}; got {','.join(header)}"
-        )
-    rows = list(reader)
+    try:
+        header = [h.strip() for h in next(reader)]
+        if header[: len(columns)] != columns:
+            raise IngestError(
+                f"header must start with {','.join(columns)}; got {','.join(header)}"
+            )
+        rows = list(reader)
+    except csv.Error as exc:  # e.g. a field over csv's size limit
+        raise IngestError(f"malformed row {numbers[reader.line_num - 1]}: {exc}") from None
     row_nums = numbers[1: len(rows) + 1]
     lengths = list(map(len, rows))
     if lengths.count(len(header)) == len(rows):

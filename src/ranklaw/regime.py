@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RegimeError
+from .errors import RegimeError, id_sample
 
 
 @dataclass(frozen=True)
@@ -99,11 +99,15 @@ def two_line_split(points: ScatterSet, k: int = 2, max_iter: int = 100,
     (10th/90th for k=2, plus the median for k=3); each iteration assigns
     points to the nearest line by orthogonal distance and refits slopes,
     so the objective never increases.  Points in outlier_ids are excluded
-    before clustering and reported back unassigned.
+    before clustering and reported back unassigned; an id that names no point
+    is an error.
     """
     if k not in (2, 3):
         raise RegimeError("k must be 2 or 3")
     excluded = set(outlier_ids)
+    unknown = excluded.difference(p[0] for p in points.points)
+    if unknown:
+        raise RegimeError(f"outlier ids not in the scatter: {id_sample(unknown)}")
     kept = [p for p in points.points if p[0] not in excluded]
     if len(kept) < k + 2:
         raise RegimeError(f"need at least {k + 2} points after outlier exclusion")

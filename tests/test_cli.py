@@ -406,3 +406,46 @@ def test_fit_rejects_a_bad_amplitude(tmp_path, capsys, amplitude):
     assert err == (f"ranklaw: fit: amplitude A must be positive and finite; "
                    f"got {float(amplitude)}\n")
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "0"])
+def test_fit_rejects_a_bad_threshold(tmp_path, capsys, threshold):
+    ranking = _write_region_ranking(tmp_path / "ranked.csv")
+    out = tmp_path / "out"
+    assert cli.main(["fit", "--input", str(ranking), "--threshold", threshold,
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"ranklaw: fit: --threshold must be positive and finite; "
+                   f"got {float(threshold)}\n")
+    assert list(out.iterdir()) == []
+
+
+def _two_slope_scatter(path):
+    rows = ["entity_id,x,y"] + [f"a{i},{x},{3 * x}" for i, x in enumerate(range(1, 6))]
+    rows += [f"b{i},{x},{x}" for i, x in enumerate(range(1, 6))]
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+def test_regime_rejects_an_unknown_exclude_id(tmp_path, capsys):
+    scatter = _two_slope_scatter(tmp_path / "scatter.csv")
+    out = tmp_path / "out"
+    assert cli.main(["regime", "--input", str(scatter), "--exclude", "a0,zz,b9",
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "ranklaw: regime: outlier ids not in the scatter: 2 ids: 'b9', 'zz'\n"
+    assert list(out.iterdir()) == []
+
+
+def test_report_rejects_an_unknown_exclude_id(tmp_path, capsys):
+    ati = tmp_path / "ati.csv"
+    ati.write_text("entity_id,name,region,province,2007,2008\n" + "".join(
+        f"c{i},N{i},R{i % 2},P1,{100 * i + 7 * (i % 3)},{110 * i}\n" for i in range(1, 9)))
+    out = tmp_path / "out"
+    assert cli.main(["report", "--input", str(ati), "--population", str(ati),
+                     "--out", str(out)]) == 0
+    assert cli.main(["report", "--input", str(ati), "--population", str(ati),
+                     "--exclude", "c1,zz", "--out", str(out / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err == "ranklaw: report: outlier ids not in the scatter: 1 ids: 'zz'\n"
+    assert list((out / "x").iterdir()) == []
