@@ -15,6 +15,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from statistics import fmean
 from types import SimpleNamespace
 
@@ -185,11 +186,12 @@ def _body(text: str) -> tuple[list[str], list[int], list[str]]:
 
 
 def _table(text: str, columns: list[str], delimiter: str | None = None):
-    """(comment lines, header line number, header, row line numbers, rows, error)
-    of a delimited file whose header starts with `columns`; the delimiter
-    defaults to tab if the header has one, comma otherwise.  The rows stop
-    before the first with a wrong field count, whose IngestError is `error`
-    (else None), for the caller to raise once the rows before it pass."""
+    """(comment lines, header line number, header, row line numbers, fields,
+    error) of a delimited file whose header starts with `columns`; fields
+    holds one list per header column.  The delimiter defaults to tab if the
+    header has one, comma otherwise.  The rows stop before the first with a
+    wrong field count, whose IngestError is `error` (else None), for the
+    caller to raise once the rows before it pass."""
     comments, numbers, lines = _body(text)
     if not lines:
         raise IngestError("empty input: no header row")
@@ -200,29 +202,26 @@ def _table(text: str, columns: list[str], delimiter: str | None = None):
             raise IngestError(
                 f"header must start with {','.join(columns)}; got {','.join(header)}"
             )
-        rows = list(reader)
+        fields: list[list[str]] = [[] for _ in header]
+        error = None
+        # a few hundred rows at a time, so that the row lists die young and
+        # never set off a full garbage collection
+        while error is None and (rows := list(islice(reader, 500))):
+            lengths = list(map(len, rows))
+            if lengths.count(len(header)) != len(rows):
+                bad = next(i for i, k in enumerate(lengths) if k != len(header))
+                error = IngestError(f"malformed row {numbers[len(fields[0]) + bad + 1]}: "
+                                    f"expected {len(header)} fields, got {lengths[bad]}")
+                rows = rows[:bad]
+            for field, cells in zip(fields, zip(*rows)):
+                field.extend(cells)
     except csv.Error as exc:  # e.g. a field over csv's size limit
         raise IngestError(f"malformed row {numbers[reader.line_num - 1]}: {exc}") from None
-    row_nums = numbers[1: len(rows) + 1]
-    lengths = list(map(len, rows))
-    if lengths.count(len(header)) == len(rows):
-        return comments, numbers[0], header, row_nums, rows, None
-    bad = next(i for i, k in enumerate(lengths) if k != len(header))
-    error = IngestError(
-        f"malformed row {row_nums[bad]}: expected {len(header)} fields, got {lengths[bad]}"
-    )
-    return comments, numbers[0], header, row_nums[:bad], rows[:bad], error
-
-
-def _converted(cells, convert) -> list:
-    """convert(cell) for each cell, with None where it raises ValueError."""
-    try:
-        return list(map(convert, cells))
-    except ValueError:
-        return [_or_none(convert, cell) for cell in cells]
+    return comments, numbers[0], header, numbers[1: len(fields[0]) + 1], fields, error
 
 
 def _or_none(convert, cell):
+    """convert(cell), or None where it raises ValueError."""
     try:
         return convert(cell)
     except ValueError:
@@ -235,7 +234,10 @@ def _value_column(raw) -> tuple[np.ndarray, np.ndarray]:
     missing = np.fromiter(map(MISSING_MARKERS.__contains__, cells), bool, len(cells))
     if missing.any():
         cells = ["nan" if m else c for c, m in zip(cells, missing.tolist())]
-    values = np.array(_converted(cells, float), dtype=float)
+    try:
+        values = np.array(list(map(float, cells)), dtype=float)
+    except ValueError:
+        values = np.array([_or_none(float, c) for c in cells], dtype=float)
     with np.errstate(invalid="ignore"):
         return values, ~missing & ~(np.isfinite(values) & (values >= 0))
 
@@ -270,7 +272,7 @@ def parse_panel(text, schema: ColumnSchema | None = None) -> Panel:
     if hasattr(text, "read"):
         text = text.read()
 
-    comments, header_no, header, row_nums, rows, error = _table(
+    comments, header_no, header, row_nums, columns, error = _table(
         text, ID_COLUMNS, schema.delimiter)
     quantity_label = schema.quantity_label
     provenance = ""
@@ -294,8 +296,7 @@ def parse_panel(text, schema: ColumnSchema | None = None) -> Panel:
         if not wide_years:
             raise IngestError("wide form needs at least one year column")
 
-    n = len(rows)
-    columns = list(zip(*rows)) or [()] * len(header)
+    n = len(row_nums)
     ids, names, regions, provinces = (list(map(str.strip, c)) for c in columns[:4])
     if schema.region_overrides:
         regions = [schema.region_overrides.get(e, r) for e, r in zip(ids, regions)]
@@ -312,18 +313,25 @@ def parse_panel(text, schema: ColumnSchema | None = None) -> Panel:
     for _, invalid in cells:
         bad |= invalid
     if long_form:
-        row_years = _converted(columns[4], int)
-        if None in row_years:
-            bad |= np.fromiter((y is None for y in row_years), bool, n)
-        year_list = sorted(set(row_years) - {None})
+        year_of = {raw: _or_none(int, raw) for raw in set(columns[4])}
+        if None in year_of.values():
+            bad |= np.fromiter((year_of[raw] is None for raw in columns[4]), bool, n)
+        year_list = sorted(set(year_of.values()) - {None})
+        position = {year: j for j, year in enumerate(year_list)}
         # a malformed year, flagged above, may take any column
-        year_index = {None: 0} | {y: j for j, y in enumerate(year_list)}
-        year_col = np.fromiter(map(year_index.__getitem__, row_years), np.intp, n)
-        # every row repeats the name, region and province of its entity's first
-        first_of_row = first[entity].tolist()
+        column_of = {raw: position.get(year, 0) for raw, year in year_of.items()}
+        year_col = np.fromiter(map(column_of.__getitem__, columns[4]), np.intp, n)
+        # Every row repeats the labels of its entity's first row.  A row right
+        # after one of its entity is compared with that row instead: the first
+        # row that differs is the same, and the neighbours share cache lines.
+        follows = np.r_[False, entity[1:] == entity[:-1]]
+        rest = np.flatnonzero(~new & ~follows).tolist()
+        firsts = first[entity[rest]].tolist()
         for labels in (names, regions, provinces):
-            firsts = [labels[i] for i in first_of_row]
-            bad |= np.fromiter(map(str.__ne__, labels, firsts), bool, n)
+            bad[1:] |= follows[1:] & np.fromiter(map(str.__ne__, labels[1:], labels[:-1]),
+                                                 bool, n - 1)
+            bad[rest] |= np.fromiter(map(str.__ne__, [labels[i] for i in rest],
+                                         [labels[i] for i in firsts]), bool, len(rest))
         cell = entity * len(year_list) + year_col
         repeated = np.bincount(cell, minlength=len(index) * len(year_list))[cell] > 1
         seen: set[int] = set()
@@ -337,7 +345,7 @@ def parse_panel(text, schema: ColumnSchema | None = None) -> Panel:
         targets = [year_list.index(year) for year in wide_years] if n else []
     if bad.any():
         i = int(np.argmax(bad))
-        raise _row_error(rows[i], row_nums[i], schema, long_form)
+        raise _row_error([c[i] for c in columns], row_nums[i], schema, long_form)
     if error is not None:
         raise error
 
@@ -358,13 +366,12 @@ def is_ranking(text: str) -> bool:
 
 def parse_ranking(text: str) -> dict[str, float]:
     """Values by entity id from a `rank,entity_id,value` file; ranks are not read."""
-    _, _, _, row_nums, rows, error = _table(text, RANKING_COLUMNS)
+    _, _, _, row_nums, columns, error = _table(text, RANKING_COLUMNS)
     values: dict[str, float] = {}
-    for row_num, row in zip(row_nums, rows):
-        eid = row[1]
+    for row_num, eid, raw in zip(row_nums, columns[1], columns[2]):
         if eid in values:
             raise IngestError(f"duplicate entity_id {eid!r} at row {row_num}")
-        values[eid] = _number(row[2], row_num)
+        values[eid] = _number(raw, row_num)
     if error is not None:
         raise error
     return values
@@ -372,13 +379,12 @@ def parse_ranking(text: str) -> dict[str, float]:
 
 def parse_scatter(text: str) -> list[tuple[str, float, float]]:
     """(entity_id, x, y) points from a file whose columns start entity_id,x,y."""
-    _, _, _, row_nums, rows, error = _table(text, SCATTER_COLUMNS)
+    _, _, _, row_nums, columns, error = _table(text, SCATTER_COLUMNS)
     points: dict[str, tuple[str, float, float]] = {}
-    for row_num, row in zip(row_nums, rows):
-        eid = row[0]
+    for row_num, eid, x, y in zip(row_nums, *columns[:3]):
         if eid in points:
             raise IngestError(f"duplicate entity_id {eid!r} at row {row_num}")
-        points[eid] = (eid, _number(row[1], row_num), _number(row[2], row_num))
+        points[eid] = (eid, _number(x, row_num), _number(y, row_num))
     if error is not None:
         raise error
     return list(points.values())
