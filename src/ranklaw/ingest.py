@@ -185,39 +185,59 @@ def _body(text: str) -> tuple[list[str], list[int], list[str]]:
     return comments, numbers, lines
 
 
+def _read(reader, numbers: list[int], count: int):
+    """Up to `count` rows from a csv reader of the lines numbered `numbers`, and
+    the IngestError that stopped the read early, or None."""
+    rows: list[list[str]] = []
+    try:
+        rows.extend(islice(reader, count))
+    except csv.Error as exc:  # e.g. a field over csv's size limit
+        return rows, IngestError(f"malformed row {numbers[reader.line_num - 1]}: {exc}")
+    return rows, None
+
+
 def _table(text: str, columns: list[str], delimiter: str | None = None):
-    """(comment lines, header line number, header, row line numbers, fields,
-    error) of a delimited file whose header starts with `columns`; fields
-    holds one list per header column.  The delimiter defaults to tab if the
-    header has one, comma otherwise.  The rows stop before the first with a
-    wrong field count, whose IngestError is `error` (else None), for the
-    caller to raise once the rows before it pass."""
+    """(comment lines, header line number, header, chunks) of a delimited file
+    whose header starts with `columns`; the delimiter defaults to tab if the
+    header has one, comma otherwise.
+
+    chunks yields (line numbers, fields) for a few hundred rows at a time,
+    fields holding one tuple per header column, so that the row lists die
+    young and a large file sets off no full garbage collection.  A row that
+    does not split into the header's fields raises its IngestError only after
+    the rows before it are yielded, so the caller checks those first.
+    """
     comments, numbers, lines = _body(text)
     if not lines:
         raise IngestError("empty input: no header row")
     reader = csv.reader(lines, delimiter=delimiter or ("\t" if "\t" in lines[0] else ","))
-    try:
-        header = [h.strip() for h in next(reader)]
-        if header[: len(columns)] != columns:
-            raise IngestError(
-                f"header must start with {','.join(columns)}; got {','.join(header)}"
-            )
-        fields: list[list[str]] = [[] for _ in header]
-        error = None
-        # a few hundred rows at a time, so that the row lists die young and
-        # never set off a full garbage collection
-        while error is None and (rows := list(islice(reader, 500))):
+    head, error = _read(reader, numbers, 1)
+    if error is not None:
+        raise error
+    header = [h.strip() for h in head[0]]
+    if header[: len(columns)] != columns:
+        raise IngestError(
+            f"header must start with {','.join(columns)}; got {','.join(header)}"
+        )
+
+    def chunks():
+        done = 1
+        while True:
+            rows, error = _read(reader, numbers, 500)
             lengths = list(map(len, rows))
             if lengths.count(len(header)) != len(rows):
                 bad = next(i for i, k in enumerate(lengths) if k != len(header))
-                error = IngestError(f"malformed row {numbers[len(fields[0]) + bad + 1]}: "
+                error = IngestError(f"malformed row {numbers[done + bad]}: "
                                     f"expected {len(header)} fields, got {lengths[bad]}")
                 rows = rows[:bad]
-            for field, cells in zip(fields, zip(*rows)):
-                field.extend(cells)
-    except csv.Error as exc:  # e.g. a field over csv's size limit
-        raise IngestError(f"malformed row {numbers[reader.line_num - 1]}: {exc}") from None
-    return comments, numbers[0], header, numbers[1: len(fields[0]) + 1], fields, error
+            if rows:
+                yield numbers[done: done + len(rows)], list(zip(*rows))
+            done += len(rows)
+            if error is not None:
+                raise error
+            if not rows:
+                return
+    return comments, numbers[0], header, chunks()
 
 
 def _or_none(convert, cell):
@@ -265,15 +285,14 @@ def parse_panel(text, schema: ColumnSchema | None = None) -> Panel:
     Long form has columns entity_id,name,region,province,year,value; wide form
     replaces (year, value) with one column per year.  Lines starting with '#'
     carry optional metadata (quantity_label, provenance) and are skipped
-    otherwise.  Each check runs on whole columns; an error names the first
-    row, in file order, that fails one.
+    otherwise.  The rows are read a chunk at a time and each check runs on a
+    chunk's columns; an error names the first row, in file order, that fails.
     """
     schema = schema or ColumnSchema()
     if hasattr(text, "read"):
         text = text.read()
 
-    comments, header_no, header, row_nums, columns, error = _table(
-        text, ID_COLUMNS, schema.delimiter)
+    comments, header_no, header, chunks = _table(text, ID_COLUMNS, schema.delimiter)
     quantity_label = schema.quantity_label
     provenance = ""
     for line in comments:
@@ -296,66 +315,65 @@ def parse_panel(text, schema: ColumnSchema | None = None) -> Panel:
         if not wide_years:
             raise IngestError("wide form needs at least one year column")
 
-    n = len(row_nums)
-    ids, names, regions, provinces = (list(map(str.strip, c)) for c in columns[:4])
-    if schema.region_overrides:
-        regions = [schema.region_overrides.get(e, r) for e, r in zip(ids, regions)]
     index: dict[str, int] = {}
-    entity = np.array([index.setdefault(e, len(index)) for e in ids], dtype=np.intp)
-    # a row is its entity's first where the running max of entity indices steps up
-    new = np.diff(np.maximum.accumulate(entity), prepend=-1) > 0
-    first = np.flatnonzero(new)
+    labels: tuple[list[str], ...] = ([], [], [])  # each entity's first name, region, province
+    # the column of each year, numbered in the order the years are first seen
+    positions = {} if long_form else {y: j for j, y in enumerate(sorted(set(wide_years)))}
+    column_of: dict[str, int] = {}  # long form: column of each year cell, -1 if malformed
+    filled: set[int] = set()  # long form: entity << 32 | column of every cell read
+    parts = []  # (entity, column, value) arrays of each chunk
+    for row_nums, columns in chunks:
+        n = len(row_nums)
+        ids, names, regions, provinces = (list(map(str.strip, c)) for c in columns[:4])
+        if schema.region_overrides:
+            regions = [schema.region_overrides.get(e, r) for e, r in zip(ids, regions)]
+        start = len(index)
+        entity = np.array([index.setdefault(e, len(index)) for e in ids], dtype=np.intp)
+        # a row is its entity's first where the running max of entity indices steps up
+        new = np.diff(np.maximum.accumulate(entity), prepend=start - 1) > 0
+        for stored, column in zip(labels, (names, regions, provinces)):
+            stored.extend(column[i] for i in np.flatnonzero(new))
 
-    bad = np.zeros(n, dtype=bool)
-    if schema.region_codes is not None:
-        bad |= ~np.fromiter(map(schema.region_codes.__contains__, regions), bool, n)
-    cells = [_value_column(c) for c in (columns[5:] if long_form else columns[4:])]
-    for _, invalid in cells:
-        bad |= invalid
-    if long_form:
-        year_of = {raw: _or_none(int, raw) for raw in set(columns[4])}
-        if None in year_of.values():
-            bad |= np.fromiter((year_of[raw] is None for raw in columns[4]), bool, n)
-        year_list = sorted(set(year_of.values()) - {None})
-        position = {year: j for j, year in enumerate(year_list)}
-        # a malformed year, flagged above, may take any column
-        column_of = {raw: position.get(year, 0) for raw, year in year_of.items()}
-        year_col = np.fromiter(map(column_of.__getitem__, columns[4]), np.intp, n)
-        # Every row repeats the labels of its entity's first row.  A row right
-        # after one of its entity is compared with that row instead: the first
-        # row that differs is the same, and the neighbours share cache lines.
-        follows = np.r_[False, entity[1:] == entity[:-1]]
-        rest = np.flatnonzero(~new & ~follows).tolist()
-        firsts = first[entity[rest]].tolist()
-        for labels in (names, regions, provinces):
-            bad[1:] |= follows[1:] & np.fromiter(map(str.__ne__, labels[1:], labels[:-1]),
-                                                 bool, n - 1)
-            bad[rest] |= np.fromiter(map(str.__ne__, [labels[i] for i in rest],
-                                         [labels[i] for i in firsts]), bool, len(rest))
-        cell = entity * len(year_list) + year_col
-        repeated = np.bincount(cell, minlength=len(index) * len(year_list))[cell] > 1
-        seen: set[int] = set()
-        for i in np.flatnonzero(repeated).tolist():
-            bad[i] |= cell[i] in seen
-            seen.add(cell[i])
-        targets = [year_col]
-    else:
-        bad |= ~new
-        year_list = sorted(set(wide_years)) if n else []  # a panel's years are its rows'
-        targets = [year_list.index(year) for year in wide_years] if n else []
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise _row_error([c[i] for c in columns], row_nums[i], schema, long_form)
-    if error is not None:
-        raise error
+        bad = np.zeros(n, dtype=bool)
+        if schema.region_codes is not None:
+            bad |= ~np.fromiter(map(schema.region_codes.__contains__, regions), bool, n)
+        cells = [_value_column(c) for c in (columns[5:] if long_form else columns[4:])]
+        for _, invalid in cells:
+            bad |= invalid
+        if long_form:
+            for raw in set(columns[4]).difference(column_of):
+                year = _or_none(int, raw)
+                column_of[raw] = -1 if year is None else positions.setdefault(year, len(positions))
+            column = np.fromiter(map(column_of.__getitem__, columns[4]), np.intp, n)
+            bad |= column < 0
+            # every row repeats the labels of its entity's first row
+            entities = entity.tolist()
+            for stored, column_labels in zip(labels, (names, regions, provinces)):
+                firsts = map(stored.__getitem__, entities)
+                bad |= np.fromiter(map(str.__ne__, column_labels, firsts), bool, n)
+            keys = (entity << 32 | column).tolist()
+            if not filled.isdisjoint(keys) or len(set(keys)) < n:
+                for i, key in enumerate(keys):
+                    bad[i] |= key in filled
+                    filled.add(key)
+            filled.update(keys)
+            parts.append((entity, column, cells[0][0]))
+        else:
+            bad |= ~new
+            last = {year: j for j, year in enumerate(wide_years)}  # a repeated year's last column
+            parts += [(entity, np.full(n, positions[y]), cells[j][0]) for y, j in last.items()]
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise _row_error([c[i] for c in columns], row_nums[i], schema, long_form)
 
-    values = np.full((len(index), len(year_list)), np.nan)
-    for target, (column, _) in zip(targets, cells):
-        values[entity, target] = column
-    names, regions, provinces = ([labels[i] for i in first.tolist()]
-                                 for labels in (names, regions, provinces))
-    return Panel(quantity_label, tuple(year_list), tuple(index), tuple(names),
-                 tuple(regions), tuple(provinces), values, provenance)
+    rank = {year: j for j, year in enumerate(sorted(positions))}
+    sorted_column = np.array([rank[year] for year in positions], dtype=np.intp)
+    years = list(rank) if index else []  # a panel's years are its rows'
+    values = np.full((len(index), len(years)), np.nan)
+    for entity, column, cell_values in parts:
+        values[entity, sorted_column[column]] = cell_values
+    return Panel(quantity_label, tuple(years), tuple(index), *map(tuple, labels), values,
+                 provenance)
 
 
 def is_ranking(text: str) -> bool:
@@ -366,27 +384,23 @@ def is_ranking(text: str) -> bool:
 
 def parse_ranking(text: str) -> dict[str, float]:
     """Values by entity id from a `rank,entity_id,value` file; ranks are not read."""
-    _, _, _, row_nums, columns, error = _table(text, RANKING_COLUMNS)
     values: dict[str, float] = {}
-    for row_num, eid, raw in zip(row_nums, columns[1], columns[2]):
-        if eid in values:
-            raise IngestError(f"duplicate entity_id {eid!r} at row {row_num}")
-        values[eid] = _number(raw, row_num)
-    if error is not None:
-        raise error
+    for row_nums, columns in _table(text, RANKING_COLUMNS)[3]:
+        for row_num, eid, raw in zip(row_nums, columns[1], columns[2]):
+            if eid in values:
+                raise IngestError(f"duplicate entity_id {eid!r} at row {row_num}")
+            values[eid] = _number(raw, row_num)
     return values
 
 
 def parse_scatter(text: str) -> list[tuple[str, float, float]]:
     """(entity_id, x, y) points from a file whose columns start entity_id,x,y."""
-    _, _, _, row_nums, columns, error = _table(text, SCATTER_COLUMNS)
     points: dict[str, tuple[str, float, float]] = {}
-    for row_num, eid, x, y in zip(row_nums, *columns[:3]):
-        if eid in points:
-            raise IngestError(f"duplicate entity_id {eid!r} at row {row_num}")
-        points[eid] = (eid, _number(x, row_num), _number(y, row_num))
-    if error is not None:
-        raise error
+    for row_nums, columns in _table(text, SCATTER_COLUMNS)[3]:
+        for row_num, eid, x, y in zip(row_nums, *columns[:3]):
+            if eid in points:
+                raise IngestError(f"duplicate entity_id {eid!r} at row {row_num}")
+            points[eid] = (eid, _number(x, row_num), _number(y, row_num))
     return list(points.values())
 
 

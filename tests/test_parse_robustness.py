@@ -102,6 +102,31 @@ def test_unknown_region_before_a_bad_value():
 
 
 def test_oversized_field_is_an_ingest_error():
-    text = WIDE + "a,A,R1,P1,1,2\n" + 'b,"' + "x" * 200_000 + '",R1,P1,1,2\n'
+    big = 'b,"' + "x" * 200_000 + '",R1,P1,1,2\n'
     with pytest.raises(IngestError, match="^malformed row 3: field larger than field limit"):
-        ingest.parse_panel(text)
+        ingest.parse_panel(WIDE + "a,A,R1,P1,1,2\n" + big)
+    with pytest.raises(IngestError, match="^negative value at row 2$"):
+        ingest.parse_panel(WIDE + "a,A,R1,P1,-1,2\n" + big)
+
+
+def _long_rows(count):
+    return [f"e{i // 2:04d},E{i // 2},R1,P1,{2007 + i % 2},{i + 1}" for i in range(count)]
+
+
+def test_rows_are_read_across_chunks():
+    panel = ingest.parse_panel(LONG + "\n".join(_long_rows(1200)) + "\n")
+    assert len(panel.ids) == 600 and panel.years == (2007, 2008)
+    assert panel.values[599].tolist() == [1199.0, 1200.0]
+
+
+@pytest.mark.parametrize("line, message", [
+    ("e0001,E1,R1,P1,2007,5", "duplicate entity_id 'e0001' at row 1002"),  # a cell of row 4
+    ("e0001,Renamed,R1,P1,2009,5", "duplicate entity_id 'e0001' at row 1002"),
+    ("e0002,E2,R1,P1,2010", "malformed row 1002: expected 6 fields, got 5"),
+])
+def test_a_fault_far_from_the_row_it_repeats(line, message):
+    rows = _long_rows(1200)
+    rows[1000] = line
+    with pytest.raises(IngestError) as err:
+        ingest.parse_panel(LONG + "\n".join(rows) + "\n")
+    assert str(err.value) == message
