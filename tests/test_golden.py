@@ -150,13 +150,13 @@ def test_golden_output(case, tmp_path):
         assert got[name] == expected[name], f"{case}/{name} differs from the golden file"
 
 
-def _regenerate(scratch: Path) -> None:
+def _regenerate(workdir: Path) -> None:
     for case in CASE_NAMES:
         target = GOLDEN / case
         target.mkdir(parents=True, exist_ok=True)
         for old in target.iterdir():
             old.unlink()
-        for name, data in _run(case, scratch).items():
+        for name, data in _run(case, workdir).items():
             (target / name).write_bytes(data)
 
 
