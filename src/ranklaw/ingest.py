@@ -29,6 +29,7 @@ LONG_COLUMNS = ["entity_id", "name", "region", "province", "year", "value"]
 ID_COLUMNS = LONG_COLUMNS[:4]
 RANKING_COLUMNS = ["rank", "entity_id", "value"]
 SCATTER_COLUMNS = ["entity_id", "x", "y"]
+_CHUNK_ROWS = 500  # rows parsed at a time
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,16 @@ class Panel:
 
     def __post_init__(self):
         if len(set(self.ids)) < len(self.ids):
-            raise IngestError("duplicate entity_id among the panel ids")
+            ids = sorted(self.ids)
+            repeated = {a for a, b in zip(ids, ids[1:]) if a == b}
+            raise IngestError(f"duplicate entity_id in {id_sample(repeated)}")
+        n = len(self.ids)
+        if (len(self.names), len(self.regions), len(self.provinces)) != (n, n, n) \
+                or self.values.shape != (n, len(self.years)):
+            raise IngestError(
+                f"panel columns disagree: {n} ids, {len(self.names)} names, "
+                f"{len(self.regions)} regions, {len(self.provinces)} provinces, "
+                f"{len(self.years)} years and a {self.values.shape} value matrix")
         self.values.setflags(write=False)
 
     def __eq__(self, other):
@@ -162,14 +172,16 @@ def _number(raw: str, row_num: int) -> float:
     return value
 
 
-def _parse_value(raw: str, row_num: int) -> float | None:
-    raw = raw.strip()
-    if raw in MISSING_MARKERS:
-        return None
-    value = _number(raw, row_num)
+def _value_fault(cell: str) -> str:
+    """What is wrong with a stripped value cell that _value_column rejects."""
+    value = _or_none(float, cell)
+    if value is None:
+        return f"malformed value {cell!r}"
+    if not math.isfinite(value):
+        return f"non-finite value {cell!r}"
     if value < 0:
-        raise IngestError(f"negative value at row {row_num}")
-    return value
+        return "negative value"
+    raise AssertionError(f"value cell {cell!r} was rejected but is valid")
 
 
 def _body(text: str) -> tuple[list[str], list[int], list[str]]:
@@ -223,7 +235,7 @@ def _table(text: str, columns: list[str], delimiter: str | None = None):
     def chunks():
         done = 1
         while True:
-            rows, error = _read(reader, numbers, 500)
+            rows, error = _read(reader, numbers, _CHUNK_ROWS)
             lengths = list(map(len, rows))
             if lengths.count(len(header)) != len(rows):
                 bad = next(i for i, k in enumerate(lengths) if k != len(header))
@@ -249,7 +261,8 @@ def _or_none(convert, cell):
 
 
 def _value_column(raw) -> tuple[np.ndarray, np.ndarray]:
-    """(values, NaN where missing; cells _parse_value would reject) of a column."""
+    """(values, NaN where missing; cells that are neither a missing marker nor a
+    finite number >= 0) of a column."""
     cells = list(map(str.strip, raw))
     missing = np.fromiter(map(MISSING_MARKERS.__contains__, cells), bool, len(cells))
     if missing.any():
@@ -262,23 +275,6 @@ def _value_column(raw) -> tuple[np.ndarray, np.ndarray]:
         return values, ~missing & ~(np.isfinite(values) & (values >= 0))
 
 
-def _row_error(row: list[str], row_num: int, schema: ColumnSchema,
-               long_form: bool) -> IngestError:
-    """The error of a row known to fail a check: the first check it fails."""
-    entity_id = row[0].strip()
-    region = schema.region_overrides.get(entity_id, row[2].strip())
-    if schema.region_codes is not None and region not in schema.region_codes:
-        return IngestError(f"unknown region code {region!r} at row {row_num}")
-    if long_form and _or_none(int, row[4]) is None:
-        return IngestError(f"malformed year {row[4]!r} at row {row_num}")
-    try:
-        for raw in row[5:] if long_form else row[4:]:
-            _parse_value(raw, row_num)
-    except IngestError as exc:
-        return exc
-    return IngestError(f"duplicate entity_id {entity_id!r} at row {row_num}")
-
-
 def parse_panel(text, schema: ColumnSchema | None = None) -> Panel:
     """Parse delimited text (long or wide form) into a Panel.
 
@@ -286,7 +282,8 @@ def parse_panel(text, schema: ColumnSchema | None = None) -> Panel:
     replaces (year, value) with one column per year.  Lines starting with '#'
     carry optional metadata (quantity_label, provenance) and are skipped
     otherwise.  The rows are read a chunk at a time and each check runs on a
-    chunk's columns; an error names the first row, in file order, that fails.
+    chunk's columns; an error names the first row, in file order, that fails,
+    and the first check that row fails.
     """
     schema = schema or ColumnSchema()
     if hasattr(text, "read"):
@@ -314,57 +311,67 @@ def parse_panel(text, schema: ColumnSchema | None = None) -> Panel:
             ) from None
         if not wide_years:
             raise IngestError("wide form needs at least one year column")
+        last = {year: j for j, year in enumerate(wide_years)}  # a repeated year's last column
 
     index: dict[str, int] = {}
     labels: tuple[list[str], ...] = ([], [], [])  # each entity's first name, region, province
     # the column of each year, numbered in the order the years are first seen
-    positions = {} if long_form else {y: j for j, y in enumerate(sorted(set(wide_years)))}
+    positions = {} if long_form else {year: j for j, year in enumerate(sorted(last))}
     column_of: dict[str, int] = {}  # long form: column of each year cell, -1 if malformed
     filled: set[int] = set()  # long form: entity << 32 | column of every cell read
     parts = []  # (entity, column, value) arrays of each chunk
     for row_nums, columns in chunks:
         n = len(row_nums)
-        ids, names, regions, provinces = (list(map(str.strip, c)) for c in columns[:4])
+        ids, *row_labels = (list(map(str.strip, c)) for c in columns[:4])
         if schema.region_overrides:
-            regions = [schema.region_overrides.get(e, r) for e, r in zip(ids, regions)]
+            row_labels[1] = [schema.region_overrides.get(e, r) for e, r in zip(ids, row_labels[1])]
         start = len(index)
         entity = np.array([index.setdefault(e, len(index)) for e in ids], dtype=np.intp)
-        # a row is its entity's first where the running max of entity indices steps up
-        new = np.diff(np.maximum.accumulate(entity), prepend=start - 1) > 0
-        for stored, column in zip(labels, (names, regions, provinces)):
-            stored.extend(column[i] for i in np.flatnonzero(new))
+        # new entities take the next indices, so their first rows are where the
+        # running max of the indices, seeded below this chunk's new ones, rises
+        firsts = np.flatnonzero(np.diff(np.maximum.accumulate(np.r_[start - 1, entity])) > 0)
+        for stored, column_labels in zip(labels, row_labels):
+            stored.extend(map(column_labels.__getitem__, firsts.tolist()))
 
-        bad = np.zeros(n, dtype=bool)
+        checks = []  # (rows that fail, fault of row i) of each check, in a row's check order
         if schema.region_codes is not None:
-            bad |= ~np.fromiter(map(schema.region_codes.__contains__, regions), bool, n)
-        cells = [_value_column(c) for c in (columns[5:] if long_form else columns[4:])]
-        for _, invalid in cells:
-            bad |= invalid
+            known = np.fromiter(map(schema.region_codes.__contains__, row_labels[1]), bool, n)
+            checks.append((~known, lambda i: f"unknown region code {row_labels[1][i]!r}"))
         if long_form:
             for raw in set(columns[4]).difference(column_of):
                 year = _or_none(int, raw)
                 column_of[raw] = -1 if year is None else positions.setdefault(year, len(positions))
             column = np.fromiter(map(column_of.__getitem__, columns[4]), np.intp, n)
-            bad |= column < 0
-            # every row repeats the labels of its entity's first row
+            checks.append((column < 0, lambda i: f"malformed year {columns[4][i]!r}"))
+        cells = []
+        for raw in columns[5:] if long_form else columns[4:]:
+            cell_values, invalid = _value_column(raw)
+            cells.append(cell_values)
+            checks.append((invalid, lambda i, raw=raw: _value_fault(raw[i].strip())))
+        if long_form:
+            # a row repeats an entity if its labels differ from the entity's
+            # first row's, or if it fills a cell already filled
             entities = entity.tolist()
-            for stored, column_labels in zip(labels, (names, regions, provinces)):
-                firsts = map(stored.__getitem__, entities)
-                bad |= np.fromiter(map(str.__ne__, column_labels, firsts), bool, n)
+            repeats = np.zeros(n, dtype=bool)
+            for stored, column_labels in zip(labels, row_labels):
+                firsts_labels = map(stored.__getitem__, entities)
+                repeats |= np.fromiter(map(str.__ne__, column_labels, firsts_labels), bool, n)
             keys = (entity << 32 | column).tolist()
             if not filled.isdisjoint(keys) or len(set(keys)) < n:
                 for i, key in enumerate(keys):
-                    bad[i] |= key in filled
+                    repeats[i] |= key in filled
                     filled.add(key)
             filled.update(keys)
-            parts.append((entity, column, cells[0][0]))
+            parts.append((entity, column, cells[0]))
         else:
-            bad |= ~new
-            last = {year: j for j, year in enumerate(wide_years)}  # a repeated year's last column
-            parts += [(entity, np.full(n, positions[y]), cells[j][0]) for y, j in last.items()]
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise _row_error([c[i] for c in columns], row_nums[i], schema, long_form)
+            repeats = np.ones(n, dtype=bool)
+            repeats[firsts] = False
+            parts += [(entity, positions[year], cells[j]) for year, j in last.items()]
+        checks.append((repeats, lambda i: f"duplicate entity_id {ids[i]!r}"))
+        faults = [(int(np.argmax(fails)), k) for k, (fails, _) in enumerate(checks) if fails.any()]
+        if faults:
+            i, k = min(faults)
+            raise IngestError(f"{checks[k][1](i)} at row {row_nums[i]}")
 
     rank = {year: j for j, year in enumerate(sorted(positions))}
     sorted_column = np.array([rank[year] for year in positions], dtype=np.intp)

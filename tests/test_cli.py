@@ -449,3 +449,29 @@ def test_report_rejects_an_unknown_exclude_id(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "ranklaw: report: outlier ids not in the scatter: 1 ids: 'zz'\n"
     assert list((out / "x").iterdir()) == []
+
+
+def test_ingest_with_population_reads_a_year_ordered_panel(tmp_path):
+    # 2 x 300 rows ordered by year cross a parse chunk boundary with every
+    # entity already seen in the earlier chunk
+    ids = range(300)
+    rows = [f"c{i:03d},N{i},R{i % 3},P{i % 2},{year},{i + year - 2000}"
+            for year in (2007, 2008) for i in ids]
+    header = "entity_id,name,region,province,year,value\n"
+    by_year, by_entity = tmp_path / "by_year.csv", tmp_path / "by_entity.csv"
+    by_year.write_text(header + "\n".join(rows) + "\n")
+    by_entity.write_text(header + "\n".join(sorted(rows)) + "\n")
+    pop = tmp_path / "pop.csv"
+    pop.write_text("entity_id,name,region,province,2011\n" + "".join(
+        f"c{i:03d},N{i},R{i % 3},P{i % 2},{2 * i + 1}\n" for i in ids))
+    for panel in (by_year, by_entity):
+        assert cli.main(["ingest", "--input", str(panel), "--population", str(pop),
+                         "--out", str(tmp_path / panel.stem)]) == 0
+    out = tmp_path / "by_year"
+    assert (out / "panel.csv").read_text() == (tmp_path / "by_entity" / "panel.csv").read_text()
+    expected = ["region,n_cities,n_inhabitants,ati_mean"]
+    for r in range(3):
+        members = [i for i in ids if i % 3 == r]
+        ati_mean = sum(2 * i + 15 for i in members) / 2
+        expected.append(f"R{r},100,{sum(2 * i + 1 for i in members)},{ati_mean:.12g}")
+    assert (out / "regions.csv").read_text().splitlines() == expected

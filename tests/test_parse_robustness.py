@@ -1,6 +1,9 @@
 """Panel parsing on hostile input: any text gives a Panel or an IngestError, and
 an error names the first failing row in file order."""
 
+from unittest import mock
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,11 +45,18 @@ GOOD_ROW = st.builds(lambda eid, year, value: [eid, eid.upper(), "R" + str(ord(e
                                                 year, value],
                      st.sampled_from("abcdefgh"), st.sampled_from(["2007", "2008", "2009"]),
                      st.sampled_from(["1", "2.5", "NA", ""]))
-ROWS = st.builds(lambda good, bad, at: good[:at] + bad + good[at:],
-                 st.lists(GOOD_ROW, max_size=10),
-                 st.one_of(st.just([]), st.just([]), st.just([]),
-                           st.lists(st.sampled_from(FIELDS), max_size=8).map(lambda r: [r])),
-                 st.integers(0, 10))
+
+
+def _with_a_bad_row(good_rows):
+    return st.builds(lambda good, bad, at: good[:at] + bad + good[at:], good_rows,
+                     st.one_of(st.just([]), st.just([]), st.just([]),
+                               st.lists(st.sampled_from(FIELDS), max_size=8).map(lambda r: [r])),
+                     st.integers(0, 16))
+
+
+ROWS = _with_a_bad_row(st.lists(GOOD_ROW, max_size=10))
+# distinct (entity, year) cells in any order: long-form panels that mostly parse
+CELLS = _with_a_bad_row(st.lists(GOOD_ROW, max_size=24, unique_by=lambda row: tuple(row[::4])))
 
 
 @settings(max_examples=500, deadline=None)
@@ -60,6 +70,22 @@ def test_panel_like_text_gives_panel_or_ingest_error(header, rows, delimiter):
         assert result.values.shape == (len(result.ids), len(result.years))
         text = ingest.serialize_panel(result)
         assert ingest.serialize_panel(ingest.parse_panel(text)) == text
+
+
+@settings(max_examples=500, deadline=None)
+@given(CELLS, st.sampled_from([2, 3]))
+def test_chunk_size_does_not_change_the_outcome(rows, chunk_rows):
+    # entities come back in any order, so small chunks meet rows of entities
+    # first seen in an earlier chunk
+    text = "\n".join([HEADERS[0]] + [",".join(row) for row in rows]) + "\n"
+    expected = _outcome(text)
+    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+        result = _outcome(text)
+    assert type(result) is type(expected)
+    if isinstance(expected, IngestError):
+        assert str(result) == str(expected)
+    else:
+        assert result == expected
 
 
 LONG = "entity_id,name,region,province,year,value\n"
@@ -130,3 +156,36 @@ def test_a_fault_far_from_the_row_it_repeats(line, message):
     with pytest.raises(IngestError) as err:
         ingest.parse_panel(LONG + "\n".join(rows) + "\n")
     assert str(err.value) == message
+
+
+def test_year_ordered_rows_across_chunks():
+    # every row after the first chunk is of an entity seen before, except the last
+    rows = [f"e{i:03d},E{i},R{i % 3},P{i % 2},{year},{i + 1}"
+            for year in (2007, 2008) for i in range(400)]
+    panel = ingest.parse_panel(LONG + "\n".join(rows + ["late,Late,R1,P9,2008,7"]) + "\n")
+    assert panel.ids == tuple(f"e{i:03d}" for i in range(400)) + ("late",)
+    assert panel.names == tuple(f"E{i}" for i in range(400)) + ("Late",)
+    assert panel.regions == tuple(f"R{i % 3}" for i in range(400)) + ("R1",)
+    assert panel.provinces == tuple(f"P{i % 2}" for i in range(400)) + ("P9",)
+    assert panel.values[:400].tolist() == [[i + 1, i + 1] for i in range(400)]
+    assert np.isnan(panel.values[400, 0]) and panel.values[400, 1] == 7
+
+
+def test_a_new_entity_repeated_in_a_later_chunk():
+    rows = [f"e{i:03d},E{i},R1,P1,2007,1" for i in range(600)]
+    rows.append("e599,E599,R1,P1,2007,2")
+    with pytest.raises(IngestError, match="^duplicate entity_id 'e599' at row 602$"):
+        ingest.parse_panel(LONG + "\n".join(rows) + "\n")
+
+
+def test_a_misaligned_panel_is_refused():
+    columns = dict(quantity_label="q", years=(2007,), ids=("a", "b"), names=("A", "B"),
+                   regions=("R1", "R1"), provinces=("P1", "P1"), values=np.zeros((2, 1)))
+    assert ingest.Panel(**columns).ids == ("a", "b")
+    for name, value in [("names", ("A",)), ("regions", ("R1", "R1", "R2")),
+                        ("provinces", ()), ("values", np.zeros((2, 2))),
+                        ("years", (2007, 2008))]:
+        with pytest.raises(IngestError, match="^panel columns disagree: "):
+            ingest.Panel(**{**columns, name: value})
+    with pytest.raises(IngestError, match="^duplicate entity_id in 1 ids: 'a'$"):
+        ingest.Panel(**{**columns, "ids": ("a", "a")})
