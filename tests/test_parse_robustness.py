@@ -171,13 +171,6 @@ def test_year_ordered_rows_across_chunks():
     assert np.isnan(panel.values[400, 0]) and panel.values[400, 1] == 7
 
 
-def test_a_new_entity_repeated_in_a_later_chunk():
-    rows = [f"e{i:03d},E{i},R1,P1,2007,1" for i in range(600)]
-    rows.append("e599,E599,R1,P1,2007,2")
-    with pytest.raises(IngestError, match="^duplicate entity_id 'e599' at row 602$"):
-        ingest.parse_panel(LONG + "\n".join(rows) + "\n")
-
-
 def test_a_misaligned_panel_is_refused():
     columns = dict(quantity_label="q", years=(2007,), ids=("a", "b"), names=("A", "B"),
                    regions=("R1", "R1"), provinces=("P1", "P1"), values=np.zeros((2, 1)))
