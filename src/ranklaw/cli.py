@@ -16,7 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, corr, fit, ingest, rank, regime, stats, urnsim
+# corr, regime and urnsim are imported inside the commands that use them, so
+# that a command pays the start-up cost only of the modules it runs
+from . import __version__, fit, ingest, rank, stats
 from .errors import IngestError, RanklawError
 
 SCHEMA_VERSION = 1
@@ -119,6 +121,7 @@ def _load_ranked(path: str, window: list[int] | None,
 
 
 def _load_scatter(path: str) -> regime.ScatterSet:
+    from . import regime
     with _naming(path):
         return regime.ScatterSet(tuple(ingest.parse_scatter(Path(path).read_text())))
 
@@ -186,6 +189,7 @@ def cmd_rank(args, out: OutputDir) -> None:
 
 
 def cmd_corr(args, out: OutputDir) -> None:
+    from . import corr
     x = _load_ranked(args.input, args.window, args.merges)
     y = _load_ranked(args.population, args.window)
     pairs = rank.pair_ranks(x, y)
@@ -218,6 +222,7 @@ def cmd_corr(args, out: OutputDir) -> None:
 
 
 def cmd_pairwise(args, out: OutputDir) -> None:
+    from . import corr
     panel = _load_panel(args.input)
     with _naming(args.input):
         matrix = corr.pairwise_matrix(panel, args.window or None)
@@ -241,6 +246,7 @@ def cmd_fit(args, out: OutputDir) -> None:
 
 
 def cmd_regime(args, out: OutputDir) -> None:
+    from . import regime
     points = _load_scatter(args.input)
     exclude = tuple(args.exclude.split(",")) if args.exclude else ()
     split = regime.two_line_split(points, k=args.k_lines, outlier_ids=exclude)
@@ -264,6 +270,7 @@ def cmd_regime(args, out: OutputDir) -> None:
 
 
 def cmd_simulate(args, out: OutputDir) -> None:
+    from . import urnsim
     if args.replicates < 1:
         raise RanklawError(f"--replicates must be >= 1; got {args.replicates}")
     config = urnsim.UrnConfig(
@@ -278,6 +285,7 @@ def cmd_simulate(args, out: OutputDir) -> None:
 
 
 def cmd_report(args, out: OutputDir) -> None:
+    from . import corr, regime
     ati = _merged(_load_panel(args.input), args.merges)
     pop = _load_panel(args.population)
     window = args.window or list(ati.years)
