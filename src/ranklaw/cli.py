@@ -19,7 +19,7 @@ import numpy as np
 # corr, regime and urnsim are imported inside the commands that use them, so
 # that a command pays the start-up cost only of the modules it runs
 from . import __version__, fit, ingest, rank, stats
-from .errors import IngestError, RanklawError
+from .errors import IngestError, PanelGapError, RanklawError
 
 SCHEMA_VERSION = 1
 LOCK_NAME = ".ranklaw.lock"
@@ -110,26 +110,18 @@ def _load_ranked(path: str, window: list[int] | None,
         if ingest.is_ranking(text):
             if merges:
                 raise IngestError("--merges needs a panel, not a ranking file")
-            return rank.rank_desc(ingest.parse_ranking(text), rule=rank.TieBreak.ENTITY_ID,
-                                  criterion=Path(path).stem)
+            return rank.rank_desc(ingest.parse_ranking(text), rule=rank.TieBreak.ENTITY_ID)
         panel = ingest.parse_panel(text)
     panel = _merged(panel, merges)
     with _naming(path):
         averages = ingest.average_over_years(panel, window or list(panel.years))
-    return rank.rank_desc(averages, names=dict(zip(panel.ids, panel.names)),
-                          criterion=panel.quantity_label)
+    return rank.rank_desc(averages, names=dict(zip(panel.ids, panel.names)))
 
 
 def _load_scatter(path: str) -> regime.ScatterSet:
     from . import regime
     with _naming(path):
         return regime.ScatterSet(tuple(ingest.parse_scatter(Path(path).read_text())))
-
-
-def _tie_rule(name: str) -> rank.TieBreak:
-    return {"lexical": rank.TieBreak.LEXICAL_NAME,
-            "id": rank.TieBreak.ENTITY_ID,
-            "average": rank.TieBreak.AVERAGE_RANK}[name]
 
 
 def _machine_doc(section: str, pairs: dict) -> str:
@@ -146,7 +138,11 @@ def cmd_ingest(args, out: OutputDir) -> None:
     out.write("panel.csv", ingest.serialize_panel(panel))
     if args.population:
         pop = _load_panel(args.population)
-        aggregates = ingest.aggregate_by_region(panel, pop)
+        try:
+            aggregates = ingest.aggregate_by_region(panel, pop)
+        except PanelGapError as exc:
+            path = args.population if exc.panel is pop else args.input
+            raise IngestError(f"{path}: {exc}") from None
         lines = ["region,n_cities,n_inhabitants,ati_mean"]
         for agg in aggregates:
             lines.append(
@@ -161,7 +157,8 @@ def cmd_describe(args, out: OutputDir) -> None:
     sections = []
     machine: dict = {}
     for year in window:
-        values = panel.column(year)
+        with _naming(args.input):
+            values = panel.column(year)
         summary = stats.describe(values[~np.isnan(values)])
         sections.append(stats.format_summary(summary, label=f"[{year}]"))
         for key, value in stats.summary_key_values(summary).items():
@@ -182,22 +179,25 @@ def cmd_rank(args, out: OutputDir) -> None:
     panel = _load_panel(args.input)
     with _naming(args.input):
         averages = ingest.average_over_years(panel, args.window or list(panel.years))
-    series = rank.rank_desc(averages, rule=_tie_rule(args.ties),
-                            names=dict(zip(panel.ids, panel.names)),
-                            criterion=panel.quantity_label)
+    series = rank.rank_desc(averages, rule=rank.TieBreak(args.ties),
+                            names=dict(zip(panel.ids, panel.names)))
     out.write("ranked.csv", rank.export_ranked_series(series))
 
 
-def cmd_corr(args, out: OutputDir) -> None:
+def _correlate(x: rank.RankedSeries, y: rank.RankedSeries):
+    """(rank pairs, correlation report) of two ranked series; Pearson pi is
+    taken on their values."""
     from . import corr
-    x = _load_ranked(args.input, args.window, args.merges)
-    y = _load_ranked(args.population, args.window)
     pairs = rank.pair_ranks(x, y)
     ids = [eid for eid, _, _ in pairs.entries]
     xv, yv = x.values(), y.values()
-    report = corr.correlation_report(
-        pairs, [xv[i] for i in ids], [yv[i] for i in ids]
-    )
+    return pairs, corr.correlation_report(pairs, [xv[i] for i in ids], [yv[i] for i in ids])
+
+
+def cmd_corr(args, out: OutputDir) -> None:
+    x = _load_ranked(args.input, args.window, args.merges)
+    y = _load_ranked(args.population, args.window)
+    pairs, report = _correlate(x, y)
     doc = {
         "n": report.n, "p": report.p, "q": report.q,
         "p_plus_q": report.p + report.q, "p_minus_q": report.p - report.q,
@@ -285,7 +285,7 @@ def cmd_simulate(args, out: OutputDir) -> None:
 
 
 def cmd_report(args, out: OutputDir) -> None:
-    from . import corr, regime
+    from . import regime
     ati = _merged(_load_panel(args.input), args.merges)
     pop = _load_panel(args.population)
     window = args.window or list(ati.years)
@@ -298,7 +298,7 @@ def cmd_report(args, out: OutputDir) -> None:
                                       label="[summary: window-average values]"))
 
     names = dict(zip(ati.ids, ati.names))
-    x = rank.rank_desc(averages, names=names, criterion=ati.quantity_label)
+    x = rank.rank_desc(averages, names=names)
     census_year = pop.years[-1]
     census = pop.column(census_year)
     if np.isnan(census).any():
@@ -306,12 +306,7 @@ def cmd_report(args, out: OutputDir) -> None:
         raise IngestError(f"{args.population}: missing population for "
                           f"{missing!r} in year {census_year}")
     pop_values = dict(zip(pop.ids, census.tolist()))
-    y = rank.rank_desc(pop_values, names=names, criterion=pop.quantity_label)
-    pairs = rank.pair_ranks(x, y)
-    ids = [eid for eid, _, _ in pairs.entries]
-    report = corr.correlation_report(
-        pairs, [averages[i] for i in ids], [pop_values[i] for i in ids]
-    )
+    pairs, report = _correlate(x, rank.rank_desc(pop_values, names=names))
     parts.append("[correlation]")
     parts.append(f"p+q          {report.p + report.q}")
     parts.append(f"p-q          {report.p - report.q}")
@@ -330,9 +325,7 @@ def cmd_report(args, out: OutputDir) -> None:
     parts.append(fit.format_fit_report(result))
 
     points = regime.ScatterSet(
-        tuple((eid, averages[eid], pop_values[eid]) for eid in ids),
-        x_label=ati.quantity_label, y_label=pop.quantity_label,
-    )
+        tuple((eid, averages[eid], pop_values[eid]) for eid, _, _ in pairs.entries))
     exclude = tuple(args.exclude.split(",")) if args.exclude else ()
     split = regime.two_line_split(points, k=args.k_lines, outlier_ids=exclude)
     parts.append("[two-regime split]")
@@ -351,32 +344,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
+    def common(p, needs_input=True, window=True):
         if needs_input:
             p.add_argument("--input", required=True, help="input data file")
         p.add_argument("--out", default=None,
                        help="output directory (default $RANKLAW_OUT_DIR or .)")
-        p.add_argument("--format", choices=["text", "machine"], default="text")
-        p.add_argument("--window", type=int, nargs="*", default=None,
-                       help="year window (default: all panel years)")
+        if window:
+            p.add_argument("--window", type=int, nargs="*", default=None,
+                           help="year window (default: all panel years)")
 
     p = sub.add_parser("ingest", help="parse, merge and serialize a panel")
-    common(p)
+    common(p, window=False)
     p.add_argument("--merges", help="merge ledger file")
     p.add_argument("--population", help="population panel for regional aggregation")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("describe", help="summary statistics per year column")
     common(p)
+    p.add_argument("--format", choices=["text", "machine"], default="text")
     p.set_defaults(func=cmd_describe)
 
     p = sub.add_parser("rank", help="rank entities by window-average value")
     common(p)
-    p.add_argument("--ties", choices=["lexical", "id", "average"], default="lexical")
+    p.add_argument("--ties", choices=[t.value for t in rank.TieBreak], default="lexical")
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("corr", help="rank correlation between two inputs")
     common(p)
+    p.add_argument("--format", choices=["text", "machine"], default="text")
     p.add_argument("--population", required=True,
                    help="second input (ranking file or panel)")
     p.add_argument("--merges", help="merge ledger applied to the --input panel")
@@ -400,13 +395,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("regime", help="two-regime split of a scatter file")
-    common(p)
+    common(p, window=False)
     p.add_argument("--k-lines", dest="k_lines", type=int, choices=[2, 3], default=2)
     p.add_argument("--exclude", default="", help="comma-joined outlier entity ids")
     p.set_defaults(func=cmd_regime)
 
     p = sub.add_parser("simulate", help="preferential-attachment urn simulation")
-    common(p, needs_input=False)
+    common(p, needs_input=False, window=False)
     p.add_argument("--urns", type=int, required=True)
     p.add_argument("--balls", type=int, required=True)
     p.add_argument("--a", dest="offset", type=float, default=1.0,

@@ -11,6 +11,14 @@ class IngestError(RanklawError):
     """Malformed input data or schema violation."""
 
 
+class PanelGapError(IngestError):
+    """A missing cell in one of several panels; `panel` is the one that has it."""
+
+    def __init__(self, message: str, panel):
+        super().__init__(message)
+        self.panel = panel
+
+
 class StatsError(RanklawError):
     """Invalid input to a statistics routine."""
 

@@ -14,14 +14,14 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from statistics import fmean
 from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import IngestError, id_sample
+from .errors import IngestError, PanelGapError, id_sample
 
 MISSING_MARKERS = {"", "NA", "NaN", "nan", "null", "None"}
 
@@ -49,8 +49,8 @@ class Panel:
 
     ids, names, regions and provinces are aligned tuples in first-appearance
     order; values is a read-only float64 matrix with one row per entity and
-    one column per year, NaN marking a missing cell.  records, by_id(),
-    values_for_year() and entity_ids are per-entity views built on each call.
+    one column per year, NaN marking a missing cell.  records and
+    values_for_year() are per-entity views built on each call.
     """
 
     quantity_label: str
@@ -89,10 +89,6 @@ class Panel:
         return self.values[:, self.years.index(year)]
 
     @property
-    def entity_ids(self) -> set[str]:
-        return set(self.ids)
-
-    @property
     def records(self) -> tuple[EntityRecord, ...]:
         return tuple(
             EntityRecord(eid, name, region, province,
@@ -100,9 +96,6 @@ class Panel:
             for eid, name, region, province, row in zip(
                 self.ids, self.names, self.regions, self.provinces, self.values.tolist())
         )
-
-    def by_id(self) -> dict[str, EntityRecord]:
-        return {rec.entity_id: rec for rec in self.records}
 
     def values_for_year(self, year: int) -> dict[str, float | None]:
         return {eid: None if v != v else v
@@ -143,23 +136,6 @@ class RegionAggregate:
     n_inhabitants: float
     ati_by_year: dict[int, float]
     ati_mean: float
-
-
-@dataclass(frozen=True)
-class ColumnSchema:
-    """Input-file layout description.
-
-    delimiter None means auto-detect (tab if the header line contains one,
-    comma otherwise).  region_codes, when given, is the closed set of valid
-    region labels; rows with other labels are rejected.  region_overrides
-    reassigns entities to a different region at parse time (used to pin
-    membership to a fixed reference year when it changed mid-panel).
-    """
-
-    quantity_label: str = "value"
-    delimiter: str | None = None
-    region_codes: frozenset[str] | None = None
-    region_overrides: dict[str, str] = field(default_factory=dict)
 
 
 def _number(raw: str, row_num: int) -> float:
@@ -208,10 +184,10 @@ def _read(reader, numbers: list[int], count: int):
     return rows, None
 
 
-def _table(text: str, columns: list[str], delimiter: str | None = None):
+def _table(text: str, columns: list[str]):
     """(comment lines, header line number, header, chunks) of a delimited file
-    whose header starts with `columns`; the delimiter defaults to tab if the
-    header has one, comma otherwise.
+    whose header starts with `columns`; the delimiter is tab if the header has
+    one, comma otherwise.
 
     chunks yields (line numbers, fields) for a few hundred rows at a time,
     fields holding one tuple per header column, so that the row lists die
@@ -222,7 +198,7 @@ def _table(text: str, columns: list[str], delimiter: str | None = None):
     comments, numbers, lines = _body(text)
     if not lines:
         raise IngestError("empty input: no header row")
-    reader = csv.reader(lines, delimiter=delimiter or ("\t" if "\t" in lines[0] else ","))
+    reader = csv.reader(lines, delimiter="\t" if "\t" in lines[0] else ",")
     head, error = _read(reader, numbers, 1)
     if error is not None:
         raise error
@@ -275,7 +251,7 @@ def _value_column(raw) -> tuple[np.ndarray, np.ndarray]:
         return values, ~missing & ~(np.isfinite(values) & (values >= 0))
 
 
-def parse_panel(text, schema: ColumnSchema | None = None) -> Panel:
+def parse_panel(text: str) -> Panel:
     """Parse delimited text (long or wide form) into a Panel.
 
     Long form has columns entity_id,name,region,province,year,value; wide form
@@ -285,12 +261,8 @@ def parse_panel(text, schema: ColumnSchema | None = None) -> Panel:
     chunk's columns; an error names the first row, in file order, that fails,
     and the first check that row fails.
     """
-    schema = schema or ColumnSchema()
-    if hasattr(text, "read"):
-        text = text.read()
-
-    comments, header_no, header, chunks = _table(text, ID_COLUMNS, schema.delimiter)
-    quantity_label = schema.quantity_label
+    comments, header_no, header, chunks = _table(text, ID_COLUMNS)
+    quantity_label = "value"
     provenance = ""
     for line in comments:
         meta = line[1:].strip()
@@ -323,8 +295,6 @@ def parse_panel(text, schema: ColumnSchema | None = None) -> Panel:
     for row_nums, columns in chunks:
         n = len(row_nums)
         ids, *row_labels = (list(map(str.strip, c)) for c in columns[:4])
-        if schema.region_overrides:
-            row_labels[1] = [schema.region_overrides.get(e, r) for e, r in zip(ids, row_labels[1])]
         start = len(index)
         entity = np.array([index.setdefault(e, len(index)) for e in ids], dtype=np.intp)
         # new entities take the next indices, so their first rows are where the
@@ -334,9 +304,6 @@ def parse_panel(text, schema: ColumnSchema | None = None) -> Panel:
             stored.extend(map(column_labels.__getitem__, firsts.tolist()))
 
         checks = []  # (rows that fail, fault of row i) of each check, in a row's check order
-        if schema.region_codes is not None:
-            known = np.fromiter(map(schema.region_codes.__contains__, row_labels[1]), bool, n)
-            checks.append((~known, lambda i: f"unknown region code {row_labels[1][i]!r}"))
         if long_form:
             for raw in set(columns[4]).difference(column_of):
                 year = _or_none(int, raw)
@@ -411,18 +378,19 @@ def parse_scatter(text: str) -> list[tuple[str, float, float]]:
     return list(points.values())
 
 
-def parse_merge_ledger(text, delimiter: str | None = None) -> MergeLedger:
-    """Parse a ledger file: target_id,target_name,component_ids(semicolon-joined),effective_year."""
-    if hasattr(text, "read"):
-        text = text.read()
-    lines = [l for l in text.splitlines() if l.strip() and not l.startswith("#")]
+def parse_merge_ledger(text: str) -> MergeLedger:
+    """Parse a ledger file: target_id,target_name,component_ids(semicolon-joined),effective_year.
+
+    The header row is optional; errors name a row by its line number.
+    """
+    _, numbers, lines = _body(text)
     if not lines:
         return MergeLedger(())
-    delim = delimiter or ("\t" if "\t" in lines[0] else ",")
-    rows = list(csv.reader(lines, delimiter=delim))
+    reader = csv.reader(lines, delimiter="\t" if "\t" in lines[0] else ",")
+    rows, error = _read(reader, numbers, len(lines))
     start = 1 if rows and rows[0] and rows[0][0].strip() == "target_id" else 0
     entries = []
-    for row_num, row in enumerate(rows[start:], start=start + 1):
+    for row_num, row in zip(numbers[start:], rows[start:]):
         if len(row) != 4:
             raise IngestError(f"malformed ledger row {row_num}: expected 4 fields")
         target_id, target_name, comps, year = (f.strip() for f in row)
@@ -432,6 +400,8 @@ def parse_merge_ledger(text, delimiter: str | None = None) -> MergeLedger:
         except ValueError:
             raise IngestError(f"malformed effective_year at ledger row {row_num}") from None
         entries.append(MergeEntry(target_id, target_name, component_ids, effective_year))
+    if error is not None:
+        raise error
     return MergeLedger(tuple(entries))
 
 
@@ -470,22 +440,19 @@ def apply_merge_ledger(panel: Panel, ledger: MergeLedger) -> Panel:
     )
 
 
-def aggregate_by_region(ati_panel: Panel, pop_panel: Panel,
-                        census_year: int | None = None) -> list[RegionAggregate]:
+def aggregate_by_region(ati_panel: Panel, pop_panel: Panel) -> list[RegionAggregate]:
     """Aggregate city panels into per-region totals.
 
-    n_inhabitants sums the population panel at census_year (default: its last
-    declared year); ati_by_year sums the member-city values per year and
-    ati_mean averages those yearly totals.  Sums add the cities in panel order.
+    n_inhabitants sums the population panel's last year; ati_by_year sums the
+    member-city values per year and ati_mean averages those yearly totals.
+    Sums add the cities in panel order.  A missing cell raises PanelGapError
+    naming the panel that has it.
     """
     if set(ati_panel.ids) != set(pop_panel.ids):
         diff = id_sample(set(ati_panel.ids) ^ set(pop_panel.ids))
         raise IngestError(f"entity sets differ between panels in {diff}")
-    census_year = census_year if census_year is not None else pop_panel.years[-1]
     pop_index = {eid: i for i, eid in enumerate(pop_panel.ids)}
-    rows = [pop_index[eid] for eid in ati_panel.ids]
-    population = (pop_panel.column(census_year)[rows] if census_year in pop_panel.years
-                  else np.full(len(rows), np.nan))
+    population = pop_panel.values[[pop_index[eid] for eid in ati_panel.ids], -1]
 
     regions = sorted(set(ati_panel.regions))
     code = {region: r for r, region in enumerate(regions)}
@@ -497,9 +464,10 @@ def aggregate_by_region(ati_panel: Panel, pop_panel: Panel,
         for year, column in zip(ati_panel.years, ati_panel.values[cities].T):
             if np.isnan(column).any():
                 eid = ati_panel.ids[cities[np.argmax(np.isnan(column))]]
-                raise IngestError(f"missing value for {eid!r} in year {year}")
+                raise PanelGapError(f"missing value for {eid!r} in year {year}", ati_panel)
         eid = ati_panel.ids[cities[np.argmax(np.isnan(population[cities]))]]
-        raise IngestError(f"missing population for {eid!r} in year {census_year}")
+        raise PanelGapError(f"missing population for {eid!r} in year {pop_panel.years[-1]}",
+                            pop_panel)
 
     # a weighted bincount adds each region's cities one by one in panel order
     counts = np.bincount(member, minlength=len(regions)).tolist()

@@ -26,10 +26,8 @@ class RankedSeries:
     values (1-based, runs of length >= 2), in both modes.
     """
 
-    criterion: str
     entries: tuple[tuple[str, float, float], ...]  # (entity_id, value, rank)
     tie_groups: tuple[tuple[int, int], ...]
-    tiebreak_rule: TieBreak
 
     @property
     def n(self) -> int:
@@ -59,8 +57,7 @@ class RankPairs:
 
 def rank_desc(values: dict[str, float],
               rule: TieBreak = TieBreak.LEXICAL_NAME,
-              names: dict[str, str] | None = None,
-              criterion: str = "") -> RankedSeries:
+              names: dict[str, str] | None = None) -> RankedSeries:
     """Rank entities by decreasing value.
 
     Ties are broken by display name then entity id (LEXICAL_NAME), by entity
@@ -98,7 +95,7 @@ def rank_desc(values: dict[str, float],
     entries = tuple(
         (eid, float(values[eid]), ranks[i]) for i, eid in enumerate(order)
     )
-    return RankedSeries(criterion, entries, tuple(tie_groups), rule)
+    return RankedSeries(entries, tuple(tie_groups))
 
 
 def pair_ranks(x: RankedSeries, y: RankedSeries) -> RankPairs:

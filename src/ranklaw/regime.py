@@ -19,8 +19,6 @@ from .errors import RegimeError, id_sample
 @dataclass(frozen=True)
 class ScatterSet:
     points: tuple[tuple[str, float, float], ...]  # (entity_id, x, y)
-    x_label: str = "x"
-    y_label: str = "y"
 
     def __post_init__(self):
         if len(self.points) < 2:
@@ -91,7 +89,10 @@ def _orthogonal_sq_dist(x, y, slope):
     return (y - slope * x) ** 2 / (1.0 + slope * slope)
 
 
-def two_line_split(points: ScatterSet, k: int = 2, max_iter: int = 100,
+_MAX_ITER = 100
+
+
+def two_line_split(points: ScatterSet, k: int = 2,
                    outlier_ids: tuple[str, ...] = ()) -> RegimeSplit:
     """k-lines clustering (k in {2, 3}) with origin-constrained lines.
 
@@ -144,7 +145,7 @@ def two_line_split(points: ScatterSet, k: int = 2, max_iter: int = 100,
     assign = np.zeros(x.size, dtype=int)
     iterations = 0
     trace: list[float] = []
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         dists = np.column_stack([_orthogonal_sq_dist(x, y, s) for s in slopes])
         new_assign = np.argmin(dists, axis=1)
         trace.append(float(dists[np.arange(x.size), new_assign].sum()))
@@ -185,9 +186,7 @@ def loglog_power_fit(points: ScatterSet) -> tuple[float, float, float]:
     if np.any(x <= 0) or np.any(y <= 0):
         raise RegimeError("loglog_power_fit needs positive coordinates")
     log_points = ScatterSet(
-        tuple((eid, math.log(px), math.log(py)) for eid, px, py in points.points),
-        points.x_label, points.y_label,
-    )
+        tuple((eid, math.log(px), math.log(py)) for eid, px, py in points.points))
     intercept, slope, r2, _, _ = inertia_axis(log_points)
     return math.exp(intercept), slope, r2
 

@@ -1,10 +1,9 @@
-"""Descriptive statistics and quantile-quantile normality diagnostics."""
+"""Descriptive statistics of a real-valued series and their text layouts."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -86,33 +85,6 @@ def describe(series) -> SummaryStats:
         mu_over_sigma=mean / std if std > 0 else math.inf,
         nonparam_skew=nonparametric_skew(mean, median, std) if std > 0 else 0.0,
     )
-
-
-def norm_inv_cdf(p: float) -> float:
-    """Inverse CDF of the standard normal distribution for p in (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise StatsError(f"p must be in (0, 1); got {p}")
-    return NormalDist().inv_cdf(p)
-
-
-def qq_normal(series) -> list[tuple[float, float]]:
-    """Quantile-quantile pairs against the standard normal.
-
-    Returns (theoretical_quantile, sample_quantile) for plotting positions
-    (i - 0.5)/n, with the sample standardized by its mean and sample std.
-    """
-    x = np.asarray(series, dtype=float)
-    n = x.size
-    if n < 3:
-        raise StatsError("qq_normal needs at least 3 values")
-    std = x.std(ddof=1)
-    if std == 0:
-        raise StatsError("zero variance series")
-    z = np.sort((x - x.mean()) / std)
-    return [
-        (norm_inv_cdf((i - 0.5) / n), float(z[i - 1]))
-        for i in range(1, n + 1)
-    ]
 
 
 def format_summary(stats: SummaryStats, label: str = "") -> str:

@@ -23,21 +23,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SimulationError
-from .fit import ModelKind, RankSizeModel, model_eval
+from .fit import RankSizeModel, model_eval
 from .rank import RankedSeries, TieBreak, rank_desc
 
-def log_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0."""
-    if x <= 0:
-        raise SimulationError(f"log_gamma needs x > 0; got {x}")
-    return math.lgamma(x)
-
-
 def beta_fn(x: float, y: float) -> float:
-    """Euler Beta function Gamma(x)Gamma(y)/Gamma(x+y), computed in log space."""
+    """Euler Beta function Gamma(x)Gamma(y)/Gamma(x+y), computed in log space
+    to a relative error below 1e-12 while x + y <= 100."""
     if x <= 0 or y <= 0:
         raise SimulationError("beta_fn needs positive arguments")
-    return math.exp(log_gamma(x) + log_gamma(y) - log_gamma(x + y))
+    return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
+
+
+_TOL = 1e-10  # absolute error of incomplete_beta
+# halvings of [0, eps]: at most _MAX_DEPTH, and at least _MIN_DEPTH before the
+# error test may stop, so two coarse estimates that agree by chance cannot end it
+_MIN_DEPTH, _MAX_DEPTH = 6, 60
 
 
 def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
@@ -46,14 +46,15 @@ def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
     flm, frm = f(lm), f(rm)
     left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
     right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
+    if depth >= _MAX_DEPTH or (depth >= _MIN_DEPTH and abs(left + right - whole) <= 15.0 * tol):
         return left + right + (left + right - whole) / 15.0
-    return (_adaptive_simpson(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
-            + _adaptive_simpson(f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1))
+    return (_adaptive_simpson(f, a, m, fa, flm, fm, left, tol / 2.0, depth + 1)
+            + _adaptive_simpson(f, m, b, fm, frm, fb, right, tol / 2.0, depth + 1))
 
 
-def incomplete_beta(a: float, b: float, eps: float, tol: float = 1e-10) -> float:
-    """Lower incomplete integral of x^a (1-x)^b over [0, eps].
+def incomplete_beta(a: float, b: float, eps: float) -> float:
+    """Lower incomplete integral of x^a (1-x)^b over [0, eps], to an absolute
+    error of 1e-10 by adaptive Simpson.
 
     Note the exponents are (a, b) directly, not the conventional shifted
     (a-1, b-1); at eps = 1 this equals beta_fn(a + 1, b + 1).
@@ -73,7 +74,7 @@ def incomplete_beta(a: float, b: float, eps: float, tol: float = 1e-10) -> float
     m = 0.5 * (lo + hi)
     fm = f(m)
     whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adaptive_simpson(f, lo, hi, fa, fm, fb, whole, tol, depth=60)
+    return _adaptive_simpson(f, lo, hi, fa, fm, fb, whole, _TOL, depth=0)
 
 
 def yule_simon_pmf(k: int, a: float, b: float, k0: int = 1) -> float:
@@ -212,8 +213,7 @@ def generate_ranksize(model: RankSizeModel, noise_sigma: float = 0.0,
         rng = np.random.default_rng(seed)
         y = y * np.exp(rng.normal(0.0, noise_sigma, size=model.N))
     values = {f"r{int(ri):06d}": float(v) for ri, v in zip(r, y)}
-    return rank_desc(values, rule=TieBreak.ENTITY_ID,
-                     criterion=f"synthetic_{model.kind.value}")
+    return rank_desc(values, rule=TieBreak.ENTITY_ID)
 
 
 def export_outcome(outcome: UrnOutcome) -> str:

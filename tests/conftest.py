@@ -17,8 +17,7 @@ REGION_COUNTS_2007 = [
 @pytest.fixture
 def region_count_series():
     values = {f"reg{i:02d}": float(v) for i, v in enumerate(REGION_COUNTS_2011)}
-    return rank.rank_desc(values, rule=rank.TieBreak.ENTITY_ID,
-                          criterion="cities_per_region")
+    return rank.rank_desc(values, rule=rank.TieBreak.ENTITY_ID)
 
 
 @pytest.fixture

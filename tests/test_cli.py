@@ -475,3 +475,84 @@ def test_ingest_with_population_reads_a_year_ordered_panel(tmp_path):
         ati_mean = sum(2 * i + 15 for i in members) / 2
         expected.append(f"R{r},100,{sum(2 * i + 1 for i in members)},{ati_mean:.12g}")
     assert (out / "regions.csv").read_text().splitlines() == expected
+
+
+def test_oversized_ledger_field_names_the_ledger_and_row(tmp_path, capsys):
+    income, ledger = tmp_path / "income.csv", tmp_path / "merges.csv"
+    income.write_text(MERGE_INCOME)
+    ledger.write_text("target_id,target_name,component_ids,effective_year\n"
+                      'm1,"' + "x" * 200_000 + '",c1;c2,2008\n')
+    out = tmp_path / "out"
+    assert cli.main(["ingest", "--input", str(income), "--merges", str(ledger),
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ranklaw: ingest: {ledger}: malformed row 2: field larger than")
+    assert err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
+GAP_INCOME = "entity_id,name,region,province,2007,2008\n{}\n{}\nc3,Gamma,R2,P2,50,{}\n"
+GAP_POPULATION = "entity_id,name,region,province,2011\nc1,Alpha,R1,P1,{}\nc2,Beta,R1,P1,3\nc3,Gamma,R2,P2,4\n"
+
+
+@pytest.mark.parametrize("c1, c2, c3, c1_population, message", [
+    # a gap in region R1 is named before one in R2, and within a region an
+    # income gap before a population gap
+    ("c1,Alpha,R1,P1,1,2", "c2,Beta,R1,P1,3,NA", "NA", "NA",
+     "{income}: missing value for 'c2' in year 2008"),
+    ("c1,Alpha,R1,P1,1,2", "c2,Beta,R1,P1,3,4", "NA", "NA",
+     "{population}: missing population for 'c1' in year 2011"),
+], ids=["income_gap", "population_gap"])
+def test_ingest_population_gap_names_its_panel(tmp_path, capsys, c1, c2, c3, c1_population,
+                                               message):
+    income, pop = tmp_path / "income.csv", tmp_path / "pop.csv"
+    income.write_text(GAP_INCOME.format(c1, c2, c3))
+    pop.write_text(GAP_POPULATION.format(c1_population))
+    assert cli.main(["ingest", "--input", str(income), "--population", str(pop),
+                     "--out", str(tmp_path / "out")]) == 1
+    expected = message.format(income=income, population=pop)
+    assert capsys.readouterr().err == f"ranklaw: ingest: {expected}\n"
+
+
+def test_describe_window_outside_the_panel_names_the_file(tmp_path, capsys):
+    panel = tmp_path / "panel.csv"
+    panel.write_text(LONG_PANEL)
+    assert cli.main(["describe", "--input", str(panel), "--window", "1999",
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"ranklaw: describe: {panel}: year 1999 not in panel years [2007, 2008]\n")
+
+
+OPTIONS = {
+    "ingest": {"--input", "--out", "--merges", "--population"},
+    "describe": {"--input", "--out", "--window", "--format"},
+    "rank": {"--input", "--out", "--window", "--ties"},
+    "corr": {"--input", "--out", "--window", "--format", "--population", "--merges"},
+    "pairwise": {"--input", "--out", "--window"},
+    "fit": {"--input", "--out", "--window", "--model", "--A", "--scale", "--drop-top",
+            "--threshold"},
+    "regime": {"--input", "--out", "--k-lines", "--exclude"},
+    "simulate": {"--out", "--urns", "--balls", "--a", "--k0", "--capacity", "--seed",
+                 "--replicates"},
+    "report": {"--input", "--out", "--window", "--population", "--merges", "--model", "--A",
+               "--scale", "--k-lines", "--exclude"},
+}
+
+
+def test_each_subcommand_accepts_only_the_options_it_reads(tmp_path, capsys):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    accepted = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+                for name, p in sub.choices.items()}
+    assert accepted == OPTIONS
+    for argv in (["simulate", "--urns", "2", "--balls", "3", "--format", "machine"],
+                 ["report", "--input", "a", "--population", "b", "--format", "machine"],
+                 ["regime", "--input", "a", "--window", "1"],
+                 ["ingest", "--input", "a", "--window", "2007"]):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv + ["--out", str(tmp_path / "out")])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ranklaw")
+        assert f"error: unrecognized arguments: {' '.join(argv[-2:])}\n" in err
+    assert not (tmp_path / "out").exists()

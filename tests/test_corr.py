@@ -15,19 +15,19 @@ def _pairs_from_perms(px, py):
 
 def test_counts_identical_rankings():
     pairs = _pairs_from_perms([1, 2, 3, 4], [1, 2, 3, 4])
-    counts = corr.kendall_counts(pairs)
+    counts = corr.kendall_counts_xy(*pairs.rank_vectors())
     assert (counts.p, counts.q) == (6, 0)
 
 
 def test_counts_reversed_rankings():
     pairs = _pairs_from_perms([1, 2, 3, 4], [4, 3, 2, 1])
-    counts = corr.kendall_counts(pairs)
+    counts = corr.kendall_counts_xy(*pairs.rank_vectors())
     assert (counts.p, counts.q) == (0, 6)
 
 
 def test_counts_hand_enumerated():
     # pairs (1,2),(2,1),(3,3): one discordant, two concordant
-    counts = corr.kendall_counts(_pairs_from_perms([1, 2, 3], [2, 1, 3]))
+    counts = corr.kendall_counts_xy(*_pairs_from_perms([1, 2, 3], [2, 1, 3]).rank_vectors())
     assert (counts.p, counts.q) == (2, 1)
 
 
@@ -135,7 +135,7 @@ def test_tau_invariant_under_monotone_transform(values, rnd):
 
 def test_correlation_report_fields():
     pairs = _pairs_from_perms([1, 2, 3, 4], [1, 2, 4, 3])
-    report = corr.correlation_report(pairs)
+    report = corr.correlation_report(pairs, *pairs.rank_vectors())
     assert report.n == 4
     assert report.p + report.q == 6
     assert -1 <= report.tau_a <= 1
@@ -155,7 +155,7 @@ def _panel_from_columns(columns: dict[int, list[float]]) -> ingest.Panel:
 
 def test_pairwise_matrix_identical_columns():
     panel = _panel_from_columns({2007: [3.0, 2.0, 1.0], 2008: [3.0, 2.0, 1.0]})
-    m = corr.pairwise_matrix(panel, include_average=False)
+    m = corr.pairwise_matrix(panel)
     c = m.counts[("2007", "2008")]
     assert c.q == 0
     assert m.tau[("2007", "2008")] == pytest.approx(1.0)
@@ -164,11 +164,13 @@ def test_pairwise_matrix_identical_columns():
 def test_pairwise_matrix_cells_match_oracle(rng):
     columns = {y: list(rng.random(50)) for y in (2007, 2008, 2009)}
     panel = _panel_from_columns(columns)
-    m = corr.pairwise_matrix(panel, include_average=False)
-    ids = sorted(panel.entity_ids)
+    m = corr.pairwise_matrix(panel)
+    order = sorted(range(len(panel.ids)), key=panel.ids.__getitem__)
+    columns = {str(year): panel.values[order, j] for j, year in enumerate(panel.years)}
+    average = ingest.average_over_years(panel, list(panel.years))
+    columns[corr.AVERAGE_LABEL] = [average[panel.ids[i]] for i in order]
     for (a, b), cell in m.counts.items():
-        xa = [panel.values_for_year(int(a))[i] for i in ids]
-        xb = [panel.values_for_year(int(b))[i] for i in ids]
+        xa, xb = columns[a], columns[b]
         assert cell == corr.kendall_counts_brute(xa, xb)
         # swapping columns swaps nothing for p/q: concordance is symmetric
         assert corr.kendall_counts_brute(xb, xa).p == cell.p
@@ -192,9 +194,9 @@ def test_pairwise_matrix_rejects_missing():
 
 def test_matrix_formatting_layout():
     panel = _panel_from_columns({2007: [3.0, 2.0, 1.0], 2008: [2.0, 3.0, 1.0]})
-    m = corr.pairwise_matrix(panel, include_average=False)
+    m = corr.pairwise_matrix(panel)
     pq = corr.format_pq_matrix(m).splitlines()
-    assert pq[0] == ",2007,2008"
+    assert pq[0] == ",2007,2008,avg"
     row_2007 = pq[1].split(",")
     row_2008 = pq[2].split(",")
     assert row_2007[1] == "-"
@@ -213,3 +215,30 @@ def test_correlations_reject_non_finite_values(x, y):
         corr.kendall_counts_xy(x, y)
     with pytest.raises(CorrelationError, match="non-finite value"):
         corr.pearson_pi(x, y)
+
+
+def _tied_series_reports(rng):
+    """(x, y, report) for 100 series pairs with many ties, ranked under AVERAGE_RANK."""
+    for _ in range(100):
+        n = int(rng.integers(10, 2000))
+        x = rng.integers(0, 2 + n // 10, n).astype(float)
+        y = x + rng.integers(0, 4, n)
+        xv = {f"e{i}": v for i, v in enumerate(x.tolist())}
+        yv = {f"e{i}": v for i, v in enumerate(y.tolist())}
+        pairs = rank.pair_ranks(rank.rank_desc(xv, rule=rank.TieBreak.AVERAGE_RANK),
+                                rank.rank_desc(yv, rule=rank.TieBreak.AVERAGE_RANK))
+        ids = [eid for eid, _, _ in pairs.entries]
+        yield x, y, corr.correlation_report(pairs, [xv[i] for i in ids], [yv[i] for i in ids])
+
+
+# both bounds are the tolerance CorrelationReport documents for n up to 10^4
+def test_tau_b_matches_scipy_on_tied_series(rng):
+    scipy_stats = pytest.importorskip("scipy.stats")
+    for x, y, report in _tied_series_reports(rng):
+        assert report.tau_b == pytest.approx(scipy_stats.kendalltau(x, y).statistic, abs=1e-12)
+
+
+def test_rho_matches_scipy_on_tied_series(rng):
+    scipy_stats = pytest.importorskip("scipy.stats")
+    for x, y, report in _tied_series_reports(rng):
+        assert report.rho == pytest.approx(scipy_stats.spearmanr(x, y).statistic, abs=1e-12)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from ranklaw import ingest
@@ -8,8 +10,8 @@ def test_parse_long_form(long_panel_text):
     panel = ingest.parse_panel(long_panel_text)
     assert panel.years == (2007, 2008)
     assert len(panel.records) == 3
-    assert panel.by_id()["c2"].values == {2007: 200.0, 2008: 210.0}
-    assert panel.by_id()["c3"].region == "R2"
+    assert panel.values[panel.ids.index("c2")].tolist() == [200.0, 210.0]
+    assert panel.regions[panel.ids.index("c3")] == "R2"
 
 
 def test_parse_wide_form(wide_panel_text, long_panel_text):
@@ -49,13 +51,6 @@ def test_parse_rejects_duplicate_entity():
         ingest.parse_panel(text)
 
 
-def test_parse_rejects_unknown_region():
-    schema = ingest.ColumnSchema(region_codes=frozenset({"R1"}))
-    text = "entity_id,name,region,province,year,value\na,A,R9,P1,2007,1\n"
-    with pytest.raises(IngestError, match="unknown region code"):
-        ingest.parse_panel(text, schema)
-
-
 def test_parse_malformed_row_reports_line_number():
     text = "entity_id,name,region,province,year,value\na,A,R1,P1,2007\n"
     with pytest.raises(IngestError, match="row 2"):
@@ -68,16 +63,10 @@ def test_missing_marker_is_not_zero():
         "a,A,R1,P1,1,NA\n"
     )
     panel = ingest.parse_panel(text)
-    assert panel.by_id()["a"].values == {2007: 1.0, 2008: None}
+    assert panel.ids == ("a",)
+    assert panel.values[0, 0] == 1.0 and math.isnan(panel.values[0, 1])
     with pytest.raises(IngestError, match="missing value"):
         ingest.average_over_years(panel, [2007, 2008])
-
-
-def test_region_override():
-    schema = ingest.ColumnSchema(region_overrides={"a": "R2"})
-    text = "entity_id,name,region,province,year,value\na,A,R1,P1,2007,1\n"
-    panel = ingest.parse_panel(text, schema)
-    assert panel.by_id()["a"].region == "R2"
 
 
 def _merge_fixture():
@@ -96,7 +85,7 @@ def test_merge_sums_components():
     panel, ledger = _merge_fixture()
     merged = ingest.apply_merge_ledger(panel, ledger)
     assert len(merged.records) == 2
-    assert merged.by_id()["ab"].values[2007] == 300.0
+    assert merged.values[merged.ids.index("ab"), merged.years.index(2007)] == 300.0
 
 
 def test_merge_preserves_totals():
@@ -164,6 +153,15 @@ def test_parse_merge_ledger_roundtrip():
     ledger = ingest.parse_merge_ledger(text)
     assert ledger.entries[0].component_ids == ("a", "b")
     assert ledger.entries[1].effective_year == 2009
+
+
+def test_ledger_row_errors_name_the_first_row_at_fault():
+    head = "# ledger\ntarget_id,target_name,component_ids,effective_year\n"
+    big = 't2,"' + "x" * 200_000 + '",c,2009\n'
+    with pytest.raises(IngestError, match="^malformed row 4: field larger than field limit"):
+        ingest.parse_merge_ledger(head + "t1,T,a;b,2008\n" + big)
+    with pytest.raises(IngestError, match="^malformed effective_year at ledger row 3$"):
+        ingest.parse_merge_ledger(head + "t1,T,a;b,x\n" + big)
 
 
 def test_aggregate_by_region_uniform():

@@ -120,13 +120,6 @@ def test_two_faults_name_the_earlier_row(text, message):
     assert str(err.value) == message
 
 
-def test_unknown_region_before_a_bad_value():
-    schema = ingest.ColumnSchema(region_codes=frozenset({"R1"}))
-    text = LONG + "a,A,R1,P1,2007,1\nb,B,R9,P1,2007,1\nc,C,R1,P1,2007,-4\n"
-    with pytest.raises(IngestError, match="^unknown region code 'R9' at row 3$"):
-        ingest.parse_panel(text, schema)
-
-
 def test_oversized_field_is_an_ingest_error():
     big = 'b,"' + "x" * 200_000 + '",R1,P1,1,2\n'
     with pytest.raises(IngestError, match="^malformed row 3: field larger than field limit"):

@@ -81,44 +81,6 @@ def test_nonparam_and_moment_skew_agree_in_sign():
     assert s.nonparam_skew > 0
 
 
-def test_norm_inv_cdf_anchors():
-    assert stats.norm_inv_cdf(0.5) == pytest.approx(0.0, abs=1e-12)
-    # classic two-sided 95% point
-    assert stats.norm_inv_cdf(0.975) == pytest.approx(1.959963984540054, abs=1e-9)
-    assert stats.norm_inv_cdf(0.025) == pytest.approx(-1.959963984540054, abs=1e-9)
-    with pytest.raises(StatsError):
-        stats.norm_inv_cdf(0.0)
-
-
-def test_norm_inv_cdf_roundtrip():
-    for p in np.linspace(1e-6, 1 - 1e-6, 201):
-        z = stats.norm_inv_cdf(float(p))
-        back = 0.5 * math.erfc(-z / math.sqrt(2))
-        assert back == pytest.approx(p, abs=1e-12)
-
-
-def test_qq_normal_large_sample_close_to_diagonal():
-    rng = np.random.default_rng(42)
-    x = rng.standard_normal(10000)
-    pairs = stats.qq_normal(x)
-    gaps = [abs(t - s) for t, s in pairs]
-    # ignore the extreme tail points where order statistics are noisy
-    assert max(gaps[500:-500]) < 0.06
-
-
-def test_qq_normal_constant_series_errors():
-    with pytest.raises(StatsError, match="zero variance"):
-        stats.qq_normal([3.0, 3.0, 3.0])
-
-
-def test_qq_normal_symmetric_two_sided():
-    pairs = stats.qq_normal([-1.0, 0.0, 1.0])
-    theo = [t for t, _ in pairs]
-    samp = [s for _, s in pairs]
-    assert theo[0] == pytest.approx(-theo[-1], abs=1e-12)
-    assert samp[0] == pytest.approx(-samp[-1], abs=1e-12)
-
-
 def test_format_summary_contains_both_kurtosis_conventions():
     text = stats.format_summary(stats.describe([1.0, 2.0, 3.0, 4.0]))
     assert "Kurtosis (excess)" in text

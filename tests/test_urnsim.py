@@ -11,21 +11,6 @@ from ranklaw.errors import SimulationError
 from ranklaw.urnsim import UrnConfig
 
 
-def test_log_gamma_anchors():
-    assert urnsim.log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-    assert urnsim.log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-12)
-    assert urnsim.log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-12)
-    with pytest.raises(SimulationError):
-        urnsim.log_gamma(0.0)
-
-
-def test_log_gamma_recurrence():
-    for x in [0.1, 0.7, 1.3, 2.9, 11.5, 101.25]:
-        assert urnsim.log_gamma(x + 1) == pytest.approx(
-            urnsim.log_gamma(x) + math.log(x), rel=1e-12
-        )
-
-
 def test_beta_fn_values_and_symmetry(rng):
     assert urnsim.beta_fn(1.0, 1.0) == pytest.approx(1.0, rel=1e-12)
     assert urnsim.beta_fn(2.0, 3.0) == pytest.approx(1.0 / 12.0, rel=1e-12)
@@ -34,6 +19,14 @@ def test_beta_fn_values_and_symmetry(rng):
         assert urnsim.beta_fn(x, y) == pytest.approx(urnsim.beta_fn(y, x), rel=1e-12)
     with pytest.raises(SimulationError):
         urnsim.beta_fn(-1.0, 2.0)
+
+
+def test_beta_fn_matches_scipy(rng):
+    special = pytest.importorskip("scipy.special")
+    for _ in range(500):
+        x, y = rng.random(2) * 50 + 0.001
+        # the relative error beta_fn documents while x + y <= 100
+        assert urnsim.beta_fn(x, y) == pytest.approx(special.beta(x, y), rel=1e-12)
 
 
 def _poly_incomplete_beta(a: int, b: int, eps: Fraction) -> Fraction:
@@ -53,6 +46,16 @@ def test_incomplete_beta_polynomial_cases(a, b, eps):
     assert urnsim.incomplete_beta(a, b, float(eps)) == pytest.approx(
         expected, abs=1e-10
     )
+
+
+def test_incomplete_beta_matches_scipy_for_non_integer_exponents(rng):
+    special = pytest.importorskip("scipy.special")
+    for _ in range(1000):
+        a, b = rng.random(2) * 5
+        eps = float(rng.random())
+        expected = special.betainc(a + 1, b + 1, eps) * special.beta(a + 1, b + 1)
+        # the absolute error incomplete_beta documents
+        assert urnsim.incomplete_beta(a, b, eps) == pytest.approx(expected, abs=1e-10)
 
 
 def test_incomplete_beta_half_interval_value():
