@@ -186,12 +186,11 @@ def cmd_rank(args, out: OutputDir) -> None:
 
 def _correlate(x: rank.RankedSeries, y: rank.RankedSeries):
     """(rank pairs, correlation report) of two ranked series; Pearson pi is
-    taken on their values."""
+    taken on their values, in the pairs' order by entity id."""
     from . import corr
     pairs = rank.pair_ranks(x, y)
-    ids = [eid for eid, _, _ in pairs.entries]
-    xv, yv = x.values(), y.values()
-    return pairs, corr.correlation_report(pairs, [xv[i] for i in ids], [yv[i] for i in ids])
+    xv, yv = ([v for _, v in sorted(zip(s.ids, s.values.tolist()))] for s in (x, y))
+    return pairs, corr.correlation_report(pairs, xv, yv)
 
 
 def cmd_corr(args, out: OutputDir) -> None:
@@ -235,10 +234,9 @@ def cmd_fit(args, out: OutputDir) -> None:
         raise RanklawError(f"--threshold must be positive and finite; got {args.threshold}")
     ranked = _load_ranked(args.input, args.window)
     series = fit.remove_top_outliers(ranked, args.drop_top)
-    dropped = tuple(eid for eid, _, _ in ranked.entries[:args.drop_top])
     kind = fit.ModelKind(args.model)
     result = fit.fit_model(series, kind=kind, A=args.amplitude, scale=args.scale,
-                           excluded=dropped)
+                           excluded=ranked.ids[:args.drop_top])
     out.write("fit_report.txt", fit.format_fit_report(result))
     out.write("fit_table.csv", fit.fit_table(series, result))
     outliers = fit.detect_outliers(series, result, threshold=args.threshold)
@@ -299,6 +297,8 @@ def cmd_report(args, out: OutputDir) -> None:
 
     names = dict(zip(ati.ids, ati.names))
     x = rank.rank_desc(averages, names=names)
+    if not pop.years:
+        raise IngestError(f"{args.population}: no census year: the panel has no entity rows")
     census_year = pop.years[-1]
     census = pop.column(census_year)
     if np.isnan(census).any():

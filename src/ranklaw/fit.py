@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,12 +124,6 @@ def model_jacobian(model: RankSizeModel, r) -> np.ndarray:
     return y[:, None] * _log_jacobian(model.kind, model.N, model.params, arr)
 
 
-def _series_arrays(series: RankedSeries) -> tuple[np.ndarray, np.ndarray]:
-    r = np.array([rank for _, _, rank in series.entries], dtype=float)
-    y = np.array([value for _, value, _ in series.entries], dtype=float)
-    return r, y
-
-
 def default_amplitude(values) -> float:
     """A = 10^floor(log10(max y)), the pre-imposed order-of-magnitude scale."""
     top = float(np.max(values))
@@ -196,7 +190,7 @@ def fit_model(series: RankedSeries, kind: ModelKind = ModelKind.LAVALETTE3,
     """
     if scale not in ("log", "linear"):
         raise FitError(f"unknown scale {scale!r}")
-    r, y = _series_arrays(series)
+    r, y = series.ranks, series.values
     n_params = len(PARAM_NAMES[kind])
     if r.size < n_params + 1:
         raise FitError(f"need at least {n_params + 1} points, got {r.size}")
@@ -267,7 +261,7 @@ def fit_model(series: RankedSeries, kind: ModelKind = ModelKind.LAVALETTE3,
 
 def goodness(series: RankedSeries, model: RankSizeModel, scale: str = "log") -> tuple[float, float]:
     """(R^2 on `scale`, chi^2 = linear-scale sum of squared residuals)."""
-    r, y = _series_arrays(series)
+    r, y = series.ranks, series.values
     yhat = model_eval(model, r)
     chi2 = float(np.sum((y - yhat) ** 2))
     if scale == "log":
@@ -289,14 +283,11 @@ def remove_top_outliers(series: RankedSeries, k: int) -> RankedSeries:
         raise FitError(f"k must be in [0, {series.n - 1}]")
     if k == 0:
         return series
-    kept = series.entries[k:]
-    entries = tuple(
-        (eid, value, float(i + 1)) for i, (eid, value, _) in enumerate(kept)
-    )
     tie_groups = tuple(
         (lo - k, hi - k) for lo, hi in series.tie_groups if lo > k
     )
-    return replace(series, entries=entries, tie_groups=tie_groups)
+    return RankedSeries(series.ids[k:], series.values[k:],
+                        np.arange(1.0, series.n - k + 1), tie_groups)
 
 
 def detect_outliers(series: RankedSeries, fit: FitResult,
@@ -305,14 +296,12 @@ def detect_outliers(series: RankedSeries, fit: FitResult,
 
     Reported in rank order (head of the ranking first).
     """
-    r, y = _series_arrays(series)
-    res = np.log(y) - np.log(model_eval(fit.model, r))
+    res = np.log(series.values) - np.log(model_eval(fit.model, series.ranks))
     std = res.std(ddof=1)
     if std == 0:
         return []
     flagged = np.abs(res) / std > threshold
-    order = np.argsort(r)
-    return [series.entries[i][0] for i in order if flagged[i]]
+    return [eid for eid, bad in zip(series.ids, flagged) if bad]
 
 
 def format_fit_report(fit: FitResult) -> str:
@@ -341,11 +330,10 @@ def format_fit_report(fit: FitResult) -> str:
 
 def fit_table(series: RankedSeries, fit: FitResult) -> str:
     """Per-rank delimited table (rank, value, predicted, residual) for plotting."""
-    r, y = _series_arrays(series)
-    yhat = model_eval(fit.model, r)
+    yhat = model_eval(fit.model, series.ranks)
     out = io.StringIO()
     out.write("rank,value,predicted,residual\n")
-    for ri, yi, pi in zip(r, y, yhat):
+    for ri, yi, pi in zip(series.ranks, series.values, yhat):
         out.write(
             f"{format(ri, '.12g')},{format(yi, '.12g')},"
             f"{format(pi, '.12g')},{format(yi - pi, '.12g')}\n"

@@ -174,14 +174,19 @@ def _body(text: str) -> tuple[list[str], list[int], list[str]]:
 
 
 def _read(reader, numbers: list[int], count: int):
-    """Up to `count` rows from a csv reader of the lines numbered `numbers`, and
-    the IngestError that stopped the read early, or None."""
+    """Up to `count` rows from a csv reader of the lines numbered `numbers`, the
+    number of the line each row starts on, and the IngestError that stopped the
+    read early, or None."""
     rows: list[list[str]] = []
+    ends = [reader.line_num]  # lines read before each row, and after the last
+    error = None
     try:
-        rows.extend(islice(reader, count))
+        for row in islice(reader, count):
+            rows.append(row)
+            ends.append(reader.line_num)
     except csv.Error as exc:  # e.g. a field over csv's size limit
-        return rows, IngestError(f"malformed row {numbers[reader.line_num - 1]}: {exc}")
-    return rows, None
+        error = IngestError(f"malformed row {numbers[ends[-1]]}: {exc}")
+    return rows, [numbers[i] for i in ends[:-1]], error
 
 
 def _table(text: str, columns: list[str]):
@@ -189,17 +194,18 @@ def _table(text: str, columns: list[str]):
     whose header starts with `columns`; the delimiter is tab if the header has
     one, comma otherwise.
 
-    chunks yields (line numbers, fields) for a few hundred rows at a time,
-    fields holding one tuple per header column, so that the row lists die
-    young and a large file sets off no full garbage collection.  A row that
-    does not split into the header's fields raises its IngestError only after
-    the rows before it are yielded, so the caller checks those first.
+    chunks yields (the number of the line each row starts on, fields) for a
+    few hundred rows at a time, fields holding one tuple per header column, so
+    that the row lists die young and a large file sets off no full garbage
+    collection.  A row that does not split into the header's fields raises its
+    IngestError only after the rows before it are yielded, so the caller
+    checks those first.
     """
     comments, numbers, lines = _body(text)
     if not lines:
         raise IngestError("empty input: no header row")
     reader = csv.reader(lines, delimiter="\t" if "\t" in lines[0] else ",")
-    head, error = _read(reader, numbers, 1)
+    head, _, error = _read(reader, numbers, 1)
     if error is not None:
         raise error
     header = [h.strip() for h in head[0]]
@@ -209,18 +215,16 @@ def _table(text: str, columns: list[str]):
         )
 
     def chunks():
-        done = 1
         while True:
-            rows, error = _read(reader, numbers, _CHUNK_ROWS)
+            rows, row_nums, error = _read(reader, numbers, _CHUNK_ROWS)
             lengths = list(map(len, rows))
             if lengths.count(len(header)) != len(rows):
                 bad = next(i for i, k in enumerate(lengths) if k != len(header))
-                error = IngestError(f"malformed row {numbers[done + bad]}: "
+                error = IngestError(f"malformed row {row_nums[bad]}: "
                                     f"expected {len(header)} fields, got {lengths[bad]}")
                 rows = rows[:bad]
             if rows:
-                yield numbers[done: done + len(rows)], list(zip(*rows))
-            done += len(rows)
+                yield row_nums[:len(rows)], list(zip(*rows))
             if error is not None:
                 raise error
             if not rows:
@@ -387,10 +391,10 @@ def parse_merge_ledger(text: str) -> MergeLedger:
     if not lines:
         return MergeLedger(())
     reader = csv.reader(lines, delimiter="\t" if "\t" in lines[0] else ",")
-    rows, error = _read(reader, numbers, len(lines))
+    rows, row_nums, error = _read(reader, numbers, len(lines))
     start = 1 if rows and rows[0] and rows[0][0].strip() == "target_id" else 0
     entries = []
-    for row_num, row in zip(numbers[start:], rows[start:]):
+    for row_num, row in zip(row_nums[start:], rows[start:]):
         if len(row) != 4:
             raise IngestError(f"malformed ledger row {row_num}: expected 4 fields")
         target_id, target_name, comps, year = (f.strip() for f in row)
@@ -451,6 +455,8 @@ def aggregate_by_region(ati_panel: Panel, pop_panel: Panel) -> list[RegionAggreg
     if set(ati_panel.ids) != set(pop_panel.ids):
         diff = id_sample(set(ati_panel.ids) ^ set(pop_panel.ids))
         raise IngestError(f"entity sets differ between panels in {diff}")
+    if not pop_panel.years:
+        raise PanelGapError("no census year: the panel has no entity rows", pop_panel)
     pop_index = {eid: i for i, eid in enumerate(pop_panel.ids)}
     population = pop_panel.values[[pop_index[eid] for eid in ati_panel.ids], -1]
 
@@ -483,6 +489,8 @@ def aggregate_by_region(ati_panel: Panel, pop_panel: Panel) -> list[RegionAggreg
 
 def average_over_years(panel: Panel, window: list[int]) -> dict[str, float]:
     """Unweighted per-entity arithmetic mean of values over the year window."""
+    if not panel.ids:
+        raise IngestError("no entity rows to average")
     missing_years = [y for y in window if y not in panel.years]
     if missing_years:
         raise IngestError(f"window years {missing_years} not in panel")

@@ -6,6 +6,8 @@ import enum
 import io
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import RankingError, id_sample, require_finite
 from .stats import SummaryStats, describe
 
@@ -16,28 +18,29 @@ class TieBreak(enum.Enum):
     AVERAGE_RANK = "average"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankedSeries:
     """Entities sorted by one criterion, rank 1 = largest value.
 
-    Under a deterministic tie-break ranks are the integers 1..n; under
-    AVERAGE_RANK every tied entry carries the mean rank of its span.
-    tie_groups records (first_position, last_position) of each run of equal
-    values (1-based, runs of length >= 2), in both modes.
+    ids is a tuple in rank order; values and ranks are aligned read-only
+    float64 arrays.  Under a deterministic tie-break ranks are the integers
+    1..n; under AVERAGE_RANK every tied entry carries the mean rank of its
+    span.  tie_groups records (first_position, last_position) of each run of
+    equal values (1-based, runs of length >= 2), in both modes.
     """
 
-    entries: tuple[tuple[str, float, float], ...]  # (entity_id, value, rank)
+    ids: tuple[str, ...]
+    values: np.ndarray
+    ranks: np.ndarray
     tie_groups: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        self.values.setflags(write=False)
+        self.ranks.setflags(write=False)
 
     @property
     def n(self) -> int:
-        return len(self.entries)
-
-    def ranks(self) -> dict[str, float]:
-        return {eid: rank for eid, _, rank in self.entries}
-
-    def values(self) -> dict[str, float]:
-        return {eid: value for eid, value, _ in self.entries}
+        return len(self.ids)
 
 
 @dataclass(frozen=True)
@@ -75,33 +78,22 @@ def rank_desc(values: dict[str, float],
         return (-values[eid], eid)
 
     order = sorted(values, key=sort_key)
-    n = len(order)
-
-    tie_groups: list[tuple[int, int]] = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or values[order[i]] != values[order[start]]:
-            if i - start > 1:
-                tie_groups.append((start + 1, i))
-            start = i
-
-    ranks = [float(i) for i in range(1, n + 1)]
+    ordered = np.array([values[eid] for eid in order], dtype=float)
+    # runs of equal values, as [start, end) positions in rank order
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], ordered.size]
+    tied = ends - starts > 1
+    tie_groups = tuple(zip((starts[tied] + 1).tolist(), ends[tied].tolist()))
+    ranks = np.arange(1.0, ordered.size + 1)
     if rule is TieBreak.AVERAGE_RANK:
-        for lo, hi in tie_groups:
-            mean_rank = (lo + hi) / 2.0
-            for pos in range(lo - 1, hi):
-                ranks[pos] = mean_rank
-
-    entries = tuple(
-        (eid, float(values[eid]), ranks[i]) for i, eid in enumerate(order)
-    )
-    return RankedSeries(entries, tuple(tie_groups))
+        ranks = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return RankedSeries(tuple(order), ordered, ranks, tie_groups)
 
 
 def pair_ranks(x: RankedSeries, y: RankedSeries) -> RankPairs:
     """Join two ranked series on entity id."""
-    x_ranks = x.ranks()
-    y_ranks = y.ranks()
+    x_ranks = dict(zip(x.ids, x.ranks.tolist()))
+    y_ranks = dict(zip(y.ids, y.ranks.tolist()))
     if x_ranks.keys() != y_ranks.keys():
         diff = id_sample(x_ranks.keys() ^ y_ranks.keys())
         raise RankingError(f"entity sets differ in {diff}")
@@ -123,7 +115,6 @@ def export_ranked_series(series: RankedSeries) -> str:
     """Delimited text `rank,entity_id,value` for plotting."""
     out = io.StringIO()
     out.write("rank,entity_id,value\n")
-    for eid, value, rank in series.entries:
-        rank_str = format(rank, ".12g")
-        out.write(f"{rank_str},{eid},{format(value, '.12g')}\n")
+    for eid, value, rank in zip(series.ids, series.values.tolist(), series.ranks.tolist()):
+        out.write(f"{format(rank, '.12g')},{eid},{format(value, '.12g')}\n")
     return out.getvalue()

@@ -87,43 +87,35 @@ def describe(series) -> SummaryStats:
     )
 
 
+# (text label, machine key, attribute) of each summary field, in report order
+_SUMMARY_FIELDS = (
+    ("n", "n", "n"),
+    ("min", "min", "min"),
+    ("Max", "max", "max"),
+    ("Sum", "sum", "sum"),
+    ("mean (mu)", "mean", "mean"),
+    ("median (m)", "median", "median"),
+    ("RMS", "rms", "rms"),
+    ("Std. Dev. (sigma)", "std_dev", "std_dev"),
+    ("Var.", "variance", "variance"),
+    ("Std. Err.", "std_err", "std_err"),
+    ("Skewness", "skewness", "skewness"),
+    ("Kurtosis (excess)", "kurtosis_excess", "kurtosis"),
+    ("Kurtosis (non-excess)", "kurtosis_nonexcess", "kurtosis_pearson"),
+    ("mu/sigma", "mu_over_sigma", "mu_over_sigma"),
+    ("3(mu-m)/sigma", "nonparam_skew", "nonparam_skew"),
+)
+
+
 def format_summary(stats: SummaryStats, label: str = "") -> str:
     """One-column text table mirroring the summary layout."""
-    rows = [
-        ("n", f"{stats.n:d}"),
-        ("min", format(stats.min, ".12g")),
-        ("Max", format(stats.max, ".12g")),
-        ("Sum", format(stats.sum, ".12g")),
-        ("mean (mu)", format(stats.mean, ".12g")),
-        ("median (m)", format(stats.median, ".12g")),
-        ("RMS", format(stats.rms, ".12g")),
-        ("Std. Dev. (sigma)", format(stats.std_dev, ".12g")),
-        ("Var.", format(stats.variance, ".12g")),
-        ("Std. Err.", format(stats.std_err, ".12g")),
-        ("Skewness", format(stats.skewness, ".12g")),
-        ("Kurtosis (excess)", format(stats.kurtosis, ".12g")),
-        ("Kurtosis (non-excess)", format(stats.kurtosis_pearson, ".12g")),
-        ("mu/sigma", format(stats.mu_over_sigma, ".12g")),
-        ("3(mu-m)/sigma", format(stats.nonparam_skew, ".12g")),
-    ]
-    width = max(len(k) for k, _ in rows)
-    lines = []
-    if label:
-        lines.append(label)
-    lines += [f"{k:<{width}}  {v}" for k, v in rows]
+    width = max(len(text) for text, _, _ in _SUMMARY_FIELDS)
+    lines = [label] if label else []
+    lines += [f"{text:<{width}}  {format(getattr(stats, attr), '.12g')}"
+              for text, _, attr in _SUMMARY_FIELDS]
     return "\n".join(lines) + "\n"
 
 
 def summary_key_values(stats: SummaryStats) -> dict[str, float]:
     """Machine-readable flat mapping of every summary field."""
-    out = {
-        "n": stats.n, "min": stats.min, "max": stats.max, "sum": stats.sum,
-        "mean": stats.mean, "median": stats.median, "rms": stats.rms,
-        "std_dev": stats.std_dev, "variance": stats.variance,
-        "std_err": stats.std_err, "skewness": stats.skewness,
-        "kurtosis_excess": stats.kurtosis,
-        "kurtosis_nonexcess": stats.kurtosis_pearson,
-        "mu_over_sigma": stats.mu_over_sigma,
-        "nonparam_skew": stats.nonparam_skew,
-    }
-    return out
+    return {key: getattr(stats, attr) for _, key, attr in _SUMMARY_FIELDS}

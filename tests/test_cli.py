@@ -556,3 +556,21 @@ def test_each_subcommand_accepts_only_the_options_it_reads(tmp_path, capsys):
         assert err.startswith("usage: ranklaw")
         assert f"error: unrecognized arguments: {' '.join(argv[-2:])}\n" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ingest", "--input", "{empty}", "--population", "{empty}"],
+     "no census year: the panel has no entity rows"),
+    (["report", "--input", "{income}", "--population", "{empty}"],
+     "no census year: the panel has no entity rows"),
+    (["pairwise", "--input", "{empty}"], "no entity rows to average"),
+], ids=["ingest", "report", "pairwise"])
+def test_a_header_only_panel_is_refused_naming_its_file(tmp_path, capsys, argv, message):
+    empty, income = tmp_path / "empty.csv", tmp_path / "income.csv"
+    empty.write_text("entity_id,name,region,province,2007\n")
+    income.write_text(LONG_PANEL)
+    argv = [arg.format(empty=empty, income=income) for arg in argv]
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"ranklaw: {argv[0]}: {empty}: {message}\n"
+    assert list(out.iterdir()) == []

@@ -102,7 +102,7 @@ def test_fit_published_region_counts(region_count_series):
 
 def test_fit_scale_invariance(region_count_series):
     base = fit.fit_model(region_count_series, A=1e3)
-    scaled_values = {eid: 100.0 * v for eid, v, _ in region_count_series.entries}
+    scaled_values = {eid: 100.0 * v for eid, v in zip(region_count_series.ids, region_count_series.values)}
     scaled_series = rank.rank_desc(scaled_values, rule=rank.TieBreak.ENTITY_ID)
     scaled = fit.fit_model(scaled_series, A=1e5)
     for a, b in zip(base.model.params, scaled.model.params):
@@ -145,8 +145,7 @@ def _paper_scale_series():
 @pytest.mark.parametrize("kind", list(ModelKind))
 def test_log_fit_is_the_exact_least_squares_optimum(kind):
     series = _paper_scale_series()
-    r = np.array([rank for _, _, rank in series.entries])
-    y = np.array([value for _, value, _ in series.entries])
+    r, y = series.ranks, series.values
     cols = [np.ones(r.size), -np.log(r)]
     if kind is ModelKind.LAVALETTE3:
         cols.append(np.log(r.size - r + 1))
@@ -197,8 +196,7 @@ def test_goodness_perfect_and_constant():
     assert chi2 == pytest.approx(0.0, abs=1e-12)
 
     # a flat model equal to the observed mean has R^2 = 0 on the linear scale
-    values = np.array([v for _, v, _ in series.entries])
-    flat = _lav3(float(values.mean()), 10, 1.0, 0.0, 0.0)
+    flat = _lav3(float(series.values.mean()), 10, 1.0, 0.0, 0.0)
     r2, _ = fit.goodness(series, flat, "linear")
     assert r2 == pytest.approx(0.0, abs=1e-9)
 
@@ -223,7 +221,8 @@ def test_remove_top_outliers():
     series = rank.rank_desc({"a": 4.0, "b": 3.0, "c": 2.0, "d": 1.0})
     assert fit.remove_top_outliers(series, 0) is series
     trimmed = fit.remove_top_outliers(series, 2)
-    assert trimmed.ranks() == {"c": 1.0, "d": 2.0}
+    assert trimmed.ids == ("c", "d")
+    assert trimmed.ranks.tolist() == [1.0, 2.0]
     single = fit.remove_top_outliers(series, 3)
     assert single.n == 1
     with pytest.raises(FitError):
@@ -237,8 +236,8 @@ def test_detect_outliers_clean_and_contaminated():
     assert fit.detect_outliers(series, result, threshold=4.0) == []
     assert fit.detect_outliers(series, result, threshold=math.inf) == []
 
-    contaminated_values = {eid: v for eid, v, _ in series.entries}
-    victim = series.entries[24][0]
+    contaminated_values = dict(zip(series.ids, series.values))
+    victim = series.ids[24]
     contaminated_values[victim] *= 100.0
     contaminated = rank.rank_desc(contaminated_values, rule=rank.TieBreak.ENTITY_ID)
     refit = fit.fit_model(contaminated, A=1e3)

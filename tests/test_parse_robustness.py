@@ -120,6 +120,19 @@ def test_two_faults_name_the_earlier_row(text, message):
     assert str(err.value) == message
 
 
+def test_a_panel_row_is_numbered_by_the_line_it_starts_on():
+    # the quoted name of the first row spans lines 2 and 3
+    text = 'entity_id,name,region,province,2007\na,"A\nB",R1,P1,1\nb,B,R1,P1,-1\n'
+    with pytest.raises(IngestError, match="^negative value at row 4$"):
+        ingest.parse_panel(text)
+
+
+def test_a_ranking_row_is_numbered_by_the_line_it_starts_on():
+    text = 'rank,entity_id,value\n1,"a\nb",3\n2,c,x\n'
+    with pytest.raises(IngestError, match="^malformed value 'x' at row 4$"):
+        ingest.parse_ranking(text)
+
+
 def test_oversized_field_is_an_ingest_error():
     big = 'b,"' + "x" * 200_000 + '",R1,P1,1,2\n'
     with pytest.raises(IngestError, match="^malformed row 3: field larger than field limit"):

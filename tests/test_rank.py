@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
 from ranklaw import rank
@@ -7,10 +9,14 @@ from ranklaw.errors import RankingError
 from ranklaw.rank import TieBreak
 
 
+def _ranks(series):
+    return dict(zip(series.ids, series.ranks.tolist()))
+
+
 def test_rank_desc_strict_ordering():
     s = rank.rank_desc({"a": 3.0, "b": 1.0, "c": 2.0})
-    assert s.ranks() == {"a": 1.0, "c": 2.0, "b": 3.0}
-    values = [v for _, v, _ in s.entries]
+    assert _ranks(s) == {"a": 1.0, "c": 2.0, "b": 3.0}
+    values = s.values.tolist()
     assert values == sorted(values, reverse=True)
 
 
@@ -21,28 +27,28 @@ def test_rank_desc_empty_map():
 
 def test_tie_semantics():
     lex = rank.rank_desc({"a": 5.0, "b": 5.0}, rule=TieBreak.LEXICAL_NAME)
-    assert lex.ranks() == {"a": 1.0, "b": 2.0}
+    assert _ranks(lex) == {"a": 1.0, "b": 2.0}
     avg = rank.rank_desc({"a": 5.0, "b": 5.0}, rule=TieBreak.AVERAGE_RANK)
-    assert avg.ranks() == {"a": 1.5, "b": 1.5}
+    assert _ranks(avg) == {"a": 1.5, "b": 1.5}
 
 
 def test_tie_break_by_name_then_id():
     names = {"x1": "Zed", "x2": "Ann"}
     s = rank.rank_desc({"x1": 5.0, "x2": 5.0}, names=names)
-    assert s.ranks() == {"x2": 1.0, "x1": 2.0}
+    assert _ranks(s) == {"x2": 1.0, "x1": 2.0}
 
 
 def test_tie_groups_recorded_in_deterministic_mode():
     s = rank.rank_desc({"a": 5.0, "b": 5.0, "c": 1.0})
     assert s.tie_groups == ((1, 2),)
-    assert s.ranks()["c"] == 3.0
+    assert _ranks(s)["c"] == 3.0
 
 
 def test_monotone_transform_invariance():
     values = {"a": 3.0, "b": 1.5, "c": 2.7, "d": 0.1}
     base = rank.rank_desc(values)
     transformed = rank.rank_desc({k: math.exp(v) for k, v in values.items()})
-    assert base.ranks() == transformed.ranks()
+    assert _ranks(base) == _ranks(transformed)
 
 
 def test_pair_ranks_identity_and_reversal():
@@ -97,3 +103,66 @@ def test_export_ranked_series():
 def test_rank_desc_rejects_non_finite_values(bad):
     with pytest.raises(RankingError, match="non-finite value .* for 'b'"):
         rank.rank_desc({"a": 1.0, "b": bad, "c": 3.0})
+
+
+def _tied_series(seed):
+    """Values drawn from at most 5 integers for up to 200 entities, with random
+    ids and display names (some repeated, some absent)."""
+    rng = random.Random(seed)
+    levels = rng.sample(range(-3, 10), rng.randint(1, 5))
+    n = rng.randint(1, 200)
+    ids = set()
+    while len(ids) < n:
+        ids.add("".join(rng.choices("ab\x00Z", k=rng.randint(1, 6))))
+    values = {eid: float(rng.choice(levels)) for eid in sorted(ids)}
+    names = {eid: "".join(rng.choices("xY ", k=rng.randint(0, 2)))
+             for eid in values if rng.random() < 0.8}
+    return values, names
+
+
+def _reference_ranking(values, rule, names):
+    """(ids, values, ranks, tie groups) from the documented sort keys, with the
+    runs of equal values found by a loop."""
+    if rule is TieBreak.LEXICAL_NAME:
+        order = sorted(values, key=lambda eid: (-values[eid], names.get(eid, eid), eid))
+    else:
+        order = sorted(values, key=lambda eid: (-values[eid], eid))
+    ranks = [float(i) for i in range(1, len(order) + 1)]
+    groups = []
+    start = 0
+    for i in range(1, len(order) + 1):
+        if i == len(order) or values[order[i]] != values[order[start]]:
+            if i - start > 1:
+                groups.append((start + 1, i))
+                if rule is TieBreak.AVERAGE_RANK:
+                    ranks[start:i] = [(start + 1 + i) / 2] * (i - start)
+            start = i
+    return tuple(order), [values[eid] for eid in order], ranks, tuple(groups)
+
+
+@pytest.mark.parametrize("rule", list(TieBreak))
+def test_tie_rules_match_a_plain_python_reference(rule):
+    for seed in range(50):
+        values, names = _tied_series(seed)
+        s = rank.rank_desc(values, rule=rule, names=names)
+        ids, ordered, ranks, groups = _reference_ranking(values, rule, names)
+        assert s.ids == ids, seed
+        assert s.values.tolist() == ordered, seed
+        assert s.ranks.tolist() == ranks, seed
+        assert s.tie_groups == groups, seed
+
+
+def test_average_ranks_match_scipy():
+    scipy_stats = pytest.importorskip("scipy.stats")
+    for seed in range(50):
+        values, _ = _tied_series(seed)
+        s = rank.rank_desc(values, rule=TieBreak.AVERAGE_RANK)
+        expected = scipy_stats.rankdata(-np.array(list(values.values())), method="average")
+        assert _ranks(s) == dict(zip(values, expected.tolist())), seed
+
+
+def test_ranked_series_arrays_are_read_only():
+    s = rank.rank_desc({"a": 2.0, "b": 1.0})
+    for array in (s.values, s.ranks):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0

@@ -375,14 +375,13 @@ def test_generate_ranksize_exact_curve():
     series = urnsim.generate_ranksize(model)
     r = np.arange(1, 16, dtype=float)
     expected = np.sort(fit.model_eval(model, r))[::-1]
-    got = np.array([v for _, v, _ in series.entries])
-    assert np.allclose(got, expected, rtol=1e-12)
+    assert np.allclose(series.values, expected, rtol=1e-12)
 
 
 def test_generate_ranksize_symmetric_form():
     model = fit.RankSizeModel(fit.ModelKind.LAVALETTE3, 1.0, 12, (1.0, 0.3, 0.3))
     series = urnsim.generate_ranksize(model)
-    values = [v for _, v, _ in series.entries]
+    values = series.values.tolist()
     pairs = list(zip(values, values[::-1]))
     # reflection-symmetric generator: values come in equal head/tail pairs
     log_values = np.log(np.sort(values))
