@@ -102,7 +102,7 @@ def test_fit_published_region_counts(region_count_series):
 
 def test_fit_scale_invariance(region_count_series):
     base = fit.fit_model(region_count_series, A=1e3)
-    scaled_values = {eid: 100.0 * v for eid, v in zip(region_count_series.ids, region_count_series.values)}
+    scaled_values = dict(zip(region_count_series.ids, 100.0 * region_count_series.values))
     scaled_series = rank.rank_desc(scaled_values, rule=rank.TieBreak.ENTITY_ID)
     scaled = fit.fit_model(scaled_series, A=1e5)
     for a, b in zip(base.model.params, scaled.model.params):
