@@ -255,9 +255,8 @@ def cmd_regime(args, out: OutputDir) -> None:
         f"slope: {_fmt(slope)} +/- {_fmt(slope_se)}",
         f"r_squared: {_fmt(r2)}",
     ]
-    xs = [p[1] for p in points.points]
-    ys = [p[2] for p in points.points]
-    if min(xs) > 0 and min(ys) > 0:
+    x, y = points.arrays()
+    if x.min() > 0 and y.min() > 0:
         c, beta, r2log = regime.loglog_power_fit(points)
         lines += [
             f"loglog_c: {_fmt(c)}",

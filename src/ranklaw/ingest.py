@@ -161,10 +161,10 @@ def _value_fault(cell: str) -> str:
 
 
 def _body(text: str) -> tuple[list[str], list[int], list[str]]:
-    """The '#' comment lines of a text, and the line numbers and lines of the
-    others that are not blank."""
+    """The '#' comment lines of a text, and the line numbers and lines, with
+    their line breaks, of the others that are not blank."""
     comments, numbers, lines = [], [], []
-    for n, line in enumerate(text.splitlines(), start=1):
+    for n, line in enumerate(text.splitlines(keepends=True), start=1):
         if line.startswith("#"):
             comments.append(line)
         elif line.strip():
@@ -176,7 +176,8 @@ def _body(text: str) -> tuple[list[str], list[int], list[str]]:
 def _read(reader, numbers: list[int], count: int):
     """Up to `count` rows from a csv reader of the lines numbered `numbers`, the
     number of the line each row starts on, and the IngestError that stopped the
-    read early, or None."""
+    read early, or None.  A row whose lines are not consecutive in the file
+    holds a quoted field that spans a '#' or blank line, which _body dropped."""
     rows: list[list[str]] = []
     ends = [reader.line_num]  # lines read before each row, and after the last
     error = None
@@ -186,6 +187,12 @@ def _read(reader, numbers: list[int], count: int):
             ends.append(reader.line_num)
     except csv.Error as exc:  # e.g. a field over csv's size limit
         error = IngestError(f"malformed row {numbers[ends[-1]]}: {exc}")
+    if rows and numbers[ends[-1] - 1] - numbers[ends[0]] != ends[-1] - 1 - ends[0]:
+        split = [numbers[b - 1] - numbers[a] != b - 1 - a for a, b in zip(ends, ends[1:])]
+        if any(split):
+            del rows[split.index(True):], ends[split.index(True) + 1:]
+            error = IngestError(f"malformed row {numbers[ends[-1]]}: a quoted field "
+                                "spans a '#' or blank line")
     return rows, [numbers[i] for i in ends[:-1]], error
 
 

@@ -1,8 +1,8 @@
 """Two-regime structure detection in scatter data.
 
-Operationalizes visual class identification as k-lines clustering: alternating
-assignment of points to the nearest origin-constrained line (by orthogonal
-distance) and total-least-squares refit of each line's slope.
+Operationalizes visual class identification as exact k-lines clustering: the
+split into k classes, each fitted by a line through the origin, with the least
+sum of squared orthogonal distances, found by one scan over point directions.
 """
 
 from __future__ import annotations
@@ -39,20 +39,24 @@ class RegimeSplit:
     overall_slope: float
     outliers: tuple[str, ...]
     objective: float                   # sum of squared orthogonal residuals
-    iterations: int
+    iterations: int                    # always 0: the split is not iterative
     degenerate: bool = False
-    objective_trace: tuple[float, ...] = ()  # objective after each assign step
+    objective_trace: tuple[float, ...] = ()  # always empty
 
 
 def inertia_axis(points: ScatterSet) -> tuple[float, float, float, float, float]:
+    """Ordinary least squares of y on x, as _ols returns it."""
+    return _ols(*points.arrays())
+
+
+def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float, float]:
     """Ordinary least squares of y on x.
 
     Returns (intercept, slope, r_squared, intercept_std_err, slope_std_err).
     """
-    x, y = points.arrays()
     n = x.size
     if n < 3:
-        raise RegimeError("inertia_axis needs at least 3 points")
+        raise RegimeError("a least-squares axis needs at least 3 points")
     sxx = float(np.sum((x - x.mean()) ** 2))
     if sxx == 0:
         raise RegimeError("degenerate x: zero variance")
@@ -89,19 +93,52 @@ def _orthogonal_sq_dist(x, y, slope):
     return (y - slope * x) ** 2 / (1.0 + slope * slope)
 
 
-_MAX_ITER = 100
+def _line_cost(moments: np.ndarray) -> np.ndarray:
+    """Least squared orthogonal distance to a line through the origin of each
+    point set with second moments (uu, uv, vv) in a row: det / largest eigenvalue."""
+    a, b, c = moments.T
+    top = (a + c) / 2 + np.hypot((a - c) / 2, b)  # 0 only where every moment is
+    return np.maximum(a * c - b * b, 0.0) / np.maximum(top, np.finfo(float).tiny)
+
+
+def _three_runs(prefix: np.ndarray) -> tuple[int, int]:
+    """The cuts 0 < i < j < m of m groups with moment prefix sums `prefix` that
+    minimize the cost of the runs [0, i), [i, j) and [j, m).  In a half-plane
+    the run cost obeys the quadrangle inequality, so the best i never decreases
+    as j grows: each level solves the j at odd multiples of a halving step,
+    searching i only between the best cuts of the neighbours solved before."""
+    m = len(prefix) - 1
+    best = np.r_[np.ones(m, dtype=np.intp), m]  # j = 2 has only i = 1; best[m] caps nothing
+    step = 1 << (m - 3).bit_length()
+    while step > 1:
+        step //= 2
+        j = np.arange(2 + step, m, 2 * step)
+        lo = best[j - step]
+        counts = np.minimum(best[np.minimum(j + step, m)], j - 1) - lo + 1
+        starts = np.cumsum(counts) - counts
+        i = np.repeat(lo - starts, counts) + np.arange(counts.sum())
+        cost = _line_cost(prefix[i]) + _line_cost(prefix[np.repeat(j, counts)] - prefix[i])
+        low = np.flatnonzero(cost == np.repeat(np.minimum.reduceat(cost, starts), counts))
+        best[j] = i[low[np.searchsorted(low, starts)]]
+    j = np.arange(2, m)
+    i = best[j]
+    b = np.argmin(_line_cost(prefix[i]) + _line_cost(prefix[j] - prefix[i])
+                  + _line_cost(prefix[m] - prefix[j]))
+    return int(i[b]), int(j[b])
 
 
 def two_line_split(points: ScatterSet, k: int = 2,
                    outlier_ids: tuple[str, ...] = ()) -> RegimeSplit:
-    """k-lines clustering (k in {2, 3}) with origin-constrained lines.
+    """The exact k-lines split (k in {2, 3}) with lines through the origin.
 
-    Slopes are initialized from percentiles of the per-point y/x ratio
-    (10th/90th for k=2, plus the median for k=3); each iteration assigns
-    points to the nearest line by orthogonal distance and refits slopes,
-    so the objective never increases.  Points in outlier_ids are excluded
-    before clustering and reported back unassigned; an id that names no point
-    is an error.
+    The nearest line depends only on a point's direction mod pi, so the classes
+    are arcs of distinct directions: for k=2, [c, c + pi/2) and the rest, for
+    every c; for k=3, three runs after opening the circle at its widest gap,
+    which needs every direction within a right angle (true where x, y >= 0).
+    Costs come from moments rotated onto the overall total-least-squares line.
+    With fewer distinct directions than k, each is a class, the objective is 0
+    and the split degenerate.  Points in outlier_ids are excluded and reported
+    back unassigned; an id that names no point is an error.
     """
     if k not in (2, 3):
         raise RegimeError("k must be 2 or 3")
@@ -113,68 +150,46 @@ def two_line_split(points: ScatterSet, k: int = 2,
     if len(kept) < k + 2:
         raise RegimeError(f"need at least {k + 2} points after outlier exclusion")
     ids = [p[0] for p in kept]
-    x = np.array([p[1] for p in kept])
-    y = np.array([p[2] for p in kept])
-
+    x, y = np.array([p[1] for p in kept]), np.array([p[2] for p in kept])
     overall = _tls_origin_slope(x, y)
 
-    # degenerate when every point already lies on one line through the origin
-    if float(np.sum(_orthogonal_sq_dist(x, y, overall))) <= 1e-12 * float(
-        np.sum(x * x + y * y)
-    ):
-        return RegimeSplit(
-            assignments={eid: 1 for eid in ids},
-            slopes=(overall,), overall_slope=overall,
-            outliers=tuple(outlier_ids), objective=0.0, iterations=0,
-            degenerate=True,
-        )
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(x != 0, y / x, np.inf)
-    finite = ratios[np.isfinite(ratios)]
-    if finite.size == 0:
-        raise RegimeError("all points on the y axis")
-    if k == 2:
-        slopes = [float(np.percentile(finite, 90)), float(np.percentile(finite, 10))]
+    # y/x is one value per direction; a point at the origin takes another's
+    ratio = np.divide(y, x, out=np.full(x.size, np.inf), where=x != 0)
+    at_origin = (x == 0) & (y == 0)
+    ratio[at_origin] = ratio[np.argmin(at_origin)]
+    ratio, group = np.unique(ratio, return_inverse=True)
+    theta, m = np.arctan(ratio), ratio.size  # theta in (-pi/2, pi/2]
+    w = (x + 1j * y) * np.exp(-1j * math.atan(overall))  # class moments then cancel less
+    sums = np.column_stack([np.bincount(group, q, m)
+                            for q in (w.real ** 2, w.real * w.imag, w.imag ** 2)])
+    if m < k:
+        labels = np.arange(m)
+    elif k == 2:
+        prefix = np.cumsum(np.vstack([np.zeros(3), sums, sums]), axis=0)
+        s = np.arange(m)  # arcs [s, e); e = s + m would leave the other class empty
+        e = np.searchsorted(np.r_[theta, theta + np.pi], theta + np.pi / 2)
+        arc = prefix[e] - prefix[s]
+        cost = np.where(e < s + m, _line_cost(arc) + _line_cost(prefix[m] - arc), np.inf)
+        b = int(np.argmin(cost))
+        labels = ((s - s[b]) % m >= e[b] - s[b]).astype(np.intp)
     else:
-        slopes = [float(np.percentile(finite, q)) for q in (90, 50, 10)]
-    if len(set(slopes)) < k:
-        spread = max(abs(s) for s in slopes) or 1.0
-        slopes = [s + 1e-6 * spread * i for i, s in enumerate(slopes)]
+        gaps = np.diff(np.r_[theta, theta[0] + np.pi])
+        if gaps.max() < np.pi / 2:
+            raise RegimeError(f"a 3-line split needs every point direction within a right "
+                              f"angle; these span {math.degrees(np.pi - gaps.max()):.1f} degrees")
+        start = int(np.argmax(gaps)) + 1  # the circle opens before this direction
+        cuts = _three_runs(np.cumsum(np.vstack([np.zeros(3), np.roll(sums, -start, 0)]), 0))
+        labels = np.searchsorted(cuts, (np.arange(m) - start) % m, side="right")
 
-    assign = np.zeros(x.size, dtype=int)
-    iterations = 0
-    trace: list[float] = []
-    for iterations in range(1, _MAX_ITER + 1):
-        dists = np.column_stack([_orthogonal_sq_dist(x, y, s) for s in slopes])
-        new_assign = np.argmin(dists, axis=1)
-        trace.append(float(dists[np.arange(x.size), new_assign].sum()))
-        # an emptied class keeps its previous slope
-        for ci in range(k):
-            mask = new_assign == ci
-            if mask.sum() >= 1:
-                slopes[ci] = _tls_origin_slope(x[mask], y[mask])
-        if np.array_equal(new_assign, assign) and iterations > 1:
-            break
-        assign = new_assign
-
-    dists = np.column_stack([_orthogonal_sq_dist(x, y, s) for s in slopes])
-    assign = np.argmin(dists, axis=1)
-    objective = float(dists[np.arange(x.size), assign].sum())
-
-    # relabel so class 1 is the steepest line
-    order = np.argsort(slopes)[::-1]
-    relabel = {int(old): new + 1 for new, old in enumerate(order)}
-    assignments = {eid: relabel[int(c)] for eid, c in zip(ids, assign)}
-    return RegimeSplit(
-        assignments=assignments,
-        slopes=tuple(slopes[i] for i in order),
-        overall_slope=overall,
-        outliers=tuple(outlier_ids),
-        objective=objective,
-        iterations=iterations,
-        objective_trace=tuple(trace),
-    )
+    assign = labels[group]
+    masks = [assign == c for c in range(min(m, k))]
+    slopes = [_tls_origin_slope(x[mask], y[mask]) for mask in masks]
+    objective = 0.0 if m < k else float(sum(
+        np.sum(_orthogonal_sq_dist(x[mask], y[mask], s)) for mask, s in zip(masks, slopes)))
+    order = np.argsort(slopes)[::-1]  # class 1 is the steepest line
+    assignments = dict(zip(ids, (np.argsort(order)[assign] + 1).tolist()))
+    return RegimeSplit(assignments, tuple(slopes[i] for i in order), overall,
+                       tuple(outlier_ids), objective, iterations=0, degenerate=m < k)
 
 
 def loglog_power_fit(points: ScatterSet) -> tuple[float, float, float]:
@@ -185,9 +200,7 @@ def loglog_power_fit(points: ScatterSet) -> tuple[float, float, float]:
     x, y = points.arrays()
     if np.any(x <= 0) or np.any(y <= 0):
         raise RegimeError("loglog_power_fit needs positive coordinates")
-    log_points = ScatterSet(
-        tuple((eid, math.log(px), math.log(py)) for eid, px, py in points.points))
-    intercept, slope, r2, _, _ = inertia_axis(log_points)
+    intercept, slope, r2, _, _ = _ols(np.log(x), np.log(y))
     return math.exp(intercept), slope, r2
 
 

@@ -133,6 +133,39 @@ def test_a_ranking_row_is_numbered_by_the_line_it_starts_on():
         ingest.parse_ranking(text)
 
 
+PANEL_2007 = "entity_id,name,region,province,2007\n"
+
+
+def test_a_quoted_field_keeps_its_line_break():
+    assert ingest.parse_panel(PANEL_2007 + 'a,"A\nB",R1,P1,1\n').names == ("A\nB",)
+
+
+@pytest.mark.parametrize("body, message", [
+    # a blank line inside the quoted name
+    ('a,"A\n\nB",R1,P1,1\n', "malformed row 2: a quoted field spans a '#' or blank line"),
+    ('b,B,R1,P1,1\na,"A\n#B\nC",R1,P1,1\n',
+     "malformed row 3: a quoted field spans a '#' or blank line"),
+    # the '#' line ends the file, so csv reads the row as two fields
+    ('a,"A\n#B",R1,P1,1\n', "malformed row 2: expected 5 fields, got 2"),
+])
+def test_a_quoted_field_over_a_dropped_line_names_its_row(body, message):
+    with pytest.raises(IngestError) as err:
+        ingest.parse_panel(PANEL_2007 + body)
+    assert str(err.value) == message
+
+
+def test_a_fault_before_a_quoted_field_over_a_dropped_line_is_named_first():
+    text = PANEL_2007 + 'b,B,R1,P1,-1\na,"A\n\nB",R1,P1,1\n'
+    with pytest.raises(IngestError, match="^negative value at row 2$"):
+        ingest.parse_panel(text)
+
+
+def test_names_with_line_breaks_round_trip():
+    panel = ingest.Panel("q", (2007,), ("a", "b"), ("A\nB", "C\r\nD"), ("R1", "R2"),
+                         ("P1", "P2"), np.array([[1.0], [2.0]]))
+    assert ingest.parse_panel(ingest.serialize_panel(panel)) == panel
+
+
 def test_oversized_field_is_an_ingest_error():
     big = 'b,"' + "x" * 200_000 + '",R1,P1,1,2\n'
     with pytest.raises(IngestError, match="^malformed row 3: field larger than field limit"):
