@@ -440,6 +440,10 @@ def main(argv: list[str] | None = None) -> int:
     except (RanklawError, OSError, ValueError) as exc:
         print(f"ranklaw: {args.command}: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a fault of ranklaw itself
+        print(f"ranklaw: {args.command}: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 1
     finally:
         out.release()
     return 0

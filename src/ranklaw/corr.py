@@ -1,9 +1,10 @@
 """Rank correlation statistics: Kendall tau, Spearman rho, Pearson, Z scores.
 
 Concordant/discordant pair counting is implemented twice: a brute-force
-O(n^2) enumerator kept as a testing oracle, and a merge-based O(n log n)
-counter used everywhere else.  Counts are exact integers so tables built
-from them reproduce bit-for-bit.
+O(n^2) enumerator kept as a testing oracle, and an O(n log n) counter used
+everywhere else, which counts inversions inside small blocks and then merges
+sorted runs bottom-up.  Counts are exact integers so tables built from them
+reproduce bit-for-bit.
 """
 
 from __future__ import annotations
@@ -58,38 +59,40 @@ class CorrelationReport:
     pi: float
 
 
-def _tie_pair_count(sorted_values: np.ndarray) -> int:
-    """Number of pairs with equal values, given a sorted array."""
-    if sorted_values.shape[0] == 0:
-        return 0
-    change = np.empty(sorted_values.shape[0], dtype=bool)
-    change[0] = True
-    if sorted_values.ndim == 1:
-        change[1:] = sorted_values[1:] != sorted_values[:-1]
-    else:
-        change[1:] = np.any(sorted_values[1:] != sorted_values[:-1], axis=1)
-    runs = np.diff(np.append(np.flatnonzero(change), sorted_values.shape[0]))
-    return int(np.sum(runs * (runs - 1) // 2))
+def _tied_pairs(sizes: np.ndarray) -> int:
+    """The number of pairs within groups of the given sizes."""
+    return int((sizes * (sizes - 1)).sum()) // 2
 
 
-_MERGE_BLOCK = 64
+_BLOCK = 32
 
 
-def _merge_count(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """Sort `a`, returning it with the number of strict inversions."""
-    n = a.size
-    if n <= _MERGE_BLOCK:
-        # one quadratic-but-vectorized comparison beats deep recursion here
-        inv = int(np.triu(a[:, None] > a[None, :], k=1).sum())
-        return np.sort(a), inv
-    left, cl = _merge_count(a[: n // 2])
-    right, cr = _merge_count(a[n // 2:])
-    left_pos = np.searchsorted(right, left, side="left")
-    cross = int(left_pos.sum())
-    merged = np.empty(n, dtype=a.dtype)
-    merged[np.arange(left.size) + left_pos] = left
-    merged[np.arange(right.size) + np.searchsorted(left, right, side="right")] = right
-    return merged, cl + cr + cross
+def _inversions(codes: np.ndarray) -> int:
+    """The number of pairs i < j with codes[i] > codes[j], for integer codes in
+    [0, n): Knight's merge count, bottom-up.  One broadcast compare counts the
+    inversions inside each block of _BLOCK; then at each doubling level one
+    searchsorted counts, for every sorted run, the elements of its right
+    neighbour below each of its own, and one sort merges the two."""
+    n = codes.size
+    size = _BLOCK
+    while size < n:
+        size *= 2
+    runs = np.full(size, n, dtype=np.int64)  # padded at the end above every code
+    runs[:n] = codes
+    blocks = runs.reshape(-1, _BLOCK)
+    count = int(np.count_nonzero(np.triu(blocks[:, :, None] > blocks[:, None, :], k=1)))
+    runs = np.sort(blocks, axis=1)
+    width = _BLOCK
+    while width < size:
+        halves = runs.reshape(-1, 2, width)
+        m = len(halves)
+        # offsetting each pair of runs by n + 1 sorts all right runs as one array
+        offset = np.arange(0, m * (n + 1), n + 1)[:, None]
+        below = np.searchsorted((halves[:, 1] + offset).ravel(), halves[:, 0] + offset)
+        count += int(below.sum()) - width * width * m * (m - 1) // 2
+        width *= 2
+        runs = np.sort(runs.reshape(-1, width), axis=1)
+    return count
 
 
 def kendall_counts_xy(x, y) -> PairCounts:
@@ -102,14 +105,15 @@ def kendall_counts_xy(x, y) -> PairCounts:
     require_finite(y, CorrelationError)
     n = x.size
     n0 = n * (n - 1) // 2
-    order = np.lexsort((y, x))
-    xs, ys = x[order], y[order]
-    n1 = _tie_pair_count(xs)
-    n2 = _tie_pair_count(np.sort(y))
-    n3 = _tie_pair_count(np.column_stack((xs, ys)))
+    # integer ranks that keep each series' order and ties, and the tie sizes
+    (_, cx, kx), (_, cy, ky) = (np.unique(v, return_inverse=True, return_counts=True)
+                                for v in (x, y))
+    key = cx * n + cy
+    order = np.argsort(key)
+    n1, n2, n3 = map(_tied_pairs, (kx, ky, np.unique(key, return_counts=True)[1]))
     # after sorting by (x, y), strict inversions in y are exactly the
     # discordant pairs: x-tied runs are y-ascending and contribute none
-    _, q = _merge_count(ys)
+    q = _inversions(cy[order])
     p = n0 - n1 - n2 + n3 - q
     return PairCounts(p, q, n1 - n3, n2 - n3, n3)
 

@@ -16,7 +16,6 @@ loop started from the log-scale optimum; both R^2 values are always reported.
 from __future__ import annotations
 
 import enum
-import io
 import math
 from dataclasses import dataclass
 
@@ -331,11 +330,6 @@ def format_fit_report(fit: FitResult) -> str:
 def fit_table(series: RankedSeries, fit: FitResult) -> str:
     """Per-rank delimited table (rank, value, predicted, residual) for plotting."""
     yhat = model_eval(fit.model, series.ranks)
-    out = io.StringIO()
-    out.write("rank,value,predicted,residual\n")
-    for ri, yi, pi in zip(series.ranks, series.values, yhat):
-        out.write(
-            f"{format(ri, '.12g')},{format(yi, '.12g')},"
-            f"{format(pi, '.12g')},{format(yi - pi, '.12g')}\n"
-        )
-    return out.getvalue()
+    cells = np.column_stack((series.ranks, series.values, yhat, series.values - yhat))
+    return ("rank,value,predicted,residual\n"
+            + ("%.12g,%.12g,%.12g,%.12g\n" * len(cells)) % tuple(cells.ravel().tolist()))

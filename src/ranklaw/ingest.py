@@ -12,10 +12,10 @@ preserves panel-wide totals.
 from __future__ import annotations
 
 import csv
-import io
 import math
+import operator
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, compress, count, filterfalse, islice, repeat
 from statistics import fmean
 from types import SimpleNamespace
 
@@ -30,6 +30,7 @@ ID_COLUMNS = LONG_COLUMNS[:4]
 RANKING_COLUMNS = ["rank", "entity_id", "value"]
 SCATTER_COLUMNS = ["entity_id", "x", "y"]
 _CHUNK_ROWS = 500  # rows parsed at a time
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines breaks
 
 
 @dataclass(frozen=True)
@@ -160,39 +161,47 @@ def _value_fault(cell: str) -> str:
     raise AssertionError(f"value cell {cell!r} was rejected but is valid")
 
 
-def _body(text: str) -> tuple[list[str], list[int], list[str]]:
+def _body(text: str) -> tuple[list[str], range | list[int], list[str]]:
     """The '#' comment lines of a text, and the line numbers and lines, with
     their line breaks, of the others that are not blank."""
-    comments, numbers, lines = [], [], []
-    for n, line in enumerate(text.splitlines(keepends=True), start=1):
-        if line.startswith("#"):
-            comments.append(line)
-        elif line.strip():
-            numbers.append(n)
-            lines.append(line)
-    return comments, numbers, lines
+    lines = text.splitlines(keepends=True)
+    comment = list(map(str.startswith, lines, repeat("#")))
+    blank = list(map(str.isspace, lines))  # a line holds at least its break
+    comments = list(compress(lines, comment))
+    if True not in blank and True not in comment[len(comments):]:  # comments lead
+        return comments, range(len(comments) + 1, len(lines) + 1), lines[len(comments):]
+    keep = list(map(operator.not_, map(operator.or_, comment, blank)))
+    return comments, list(compress(count(1), keep)), list(compress(lines, keep))
 
 
-def _read(reader, numbers: list[int], count: int):
-    """Up to `count` rows from a csv reader of the lines numbered `numbers`, the
+def _read(reader, lines: list[str], numbers, count: int):
+    """Up to `count` rows from a csv reader of `lines`, numbered `numbers`, the
     number of the line each row starts on, and the IngestError that stopped the
     read early, or None.  A row whose lines are not consecutive in the file
     holds a quoted field that spans a '#' or blank line, which _body dropped."""
-    rows: list[list[str]] = []
-    ends = [reader.line_num]  # lines read before each row, and after the last
+    start = reader.line_num
+    try:
+        rows = list(islice(reader, count))
+        if reader.line_num - start == len(rows):  # every row is one line
+            return rows, numbers[start:reader.line_num], None
+    except csv.Error:
+        pass
+    # a row spans lines, or csv failed: read the same lines again row by row
+    reader = csv.reader(lines[start:reader.line_num], reader.dialect)
+    rows = []
+    ends = [start]  # lines read before each row, and after the last
     error = None
     try:
-        for row in islice(reader, count):
+        for row in reader:
             rows.append(row)
-            ends.append(reader.line_num)
+            ends.append(start + reader.line_num)
     except csv.Error as exc:  # e.g. a field over csv's size limit
         error = IngestError(f"malformed row {numbers[ends[-1]]}: {exc}")
-    if rows and numbers[ends[-1] - 1] - numbers[ends[0]] != ends[-1] - 1 - ends[0]:
-        split = [numbers[b - 1] - numbers[a] != b - 1 - a for a, b in zip(ends, ends[1:])]
-        if any(split):
-            del rows[split.index(True):], ends[split.index(True) + 1:]
-            error = IngestError(f"malformed row {numbers[ends[-1]]}: a quoted field "
-                                "spans a '#' or blank line")
+    split = [numbers[b - 1] - numbers[a] != b - 1 - a for a, b in zip(ends, ends[1:])]
+    if any(split):
+        del rows[split.index(True):], ends[split.index(True) + 1:]
+        error = IngestError(f"malformed row {numbers[ends[-1]]}: a quoted field "
+                            "spans a '#' or blank line")
     return rows, [numbers[i] for i in ends[:-1]], error
 
 
@@ -212,7 +221,7 @@ def _table(text: str, columns: list[str]):
     if not lines:
         raise IngestError("empty input: no header row")
     reader = csv.reader(lines, delimiter="\t" if "\t" in lines[0] else ",")
-    head, _, error = _read(reader, numbers, 1)
+    head, _, error = _read(reader, lines, numbers, 1)
     if error is not None:
         raise error
     header = [h.strip() for h in head[0]]
@@ -223,7 +232,7 @@ def _table(text: str, columns: list[str]):
 
     def chunks():
         while True:
-            rows, row_nums, error = _read(reader, numbers, _CHUNK_ROWS)
+            rows, row_nums, error = _read(reader, lines, numbers, _CHUNK_ROWS)
             lengths = list(map(len, rows))
             if lengths.count(len(header)) != len(rows):
                 bad = next(i for i, k in enumerate(lengths) if k != len(header))
@@ -250,14 +259,13 @@ def _or_none(convert, cell):
 def _value_column(raw) -> tuple[np.ndarray, np.ndarray]:
     """(values, NaN where missing; cells that are neither a missing marker nor a
     finite number >= 0) of a column."""
-    cells = list(map(str.strip, raw))
-    missing = np.fromiter(map(MISSING_MARKERS.__contains__, cells), bool, len(cells))
-    if missing.any():
-        cells = ["nan" if m else c for c, m in zip(cells, missing.tolist())]
     try:
-        values = np.array(list(map(float, cells)), dtype=float)
-    except ValueError:
-        values = np.array([_or_none(float, c) for c in cells], dtype=float)
+        values = np.fromiter(map(float, raw), float, len(raw))
+    except ValueError:  # a missing marker float does not read, or a malformed cell
+        values = np.array([_or_none(float, c) for c in raw], dtype=float)
+    missing = np.isnan(values)
+    if missing.any():
+        missing[missing] = [c.strip() in MISSING_MARKERS for c in compress(raw, missing)]
     with np.errstate(invalid="ignore"):
         return values, ~missing & ~(np.isfinite(values) & (values >= 0))
 
@@ -297,22 +305,23 @@ def parse_panel(text: str) -> Panel:
         last = {year: j for j, year in enumerate(wide_years)}  # a repeated year's last column
 
     index: dict[str, int] = {}
-    labels: tuple[list[str], ...] = ([], [], [])  # each entity's first name, region, province
+    first_labels: list[tuple[str, str, str]] = []  # each entity's first name, region, province
     # the column of each year, numbered in the order the years are first seen
     positions = {} if long_form else {year: j for j, year in enumerate(sorted(last))}
     column_of: dict[str, int] = {}  # long form: column of each year cell, -1 if malformed
-    filled: set[int] = set()  # long form: entity << 32 | column of every cell read
+    filled = np.zeros((0, 0), dtype=bool)  # long form: the cells read, by entity and column
     parts = []  # (entity, column, value) arrays of each chunk
     for row_nums, columns in chunks:
         n = len(row_nums)
-        ids, *row_labels = (list(map(str.strip, c)) for c in columns[:4])
+        ids, *label_columns = (list(map(str.strip, c)) for c in columns[:4])
         start = len(index)
-        entity = np.array([index.setdefault(e, len(index)) for e in ids], dtype=np.intp)
+        index.update(zip(list(filterfalse(index.__contains__, dict.fromkeys(ids))), count(start)))
+        entity = np.fromiter(map(index.__getitem__, ids), np.intp, n)
         # new entities take the next indices, so their first rows are where the
         # running max of the indices, seeded below this chunk's new ones, rises
         firsts = np.flatnonzero(np.diff(np.maximum.accumulate(np.r_[start - 1, entity])) > 0)
-        for stored, column_labels in zip(labels, row_labels):
-            stored.extend(map(column_labels.__getitem__, firsts.tolist()))
+        labels = list(zip(*label_columns))
+        first_labels.extend(map(labels.__getitem__, firsts.tolist()))
 
         checks = []  # (rows that fail, fault of row i) of each check, in a row's check order
         if long_form:
@@ -329,17 +338,19 @@ def parse_panel(text: str) -> Panel:
         if long_form:
             # a row repeats an entity if its labels differ from the entity's
             # first row's, or if it fills a cell already filled
-            entities = entity.tolist()
-            repeats = np.zeros(n, dtype=bool)
-            for stored, column_labels in zip(labels, row_labels):
-                firsts_labels = map(stored.__getitem__, entities)
-                repeats |= np.fromiter(map(str.__ne__, column_labels, firsts_labels), bool, n)
-            keys = (entity << 32 | column).tolist()
-            if not filled.isdisjoint(keys) or len(set(keys)) < n:
-                for i, key in enumerate(keys):
-                    repeats[i] |= key in filled
-                    filled.add(key)
-            filled.update(keys)
+            repeats = np.fromiter(map(tuple.__ne__, labels,
+                                      map(first_labels.__getitem__, entity.tolist())), bool, n)
+            height, width = filled.shape
+            if height < len(index) or width <= len(positions):
+                filled = np.pad(filled, ((0, max(height, len(index) - height)),
+                                         (0, len(positions) + 1 - width)))
+            # column -1, a malformed year, takes the spare last column; such a
+            # row fails before its repeat check and hides every fault after it
+            cell = entity * filled.shape[1] + column % filled.shape[1]
+            again = np.ones(n, dtype=bool)
+            again[np.unique(cell, return_index=True)[1]] = False
+            repeats |= again | filled.flat[cell]
+            filled.flat[cell] = True
             parts.append((entity, column, cells[0]))
         else:
             repeats = np.ones(n, dtype=bool)
@@ -357,7 +368,8 @@ def parse_panel(text: str) -> Panel:
     values = np.full((len(index), len(years)), np.nan)
     for entity, column, cell_values in parts:
         values[entity, sorted_column[column]] = cell_values
-    return Panel(quantity_label, tuple(years), tuple(index), *map(tuple, labels), values,
+    names, regions, provinces = zip(*first_labels) if first_labels else ((), (), ())
+    return Panel(quantity_label, tuple(years), tuple(index), names, regions, provinces, values,
                  provenance)
 
 
@@ -398,7 +410,7 @@ def parse_merge_ledger(text: str) -> MergeLedger:
     if not lines:
         return MergeLedger(())
     reader = csv.reader(lines, delimiter="\t" if "\t" in lines[0] else ",")
-    rows, row_nums, error = _read(reader, numbers, len(lines))
+    rows, row_nums, error = _read(reader, lines, numbers, len(lines))
     start = 1 if rows and rows[0] and rows[0][0].strip() == "target_id" else 0
     entries = []
     for row_num, row in zip(row_nums[start:], rows[start:]):
@@ -511,22 +523,27 @@ def average_over_years(panel: Panel, window: list[int]) -> dict[str, float]:
 
 def serialize_panel(panel: Panel) -> str:
     """Canonical long-form text serialization (stable ordering, round-trips)."""
-    out = io.StringIO()
-    out.write(f"# quantity_label: {panel.quantity_label}\n")
+    head = f"# quantity_label: {panel.quantity_label}\n"
     if panel.provenance:
-        out.write(f"# provenance: {panel.provenance}\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(LONG_COLUMNS)
+        head += f"# provenance: {panel.provenance}\n"
+    head += ",".join(LONG_COLUMNS) + "\n"
     order = sorted(range(len(panel.ids)), key=panel.ids.__getitem__)
-    # each entity's four label fields go through the csv writer once; the
-    # year and value fields never need quoting
+    # each entity's four label fields go through the csv writer once; csv
+    # quotes a field holding any character of its line terminator, so every
+    # line break of str.splitlines, which _body splits at, is one of them
     labels: list[str] = []
-    csv.writer(SimpleNamespace(write=labels.append), lineterminator="\n").writerows(
-        (panel.ids[i], panel.names[i], panel.regions[i], panel.provinces[i]) for i in order)
-    years = [f",{year}," for year in panel.years]
-    out.writelines(
-        head[:-1] + year + ("" if v != v else format(v, ".12g")) + "\n"
-        for head, row in zip(labels, panel.values[order].tolist())
-        for year, v in zip(years, row)
-    )
-    return out.getvalue()
+    csv.writer(SimpleNamespace(write=labels.append), lineterminator=_LINE_BREAKS).writerows(
+        zip(*(map(column.__getitem__, order)
+              for column in (panel.ids, panel.names, panel.regions, panel.provinces))))
+    heads = list(map(operator.itemgetter(slice(None, -len(_LINE_BREAKS))), labels))
+    # the year and value fields never need quoting; a missing value is empty
+    years = [f",{year}," for year in panel.years] * len(order)
+    values = panel.values[order].ravel()
+    # '%d' writes a whole number below 1e12, other than -0, as '%.12g' does, faster
+    whole = ((values == np.trunc(values)) & (values < 1e12) & ~np.signbit(values)).all()
+    cells = values.astype(np.int64).tolist() if whole else values.tolist()
+    texts = (("%d\n" if whole else "%.12g\n") * values.size % tuple(cells)).replace("nan", "")
+    # zip hands out one reused tuple, so no object per entity or cell is made
+    return "".join(chain([head], chain.from_iterable(zip(
+        chain.from_iterable(zip(*[heads] * len(panel.years))), years,
+        texts.splitlines(keepends=True)))))

@@ -1,6 +1,6 @@
 import pytest
 
-from ranklaw import cli, rank
+from ranklaw import cli, fit, rank
 from ranklaw.errors import RanklawError
 from tests.conftest import LONG_PANEL, REGION_COUNTS_2011
 
@@ -218,7 +218,7 @@ def test_failed_rerun_keeps_previous_outputs(tmp_path):
 
 
 @pytest.mark.parametrize("error", [RanklawError, RuntimeError])
-def test_error_after_a_write_keeps_previous_outputs(tmp_path, monkeypatch, error):
+def test_error_after_a_write_keeps_previous_outputs(tmp_path, monkeypatch, capsys, error):
     out = tmp_path / "out"
     assert cli.main(_corr_argv(tmp_path, tmp_path / "panel.csv")) == 0
     before = (out / "corr.txt").read_bytes()
@@ -229,13 +229,31 @@ def test_error_after_a_write_keeps_previous_outputs(tmp_path, monkeypatch, error
 
     # main binds each subcommand when building its parser
     monkeypatch.setattr(cli, "cmd_corr", crash)
-    if error is RanklawError:
-        assert cli.main(_corr_argv(tmp_path, tmp_path / "panel.csv")) == 1
-    else:
-        with pytest.raises(RuntimeError):
-            cli.main(_corr_argv(tmp_path, tmp_path / "panel.csv"))
+    assert cli.main(_corr_argv(tmp_path, tmp_path / "panel.csv")) == 1
+    internal = "" if error is RanklawError else "internal error: RuntimeError: "
+    assert capsys.readouterr().err == f"ranklaw: corr: {internal}boom\n"
     assert (out / "corr.txt").read_bytes() == before
     assert sorted(p.name for p in out.iterdir()) == ["corr.txt", "rank_diff.txt"]
+
+
+def test_a_fault_inside_a_layer_is_one_error_line(tmp_path, monkeypatch, capsys):
+    ranking = tmp_path / "ranking.csv"
+    _write_region_ranking(ranking)
+    argv = ["fit", "--input", str(ranking), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    out = tmp_path / "out"
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+
+    def overflow(*args, **kwargs):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(fit, "fit_model", overflow)
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "ranklaw: fit: internal error: OverflowError: math range error\n"
+    assert captured.out == ""
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_rerun_replaces_outputs_with_new_files(tmp_path):

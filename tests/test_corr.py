@@ -242,3 +242,36 @@ def test_rho_matches_scipy_on_tied_series(rng):
     scipy_stats = pytest.importorskip("scipy.stats")
     for x, y, report in _tied_series_reports(rng):
         assert report.rho == pytest.approx(scipy_stats.spearmanr(x, y).statistic, abs=1e-12)
+
+
+# sizes around the inversion count's 32-element blocks and its doubling levels;
+# each series takes values from `levels` distinct numbers, 1 for all tied
+@st.composite
+def _tied_pairs_of_series(draw):
+    n = draw(st.sampled_from([0, 1, 2, 31, 32, 33, 63, 65, 200]))
+    x, y = (draw(st.sampled_from([1, 2, 3, max(n, 1)])
+                 .flatmap(lambda k: st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+            for _ in range(2))
+    return np.array(x, dtype=float), np.array(y, dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_pairs_of_series())
+def test_counts_equal_brute_force_on_tied_series(series):
+    x, y = series
+    assert corr.kendall_counts_xy(x, y) == corr.kendall_counts_brute(x, y)
+
+
+@pytest.mark.parametrize("n", [32, 33, 64, 65, 200])
+def test_counts_of_a_reversed_series(n):
+    # every pair discordant: each doubling level counts its whole cross product
+    x = np.arange(n, dtype=float)
+    assert corr.kendall_counts_xy(x, x[::-1]) == corr.PairCounts(0, n * (n - 1) // 2, 0, 0, 0)
+
+
+def test_tau_b_matches_scipy_at_city_count(rng):
+    scipy_stats = pytest.importorskip("scipy.stats")
+    x = rng.integers(0, 3000, 8092).astype(float)
+    y = x + rng.integers(0, 500, 8092)
+    tau_b = corr.kendall_tau(corr.kendall_counts_xy(x, y))[1]
+    assert tau_b == pytest.approx(scipy_stats.kendalltau(x, y).statistic, abs=1e-12)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from ranklaw import ingest
@@ -244,3 +245,20 @@ def test_serialize_roundtrip(long_panel_text):
     assert {r.entity_id: r.values for r in again.records} == \
         {r.entity_id: r.values for r in panel.records}
     assert ingest.serialize_panel(again) == text
+
+
+@pytest.mark.parametrize("values", [
+    [0.0, 7.0, 999999999999.0],  # whole numbers below 1e12
+    [-0.0, 7.0],
+    [1e12, 7.0],
+    [2.5, 7.0],
+    [math.nan, 7.0],
+    [1e-7, 123456789.123456789],
+])
+def test_serialized_values_have_12_significant_digits(values):
+    panel = ingest.Panel("q", (2007,), tuple(f"e{i}" for i in range(len(values))),
+                         ("N",) * len(values), ("R",) * len(values), ("P",) * len(values),
+                         np.array(values).reshape(-1, 1))
+    rows = ingest.serialize_panel(panel).splitlines()[2:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == \
+        ["" if v != v else format(v, ".12g") for v in values]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ranklaw import ingest
 from ranklaw.errors import IngestError
+from tests import reference_ingest
 
 HEADERS = [
     "entity_id,name,region,province,year,value",
@@ -79,6 +80,38 @@ def test_chunk_size_does_not_change_the_outcome(rows, chunk_rows):
     # first seen in an earlier chunk
     text = "\n".join([HEADERS[0]] + [",".join(row) for row in rows]) + "\n"
     expected = _outcome(text)
+    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+        result = _outcome(text)
+    assert type(result) is type(expected)
+    if isinstance(expected, IngestError):
+        assert str(result) == str(expected)
+    else:
+        assert result == expected
+
+
+# rows as drawn, by year then entity (each later year revisits every entity,
+# in later chunks), or by entity then year
+ORDERS = {"drawn": None, "year": lambda row: (row[4:5], row[:1]),
+          "entity": lambda row: (row[:1], row[4:5])}
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(HEADERS[:3] * 3 + HEADERS), st.one_of(ROWS, CELLS),
+       st.sampled_from(sorted(ORDERS)), st.sampled_from([",", "\t"]),
+       st.sampled_from([2, 3, 500]),
+       st.lists(st.tuples(st.integers(0, 30), st.sampled_from(["#c", "", " "])), max_size=2))
+def test_parse_panel_agrees_with_the_reference_parser(header, rows, order, delimiter,
+                                                      chunk_rows, dropped):
+    if ORDERS[order]:
+        rows = sorted(rows, key=ORDERS[order])
+    lines = [header.replace(",", delimiter)] + [delimiter.join(row) for row in rows]
+    for at, line in dropped:  # '#' and blank lines, which the parsers skip
+        lines.insert(at, line)
+    text = "\n".join(lines) + "\n"
+    try:
+        expected = reference_ingest.parse_panel(text)
+    except IngestError as exc:
+        expected = exc
     with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
         result = _outcome(text)
     assert type(result) is type(expected)
@@ -163,6 +196,26 @@ def test_a_fault_before_a_quoted_field_over_a_dropped_line_is_named_first():
 def test_names_with_line_breaks_round_trip():
     panel = ingest.Panel("q", (2007,), ("a", "b"), ("A\nB", "C\r\nD"), ("R1", "R2"),
                          ("P1", "P2"), np.array([[1.0], [2.0]]))
+    assert ingest.parse_panel(ingest.serialize_panel(panel)) == panel
+
+
+# words joined by single line breaks: labels are stripped when read, and two
+# breaks in a row would leave a blank line inside the quoted field
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+WORD = st.text(st.sampled_from('ab,"x'), min_size=1, max_size=3)
+LABEL = st.builds(lambda first, rest: first + "".join(b + w for b, w in rest),
+                  WORD, st.lists(st.tuples(st.sampled_from(LINE_BREAKS), WORD), max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(LABEL, LABEL, LABEL, LABEL, st.sampled_from([1.5, 2.0, float("nan")])),
+                min_size=1, max_size=5, unique_by=lambda row: row[0]).map(sorted))
+def test_labels_with_any_line_break_round_trip(rows):
+    # serialize_panel writes the entities in id order
+    ids, names, regions, provinces, values = zip(*rows)
+    panel = ingest.Panel("q", (2007,), ids, names, regions, provinces,
+                         np.array(values).reshape(-1, 1))
     assert ingest.parse_panel(ingest.serialize_panel(panel)) == panel
 
 
