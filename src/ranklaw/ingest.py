@@ -161,20 +161,18 @@ def _value_fault(cell: str) -> str:
     raise AssertionError(f"value cell {cell!r} was rejected but is valid")
 
 
-def _body(text: str) -> tuple[list[str], range | list[int], list[str]]:
+def _body(text: str) -> tuple[list[str], list[int], list[str]]:
     """The '#' comment lines of a text, and the line numbers and lines, with
     their line breaks, of the others that are not blank."""
     lines = text.splitlines(keepends=True)
     comment = list(map(str.startswith, lines, repeat("#")))
-    blank = list(map(str.isspace, lines))  # a line holds at least its break
-    comments = list(compress(lines, comment))
-    if True not in blank and True not in comment[len(comments):]:  # comments lead
-        return comments, range(len(comments) + 1, len(lines) + 1), lines[len(comments):]
+    blank = map(str.isspace, lines)  # a line holds at least its break
     keep = list(map(operator.not_, map(operator.or_, comment, blank)))
+    comments = list(compress(lines, comment))
     return comments, list(compress(count(1), keep)), list(compress(lines, keep))
 
 
-def _read(reader, lines: list[str], numbers, count: int):
+def _read(reader, lines: list[str], numbers: list[int], count: int):
     """Up to `count` rows from a csv reader of `lines`, numbered `numbers`, the
     number of the line each row starts on, and the IngestError that stopped the
     read early, or None.  A row whose lines are not consecutive in the file
@@ -342,7 +340,10 @@ def parse_panel(text: str) -> Panel:
                                       map(first_labels.__getitem__, entity.tolist())), bool, n)
             height, width = filled.shape
             if height < len(index) or width <= len(positions):
-                filled = np.pad(filled, ((0, max(height, len(index) - height)),
+                # rows double when short, so the grid stays under twice the
+                # entities; columns grow to the years seen plus the spare one
+                filled = np.pad(filled, ((0, max(height, len(index) - height)
+                                          if height < len(index) else 0),
                                          (0, len(positions) + 1 - width)))
             # column -1, a malformed year, takes the spare last column; such a
             # row fails before its repeat check and hides every fault after it
@@ -538,11 +539,8 @@ def serialize_panel(panel: Panel) -> str:
     heads = list(map(operator.itemgetter(slice(None, -len(_LINE_BREAKS))), labels))
     # the year and value fields never need quoting; a missing value is empty
     years = [f",{year}," for year in panel.years] * len(order)
-    values = panel.values[order].ravel()
-    # '%d' writes a whole number below 1e12, other than -0, as '%.12g' does, faster
-    whole = ((values == np.trunc(values)) & (values < 1e12) & ~np.signbit(values)).all()
-    cells = values.astype(np.int64).tolist() if whole else values.tolist()
-    texts = (("%d\n" if whole else "%.12g\n") * values.size % tuple(cells)).replace("nan", "")
+    values = panel.values[order].ravel().tolist()
+    texts = ("%.12g\n" * len(values) % tuple(values)).replace("nan", "")
     # zip hands out one reused tuple, so no object per entity or cell is made
     return "".join(chain([head], chain.from_iterable(zip(
         chain.from_iterable(zip(*[heads] * len(panel.years))), years,

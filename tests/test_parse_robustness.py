@@ -1,6 +1,7 @@
 """Panel parsing on hostile input: any text gives a Panel or an IngestError, and
 an error names the first failing row in file order."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -123,6 +124,28 @@ def test_parse_panel_agrees_with_the_reference_parser(header, rows, order, delim
 
 LONG = "entity_id,name,region,province,year,value\n"
 WIDE = "entity_id,name,region,province,2007,2008\n"
+
+
+def _parse_peak(text):
+    """The panel of a text and the peak bytes traced while parsing it."""
+    tracemalloc.start()
+    try:
+        return ingest.parse_panel(text), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_year_ordered_panel_parses_in_the_memory_of_an_entity_ordered_one():
+    # 600 entities x 12 years: sorted by year, every year after the first
+    # arrives in a later chunk than the first rows of the entities it fills
+    cells = [(i, year) for i in range(600) for year in range(2000, 2012)]
+    texts = [LONG + "".join(f"e{i},N{i},R{i % 7},P{i % 3},{year},{i * year}\n"
+                            for i, year in order)
+             for order in (cells, sorted(cells, key=lambda cell: cell[1]))]
+    (by_entity, entity_peak), (by_year, year_peak) = map(_parse_peak, texts)
+    assert by_year == reference_ingest.parse_panel(texts[1])
+    assert by_year.values.shape == (600, 12)
+    assert year_peak < 1.5 * entity_peak
 
 
 @pytest.mark.parametrize("text, message", [
