@@ -303,7 +303,8 @@ def parse_panel(text: str) -> Panel:
         last = {year: j for j, year in enumerate(wide_years)}  # a repeated year's last column
 
     index: dict[str, int] = {}
-    first_labels: list[tuple[str, str, str]] = []  # each entity's first name, region, province
+    # each entity's first name, region, province; a tuple each would wake the GC every chunk
+    labels: tuple[list[str], ...] = ([], [], [])
     # the column of each year, numbered in the order the years are first seen
     positions = {} if long_form else {year: j for j, year in enumerate(sorted(last))}
     column_of: dict[str, int] = {}  # long form: column of each year cell, -1 if malformed
@@ -318,8 +319,9 @@ def parse_panel(text: str) -> Panel:
         # new entities take the next indices, so their first rows are where the
         # running max of the indices, seeded below this chunk's new ones, rises
         firsts = np.flatnonzero(np.diff(np.maximum.accumulate(np.r_[start - 1, entity])) > 0)
-        labels = list(zip(*label_columns))
-        first_labels.extend(map(labels.__getitem__, firsts.tolist()))
+        first_rows = firsts.tolist()
+        for first, column in zip(labels, label_columns):
+            first.extend(map(column.__getitem__, first_rows))
 
         checks = []  # (rows that fail, fault of row i) of each check, in a row's check order
         if long_form:
@@ -336,12 +338,13 @@ def parse_panel(text: str) -> Panel:
         if long_form:
             # a row repeats an entity if its labels differ from the entity's
             # first row's, or if it fills a cell already filled
-            repeats = np.fromiter(map(tuple.__ne__, labels,
-                                      map(first_labels.__getitem__, entity.tolist())), bool, n)
+            # zips hand out one reused tuple each, so no tuple per row is made
+            entities = entity.tolist()
+            repeats = np.fromiter(map(tuple.__ne__, zip(*label_columns), zip(
+                *(map(first.__getitem__, entities) for first in labels))), bool, n)
             height, width = filled.shape
             if height < len(index) or width <= len(positions):
-                # rows double when short, so the grid stays under twice the
-                # entities; columns grow to the years seen plus the spare one
+                # rows double only when short; columns grow to the years seen plus a spare
                 filled = np.pad(filled, ((0, max(height, len(index) - height)
                                           if height < len(index) else 0),
                                          (0, len(positions) + 1 - width)))
@@ -369,8 +372,7 @@ def parse_panel(text: str) -> Panel:
     values = np.full((len(index), len(years)), np.nan)
     for entity, column, cell_values in parts:
         values[entity, sorted_column[column]] = cell_values
-    names, regions, provinces = zip(*first_labels) if first_labels else ((), (), ())
-    return Panel(quantity_label, tuple(years), tuple(index), names, regions, provinces, values,
+    return Panel(quantity_label, tuple(years), tuple(index), *map(tuple, labels), values,
                  provenance)
 
 
