@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-# corr, regime and urnsim are imported inside the commands that use them, so
-# that a command pays the start-up cost only of the modules it runs
-from . import __version__, fit, ingest, rank, stats
+# every layer module is imported inside the functions that use it, so that a
+# command pays the start-up cost only of the modules it runs
+from . import __version__
 from .errors import IngestError, PanelGapError, RanklawError
 
 SCHEMA_VERSION = 1
@@ -85,6 +85,7 @@ def _naming(path: str):
 
 
 def _load_panel(path: str) -> ingest.Panel:
+    from . import ingest
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -97,6 +98,7 @@ def _merged(panel: ingest.Panel, merges: str | None) -> ingest.Panel:
     """The panel with the merge ledger at path `merges` applied, if one is given."""
     if not merges:
         return panel
+    from . import ingest
     with _naming(merges):
         ledger = ingest.parse_merge_ledger(Path(merges).read_text())
         return ingest.apply_merge_ledger(panel, ledger)
@@ -105,6 +107,7 @@ def _merged(panel: ingest.Panel, merges: str | None) -> ingest.Panel:
 def _load_ranked(path: str, window: list[int] | None,
                  merges: str | None = None) -> rank.RankedSeries:
     """Load a ranked series from either an exported ranking file or a panel."""
+    from . import ingest, rank
     text = Path(path).read_text()
     with _naming(path):
         if ingest.is_ranking(text):
@@ -119,7 +122,7 @@ def _load_ranked(path: str, window: list[int] | None,
 
 
 def _load_scatter(path: str) -> regime.ScatterSet:
-    from . import regime
+    from . import ingest, regime
     with _naming(path):
         return regime.ScatterSet(tuple(ingest.parse_scatter(Path(path).read_text())))
 
@@ -134,6 +137,7 @@ def _machine_doc(section: str, pairs: dict) -> str:
 
 
 def cmd_ingest(args, out: OutputDir) -> None:
+    from . import ingest
     panel = _merged(_load_panel(args.input), args.merges)
     out.write("panel.csv", ingest.serialize_panel(panel))
     if args.population:
@@ -152,6 +156,7 @@ def cmd_ingest(args, out: OutputDir) -> None:
 
 
 def cmd_describe(args, out: OutputDir) -> None:
+    from . import ingest, stats
     panel = _load_panel(args.input)
     window = args.window or list(panel.years)
     sections = []
@@ -176,6 +181,7 @@ def cmd_describe(args, out: OutputDir) -> None:
 
 
 def cmd_rank(args, out: OutputDir) -> None:
+    from . import ingest, rank
     panel = _load_panel(args.input)
     with _naming(args.input):
         averages = ingest.average_over_years(panel, args.window or list(panel.years))
@@ -187,13 +193,14 @@ def cmd_rank(args, out: OutputDir) -> None:
 def _correlate(x: rank.RankedSeries, y: rank.RankedSeries):
     """(rank pairs, correlation report) of two ranked series; Pearson pi is
     taken on their values, in the pairs' order by entity id."""
-    from . import corr
+    from . import corr, rank
     pairs = rank.pair_ranks(x, y)
     xv, yv = ([v for _, v in sorted(zip(s.ids, s.values.tolist()))] for s in (x, y))
     return pairs, corr.correlation_report(pairs, xv, yv)
 
 
 def cmd_corr(args, out: OutputDir) -> None:
+    from . import rank, stats
     x = _load_ranked(args.input, args.window, args.merges)
     y = _load_ranked(args.population, args.window)
     pairs, report = _correlate(x, y)
@@ -230,6 +237,7 @@ def cmd_pairwise(args, out: OutputDir) -> None:
 
 
 def cmd_fit(args, out: OutputDir) -> None:
+    from . import fit
     if not 0 < args.threshold < float("inf"):
         raise RanklawError(f"--threshold must be positive and finite; got {args.threshold}")
     ranked = _load_ranked(args.input, args.window)
@@ -282,7 +290,7 @@ def cmd_simulate(args, out: OutputDir) -> None:
 
 
 def cmd_report(args, out: OutputDir) -> None:
-    from . import regime
+    from . import fit, ingest, rank, regime, stats
     ati = _merged(_load_panel(args.input), args.merges)
     pop = _load_panel(args.population)
     window = args.window or list(ati.years)
@@ -365,7 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="rank entities by window-average value")
     common(p)
-    p.add_argument("--ties", choices=[t.value for t in rank.TieBreak], default="lexical")
+    # the values of rank.TieBreak and fit.ModelKind, spelled out so that
+    # building the parser imports neither module
+    p.add_argument("--ties", choices=("lexical", "id", "average"), default="lexical")
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("corr", help="rank correlation between two inputs")
@@ -382,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit a rank-size model")
     common(p)
-    p.add_argument("--model", choices=[k.value for k in fit.ModelKind],
+    p.add_argument("--model", choices=("lavalette3", "powerlaw", "cutoff"),
                    default="lavalette3")
     p.add_argument("--A", dest="amplitude", type=float, default=None,
                    help="fixed amplitude scale (default: order of magnitude of max)")
@@ -415,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--population", required=True)
     p.add_argument("--merges", default=None)
-    p.add_argument("--model", choices=[k.value for k in fit.ModelKind],
+    p.add_argument("--model", choices=("lavalette3", "powerlaw", "cutoff"),
                    default="lavalette3")
     p.add_argument("--A", dest="amplitude", type=float, default=None)
     p.add_argument("--scale", choices=["log", "linear"], default="log")

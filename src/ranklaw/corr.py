@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import CorrelationError, require_finite
 from .ingest import Panel, average_over_years
-from .rank import RankPairs
 
 
 class PairCounts(NamedTuple):

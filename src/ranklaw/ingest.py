@@ -16,7 +16,6 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import chain, compress, count, filterfalse, islice, repeat
-from statistics import fmean
 from types import SimpleNamespace
 
 import numpy as np
@@ -505,7 +504,7 @@ def aggregate_by_region(ati_panel: Panel, pop_panel: Panel) -> list[RegionAggreg
     for r, region in enumerate(regions):
         ati_by_year = {year: totals[r] for year, totals in zip(ati_panel.years, sums[1:])}
         aggregates.append(RegionAggregate(region, counts[r], sums[0][r], ati_by_year,
-                                          fmean(ati_by_year.values())))
+                                          math.fsum(ati_by_year.values()) / len(ati_by_year)))
     return aggregates
 
 
@@ -521,7 +520,7 @@ def average_over_years(panel: Panel, window: list[int]) -> dict[str, float]:
     if gaps.any():
         i, j = divmod(int(np.argmax(gaps)), len(window))
         raise IngestError(f"missing value for {panel.ids[i]!r} in year {window[j]}")
-    return dict(zip(panel.ids, map(fmean, block.tolist())))
+    return dict(zip(panel.ids, [s / len(window) for s in map(math.fsum, block.tolist())]))
 
 
 def serialize_panel(panel: Panel) -> str:

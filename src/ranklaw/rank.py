@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankingError, id_sample, require_finite
-from .stats import SummaryStats, describe
 
 
 class TieBreak(enum.Enum):
@@ -105,6 +104,7 @@ def pair_ranks(x: RankedSeries, y: RankedSeries) -> RankPairs:
 
 def rank_diff_series(pairs: RankPairs) -> tuple[list[float], SummaryStats, float]:
     """Per-entity rank difference r_y - r_x, its summary, and fraction(<= 0)."""
+    from .stats import describe
     diffs = [ry - rx for _, rx, ry in pairs.entries]
     summary = describe(diffs)
     frac = sum(1 for d in diffs if d <= 0) / len(diffs)

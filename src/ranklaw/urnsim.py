@@ -23,8 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SimulationError
-from .fit import RankSizeModel, model_eval
-from .rank import RankedSeries, TieBreak, rank_desc
 
 def beta_fn(x: float, y: float) -> float:
     """Euler Beta function Gamma(x)Gamma(y)/Gamma(x+y), computed in log space
@@ -207,6 +205,8 @@ def generate_ranksize(model: RankSizeModel, noise_sigma: float = 0.0,
     Evaluates the model at every rank, applies multiplicative lognormal noise
     of the given sigma, then re-sorts descending and re-ranks.
     """
+    from .fit import model_eval
+    from .rank import TieBreak, rank_desc
     r = np.arange(1, model.N + 1, dtype=float)
     y = model_eval(model, r)
     if noise_sigma > 0:

@@ -1,5 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import ranklaw
 from ranklaw import cli, fit, rank
 from ranklaw.errors import RanklawError
 from tests.conftest import LONG_PANEL, REGION_COUNTS_2011
@@ -573,7 +578,30 @@ def test_each_subcommand_accepts_only_the_options_it_reads(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("usage: ranklaw")
         assert f"error: unrecognized arguments: {' '.join(argv[-2:])}\n" in err
+    choices = {(name, a.dest): list(a.choices) for name, p in sub.choices.items()
+               for a in p._actions if a.dest in ("model", "ties")}
+    models = [k.value for k in fit.ModelKind]
+    assert choices == {("rank", "ties"): [t.value for t in rank.TieBreak],
+                       ("fit", "model"): models, ("report", "model"): models}
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["fit", "--input", "a", "--model", "bogus", "--out", str(tmp_path / "out")])
+    assert exit_.value.code == 2
+    assert ("error: argument --model: invalid choice: 'bogus' (choose from "
+            "'lavalette3', 'powerlaw', 'cutoff')\n") in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("imports, absent", [
+    ("ranklaw.cli, ranklaw.urnsim",
+     {"ranklaw.ingest", "ranklaw.fit", "ranklaw.rank", "ranklaw.stats", "statistics"}),
+    ("ranklaw.cli, ranklaw.ingest, ranklaw.fit", {"ranklaw.stats", "statistics"}),
+], ids=["simulate", "fit"])
+def test_start_up_loads_only_the_layers_a_command_runs(imports, absent):
+    src = str(Path(ranklaw.__file__).parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import {imports}; print(*sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert set(run.stdout.split()) & absent == set()
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -1,7 +1,9 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ranklaw import ingest
 from ranklaw.errors import IngestError
@@ -218,6 +220,27 @@ def test_average_over_years_mean():
     )
     assert ingest.average_over_years(panel, [2007, 2008, 2009]) == {"a": 20.0}
     assert ingest.average_over_years(panel, [2008]) == {"a": 20.0}
+
+
+# finite non-negative cells from 1e-300 to 1e300, so a row mixes magnitudes
+# where a plain or pairwise sum would round differently from fsum
+CELLS = st.one_of(st.just(0.0), st.builds(lambda m, e: m * 10.0 ** e,
+                                          st.floats(1.0, 9.99), st.integers(-300, 299)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda k: st.lists(st.lists(CELLS, min_size=k, max_size=k), min_size=1, max_size=8)))
+@example([[1e16, 1.0, 1.0]])  # np.mean gives 0x1.7af4c4a80aaabp+51, fmean ...aaacp+51
+def test_means_equal_statistics_fmean_bit_for_bit(rows):
+    n, years = len(rows), tuple(range(2007, 2007 + len(rows[0])))
+    ids = tuple(f"e{i}" for i in range(n))
+    panel = ingest.Panel("q", years, ids, ids, tuple(f"R{i % 3}" for i in range(n)),
+                         ("P",) * n, np.array(rows))
+    averages = ingest.average_over_years(panel, list(years))
+    assert [averages[eid].hex() for eid in ids] == [statistics.fmean(r).hex() for r in rows]
+    for agg in ingest.aggregate_by_region(panel, panel):
+        assert agg.ati_mean.hex() == statistics.fmean(agg.ati_by_year.values()).hex()
 
 
 def test_average_linear_trend():
