@@ -19,7 +19,7 @@ import numpy as np
 # every layer module is imported inside the functions that use it, so that a
 # command pays the start-up cost only of the modules it runs
 from . import __version__
-from .errors import IngestError, PanelGapError, RanklawError
+from .errors import CorrelationError, IngestError, PanelGapError, RanklawError
 
 SCHEMA_VERSION = 1
 LOCK_NAME = ".ranklaw.lock"
@@ -195,8 +195,8 @@ def _correlate(x: rank.RankedSeries, y: rank.RankedSeries):
     taken on their values, in the pairs' order by entity id."""
     from . import corr, rank
     pairs = rank.pair_ranks(x, y)
-    xv, yv = ([v for _, v in sorted(zip(s.ids, s.values.tolist()))] for s in (x, y))
-    return pairs, corr.correlation_report(pairs, xv, yv)
+    ox, oy = pairs.positions
+    return pairs, corr.correlation_report(pairs, x.values[ox], y.values[oy])
 
 
 def cmd_corr(args, out: OutputDir) -> None:
@@ -228,10 +228,14 @@ def cmd_corr(args, out: OutputDir) -> None:
 
 
 def cmd_pairwise(args, out: OutputDir) -> None:
-    from . import corr
+    from . import corr, ingest
     panel = _load_panel(args.input)
     with _naming(args.input):
-        matrix = corr.pairwise_matrix(panel, args.window or None)
+        try:
+            matrix = corr.pairwise_matrix(panel, args.window or None)
+        except CorrelationError:  # name a missing value as every other command does
+            ingest.average_over_years(panel, args.window or list(panel.years))
+            raise
     out.write("pairwise_pq.csv", corr.format_pq_matrix(matrix))
     out.write("pairwise_tau_z.csv", corr.format_tau_z_matrix(matrix))
 
@@ -312,8 +316,8 @@ def cmd_report(args, out: OutputDir) -> None:
         missing = pop.ids[np.argmax(np.isnan(census))]
         raise IngestError(f"{args.population}: missing population for "
                           f"{missing!r} in year {census_year}")
-    pop_values = dict(zip(pop.ids, census.tolist()))
-    pairs, report = _correlate(x, rank.rank_desc(pop_values, names=names))
+    y = rank.rank_desc(dict(zip(pop.ids, census.tolist())), names=names)
+    pairs, report = _correlate(x, y)
     parts.append("[correlation]")
     parts.append(f"p+q          {report.p + report.q}")
     parts.append(f"p-q          {report.p - report.q}")
@@ -331,8 +335,9 @@ def cmd_report(args, out: OutputDir) -> None:
     parts.append("[rank-size fit]")
     parts.append(fit.format_fit_report(result))
 
-    points = regime.ScatterSet(
-        tuple((eid, averages[eid], pop_values[eid]) for eid, _, _ in pairs.entries))
+    ox, oy = pairs.positions
+    points = regime.ScatterSet(tuple(zip(map(x.ids.__getitem__, ox.tolist()),
+                                         x.values[ox].tolist(), y.values[oy].tolist())))
     exclude = tuple(args.exclude.split(",")) if args.exclude else ()
     split = regime.two_line_split(points, k=args.k_lines, outlier_ids=exclude)
     parts.append("[two-regime split]")

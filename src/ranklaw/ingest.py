@@ -11,6 +11,7 @@ preserves panel-wide totals.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import operator
@@ -171,25 +172,27 @@ def _body(text: str) -> tuple[list[str], list[int], list[str]]:
     return comments, list(compress(count(1), keep)), list(compress(lines, keep))
 
 
-def _read(reader, lines: list[str], numbers: list[int], count: int):
-    """Up to `count` rows from a csv reader of `lines`, numbered `numbers`, the
-    number of the line each row starts on, and the IngestError that stopped the
-    read early, or None.  A row whose lines are not consecutive in the file
-    holds a quoted field that spans a '#' or blank line, which _body dropped."""
-    start = reader.line_num
-    try:
-        rows = list(islice(reader, count))
-        if reader.line_num - start == len(rows):  # every row is one line
-            return rows, numbers[start:reader.line_num], None
-    except csv.Error:
-        pass
-    # a row spans lines, or csv failed: read the same lines again row by row
-    reader = csv.reader(lines[start:reader.line_num], reader.dialect)
+def _read(lines: list[str], numbers: list[int], start: int, count: int, delimiter, width):
+    """Up to `count` rows from lines[start:], numbered `numbers`, the number of
+    the line each starts on, the index of the next line, and the IngestError
+    that stopped the read early, or None.  Lines that are `count` rows of
+    `width` fields come from numpy's C tokenizer, which splits as csv does, as
+    an object array; other rows come from csv as lists.  A row whose lines are
+    not consecutive holds a quoted field over a '#' or blank line, which _body
+    dropped."""
+    chunk = lines[start:start + count]
+    if chunk and '"' not in chunk[-1] and max(map(len, chunk)) < csv.field_size_limit():
+        with contextlib.suppress(ValueError):  # e.g. rows of different widths
+            table = np.loadtxt(chunk, dtype=object, delimiter=delimiter, quotechar='"',
+                               comments=None, ndmin=2)
+            if table.shape == (len(chunk), width):
+                return table, numbers[start:start + len(chunk)], start + len(chunk), None
+    reader = csv.reader(map(lines.__getitem__, range(start, len(lines))), delimiter=delimiter)
     rows = []
     ends = [start]  # lines read before each row, and after the last
     error = None
     try:
-        for row in reader:
+        for row in islice(reader, count):
             rows.append(row)
             ends.append(start + reader.line_num)
     except csv.Error as exc:  # e.g. a field over csv's size limit
@@ -199,7 +202,7 @@ def _read(reader, lines: list[str], numbers: list[int], count: int):
         del rows[split.index(True):], ends[split.index(True) + 1:]
         error = IngestError(f"malformed row {numbers[ends[-1]]}: a quoted field "
                             "spans a '#' or blank line")
-    return rows, [numbers[i] for i in ends[:-1]], error
+    return rows, [numbers[i] for i in ends[:-1]], ends[-1], error
 
 
 def _table(text: str, columns: list[str]):
@@ -207,18 +210,17 @@ def _table(text: str, columns: list[str]):
     whose header starts with `columns`; the delimiter is tab if the header has
     one, comma otherwise.
 
-    chunks yields (the number of the line each row starts on, fields) for a
-    few hundred rows at a time, fields holding one tuple per header column, so
-    that the row lists die young and a large file sets off no full garbage
-    collection.  A row that does not split into the header's fields raises its
-    IngestError only after the rows before it are yielded, so the caller
-    checks those first.
+    chunks yields (the number of the line each row starts on, a 2-D object
+    array of the fields) for a few hundred rows at a time, so that the rows
+    die young and a large file sets off no full garbage collection.  A row
+    that does not split into the header's fields raises its IngestError only
+    after the rows before it are yielded, so the caller checks those first.
     """
     comments, numbers, lines = _body(text)
     if not lines:
         raise IngestError("empty input: no header row")
-    reader = csv.reader(lines, delimiter="\t" if "\t" in lines[0] else ",")
-    head, _, error = _read(reader, lines, numbers, 1)
+    delimiter = "\t" if "\t" in lines[0] else ","
+    head, _, start, error = _read(lines, numbers, 0, 1, delimiter, None)
     if error is not None:
         raise error
     header = [h.strip() for h in head[0]]
@@ -227,22 +229,23 @@ def _table(text: str, columns: list[str]):
             f"header must start with {','.join(columns)}; got {','.join(header)}"
         )
 
-    def chunks():
+    def chunks(start):
         while True:
-            rows, row_nums, error = _read(reader, lines, numbers, _CHUNK_ROWS)
+            rows, row_nums, start, error = _read(lines, numbers, start, _CHUNK_ROWS,
+                                                 delimiter, len(header))
             lengths = list(map(len, rows))
             if lengths.count(len(header)) != len(rows):
                 bad = next(i for i, k in enumerate(lengths) if k != len(header))
                 error = IngestError(f"malformed row {row_nums[bad]}: "
                                     f"expected {len(header)} fields, got {lengths[bad]}")
                 rows = rows[:bad]
-            if rows:
-                yield row_nums[:len(rows)], list(zip(*rows))
+            if len(rows):
+                yield row_nums[:len(rows)], np.asarray(rows, dtype=object)
             if error is not None:
                 raise error
-            if not rows:
+            if not len(rows):
                 return
-    return comments, numbers[0], header, chunks()
+    return comments, numbers[0], header, chunks(start)
 
 
 def _or_none(convert, cell):
@@ -308,10 +311,12 @@ def parse_panel(text: str) -> Panel:
     positions = {} if long_form else {year: j for j, year in enumerate(sorted(last))}
     column_of: dict[str, int] = {}  # long form: column of each year cell, -1 if malformed
     filled = np.zeros((0, 0), dtype=bool)  # long form: the cells read, by entity and column
+    first_cells = np.empty((0, 3), dtype=object)  # long form: each entity's first raw labels
     parts = []  # (entity, column, value) arrays of each chunk
-    for row_nums, columns in chunks:
+    for row_nums, table in chunks:
         n = len(row_nums)
-        ids, *label_columns = (list(map(str.strip, c)) for c in columns[:4])
+        columns = table.T.tolist()
+        ids = list(map(str.strip, columns[0]))
         start = len(index)
         index.update(zip(list(filterfalse(index.__contains__, dict.fromkeys(ids))), count(start)))
         entity = np.fromiter(map(index.__getitem__, ids), np.intp, n)
@@ -319,8 +324,8 @@ def parse_panel(text: str) -> Panel:
         # running max of the indices, seeded below this chunk's new ones, rises
         firsts = np.flatnonzero(np.diff(np.maximum.accumulate(np.r_[start - 1, entity])) > 0)
         first_rows = firsts.tolist()
-        for first, column in zip(labels, label_columns):
-            first.extend(map(column.__getitem__, first_rows))
+        for first, column in zip(labels, columns[1:4]):
+            first.extend(map(str.strip, map(column.__getitem__, first_rows)))
 
         checks = []  # (rows that fail, fault of row i) of each check, in a row's check order
         if long_form:
@@ -335,18 +340,20 @@ def parse_panel(text: str) -> Panel:
             cells.append(cell_values)
             checks.append((invalid, lambda i, raw=raw: _value_fault(raw[i].strip())))
         if long_form:
-            # a row repeats an entity if its labels differ from the entity's
-            # first row's, or if it fills a cell already filled
-            # zips hand out one reused tuple each, so no tuple per row is made
-            entities = entity.tolist()
-            repeats = np.fromiter(map(tuple.__ne__, zip(*label_columns), zip(
-                *(map(first.__getitem__, entities) for first in labels))), bool, n)
             height, width = filled.shape
             if height < len(index) or width <= len(positions):
                 # rows double only when short; columns grow to the years seen plus a spare
-                filled = np.pad(filled, ((0, max(height, len(index) - height)
-                                          if height < len(index) else 0),
-                                         (0, len(positions) + 1 - width)))
+                grow = max(height, len(index) - height) if height < len(index) else 0
+                filled = np.pad(filled, ((0, grow), (0, len(positions) + 1 - width)))
+                first_cells = np.concatenate([first_cells, np.empty((grow, 3), dtype=object)])
+            first_cells[start:len(index)] = table[firsts, 1:4]
+            # a row repeats an entity if its labels differ from the entity's
+            # first row's, or if it fills a cell already filled; the stripped
+            # labels can differ only where the raw cells do
+            repeats = np.zeros(n, dtype=bool)
+            for i in np.flatnonzero((table[:, 1:4] != first_cells[entity]).any(axis=1)).tolist():
+                repeats[i] = ([columns[k][i].strip() for k in (1, 2, 3)]
+                              != [first[entity[i]] for first in labels])
             # column -1, a malformed year, takes the spare last column; such a
             # row fails before its repeat check and hides every fault after it
             cell = entity * filled.shape[1] + column % filled.shape[1]
@@ -376,16 +383,22 @@ def parse_panel(text: str) -> Panel:
 
 
 def is_ranking(text: str) -> bool:
-    """Whether the text has the `rank,entity_id,value` layout rather than a panel's."""
-    lines = _body(text)[2]
-    return bool(lines) and lines[0].replace("\t", ",").startswith("rank,")
+    """Whether the text has the `rank,entity_id,value` layout rather than a panel's.
+    Only '\\n'-ended pieces up to the first line that _body keeps are split."""
+    end = 0
+    while end < len(text):
+        start, end = end, text.find("\n", end) + 1 or len(text)
+        lines = _body(text[start:end])[2]
+        if lines:
+            return lines[0].replace("\t", ",").startswith("rank,")
+    return False
 
 
 def parse_ranking(text: str) -> dict[str, float]:
     """Values by entity id from a `rank,entity_id,value` file; ranks are not read."""
     values: dict[str, float] = {}
-    for row_nums, columns in _table(text, RANKING_COLUMNS)[3]:
-        for row_num, eid, raw in zip(row_nums, columns[1], columns[2]):
+    for row_nums, table in _table(text, RANKING_COLUMNS)[3]:
+        for row_num, eid, raw in zip(row_nums, *table.T[1:3].tolist()):
             if eid in values:
                 raise IngestError(f"duplicate entity_id {eid!r} at row {row_num}")
             values[eid] = _number(raw, row_num)
@@ -395,8 +408,8 @@ def parse_ranking(text: str) -> dict[str, float]:
 def parse_scatter(text: str) -> list[tuple[str, float, float]]:
     """(entity_id, x, y) points from a file whose columns start entity_id,x,y."""
     points: dict[str, tuple[str, float, float]] = {}
-    for row_nums, columns in _table(text, SCATTER_COLUMNS)[3]:
-        for row_num, eid, x, y in zip(row_nums, *columns[:3]):
+    for row_nums, table in _table(text, SCATTER_COLUMNS)[3]:
+        for row_num, eid, x, y in zip(row_nums, *table.T[:3].tolist()):
             if eid in points:
                 raise IngestError(f"duplicate entity_id {eid!r} at row {row_num}")
             points[eid] = (eid, _number(x, row_num), _number(y, row_num))
@@ -411,8 +424,8 @@ def parse_merge_ledger(text: str) -> MergeLedger:
     _, numbers, lines = _body(text)
     if not lines:
         return MergeLedger(())
-    reader = csv.reader(lines, delimiter="\t" if "\t" in lines[0] else ",")
-    rows, row_nums, error = _read(reader, lines, numbers, len(lines))
+    delimiter = "\t" if "\t" in lines[0] else ","
+    rows, row_nums, _, error = _read(lines, numbers, 0, len(lines), delimiter, None)
     start = 1 if rows and rows[0] and rows[0][0].strip() == "target_id" else 0
     entries = []
     for row_num, row in zip(row_nums[start:], rows[start:]):
@@ -454,14 +467,18 @@ def apply_merge_ledger(panel: Panel, ledger: MergeLedger) -> Panel:
         taken.add(entry.target_id)
 
     sources = keep + [index[entry.component_ids[0]] for entry in ledger.entries]
-    sums = [sum(panel.values[index[cid]] for cid in entry.component_ids)
-            for entry in ledger.entries]
+    # from 0 and in ledger order, as sum() adds: step k adds each target's k-th component
+    rows = [[index[cid] for cid in entry.component_ids] for entry in ledger.entries]
+    sums = np.zeros((len(rows), len(panel.years)))
+    for k in range(max(map(len, rows), default=0)):
+        targets = [t for t, r in enumerate(rows) if len(r) > k]
+        sums[targets] += panel.values[[rows[t][k] for t in targets]]
     return Panel(
         panel.quantity_label, panel.years,
         tuple([panel.ids[i] for i in keep] + [entry.target_id for entry in ledger.entries]),
         tuple([panel.names[i] for i in keep] + [entry.target_name for entry in ledger.entries]),
         tuple(panel.regions[i] for i in sources), tuple(panel.provinces[i] for i in sources),
-        np.vstack([panel.values[keep], *sums]), panel.provenance,
+        np.vstack([panel.values[keep], sums]), panel.provenance,
     )
 
 

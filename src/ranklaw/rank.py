@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,7 +46,8 @@ class RankedSeries:
 class RankPairs:
     """Per-entity join of the ranks an entity holds under two criteria."""
 
-    entries: tuple[tuple[str, float, float], ...]  # (entity_id, r_x, r_y)
+    entries: tuple[tuple[str, float, float], ...]  # (entity_id, r_x, r_y), by entity id
+    positions: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False)
 
     @property
     def n(self) -> int:
@@ -69,15 +70,15 @@ def rank_desc(values: dict[str, float],
     if not values:
         raise RankingError("cannot rank an empty map")
     require_finite(list(values.values()), RankingError, list(values))
-    names = names or {}
-
-    def sort_key(eid):
-        if rule is TieBreak.LEXICAL_NAME:
-            return (-values[eid], names.get(eid, eid), eid)
-        return (-values[eid], eid)
-
-    order = sorted(values, key=sort_key)
-    ordered = np.array([values[eid] for eid in order], dtype=float)
+    order = sorted(values)
+    ordered = np.fromiter(map(values.__getitem__, order), float, len(order))
+    if rule is TieBreak.LEXICAL_NAME:
+        # stable sorts: by id, then by display name, then by decreasing value
+        keys = list(map((names or {}).get, order, order))
+        by_name = sorted(range(len(order)), key=keys.__getitem__)
+        order, ordered = list(map(order.__getitem__, by_name)), ordered[by_name]
+    by_value = np.argsort(-ordered, kind="stable")
+    order, ordered = tuple(map(order.__getitem__, by_value.tolist())), ordered[by_value]
     # runs of equal values, as [start, end) positions in rank order
     starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
     ends = np.r_[starts[1:], ordered.size]
@@ -86,20 +87,19 @@ def rank_desc(values: dict[str, float],
     ranks = np.arange(1.0, ordered.size + 1)
     if rule is TieBreak.AVERAGE_RANK:
         ranks = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
-    return RankedSeries(tuple(order), ordered, ranks, tie_groups)
+    return RankedSeries(order, ordered, ranks, tie_groups)
 
 
 def pair_ranks(x: RankedSeries, y: RankedSeries) -> RankPairs:
-    """Join two ranked series on entity id."""
-    x_ranks = dict(zip(x.ids, x.ranks.tolist()))
-    y_ranks = dict(zip(y.ids, y.ranks.tolist()))
-    if x_ranks.keys() != y_ranks.keys():
-        diff = id_sample(x_ranks.keys() ^ y_ranks.keys())
-        raise RankingError(f"entity sets differ in {diff}")
-    entries = tuple(
-        (eid, x_ranks[eid], y_ranks[eid]) for eid in sorted(x_ranks)
-    )
-    return RankPairs(entries)
+    """Join two ranked series on entity id, keeping where each entry is in x and y."""
+    position = dict(zip(y.ids, range(y.n)))
+    diff = position.keys() ^ x.ids
+    if diff:
+        raise RankingError(f"entity sets differ in {id_sample(diff)}")
+    ox = sorted(range(x.n), key=x.ids.__getitem__)
+    ids = list(map(x.ids.__getitem__, ox))
+    ox, oy = np.array(ox, dtype=np.intp), np.fromiter(map(position.__getitem__, ids), np.intp)
+    return RankPairs(tuple(zip(ids, x.ranks[ox].tolist(), y.ranks[oy].tolist())), (ox, oy))
 
 
 def rank_diff_series(pairs: RankPairs) -> tuple[list[float], SummaryStats, float]:

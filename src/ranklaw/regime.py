@@ -23,13 +23,13 @@ class ScatterSet:
     def __post_init__(self):
         if len(self.points) < 2:
             raise RegimeError("scatter set needs at least 2 points")
-        for eid, x, y in self.points:
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise RegimeError(f"non-finite coordinate for {eid!r}")
+        finite = np.isfinite(self.arrays()).all(axis=0)
+        if not finite.all():
+            raise RegimeError(f"non-finite coordinate for {self.points[np.argmin(finite)][0]!r}")
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return (np.array([p[1] for p in self.points]),
-                np.array([p[2] for p in self.points]))
+        _, x, y = zip(*self.points)
+        return np.array(x), np.array(y)
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,9 @@ def describe(series) -> SummaryStats:
     if n < 2:
         raise StatsError("describe needs at least 2 values")
     mean = float(x.mean())
-    median = float(np.median(x))
+    # np.median without its numpy.ma import: a NaN sorts last, else the mean of the middle
+    part = np.partition(x, [(n - 1) // 2, n // 2, n - 1])
+    median = float(part[-1] if np.isnan(part[-1]) else part[(n - 1) // 2:n // 2 + 1].mean())
     variance = float(x.var(ddof=1))
     std = math.sqrt(variance)
     centered = x - mean

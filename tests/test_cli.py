@@ -604,6 +604,18 @@ def test_start_up_loads_only_the_layers_a_command_runs(imports, absent):
     assert set(run.stdout.split()) & absent == set()
 
 
+def test_describe_runs_without_numpy_ma(tmp_path):
+    panel = tmp_path / "panel.csv"
+    panel.write_text(LONG_PANEL)
+    src = str(Path(ranklaw.__file__).parents[1])
+    argv = ["describe", "--input", str(panel), "--out", str(tmp_path / "out")]
+    code = (f"import sys; sys.path.insert(0, {src!r}); from ranklaw import cli; "
+            f"print(cli.main({argv!r}), 'numpy.ma' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert run.stdout == "0 False\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["ingest", "--input", "{empty}", "--population", "{empty}"],
      "no census year: the panel has no entity rows"),
@@ -619,4 +631,16 @@ def test_a_header_only_panel_is_refused_naming_its_file(tmp_path, capsys, argv, 
     out = tmp_path / "out"
     assert cli.main(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == f"ranklaw: {argv[0]}: {empty}: {message}\n"
+    assert list(out.iterdir()) == []
+
+
+def test_pairwise_names_the_file_of_a_missing_value(tmp_path, capsys):
+    panel = tmp_path / "income.csv"
+    panel.write_text("entity_id,name,region,province,year,value\n"
+                     "c1,Alpha,R1,P1,2007,1\nc1,Alpha,R1,P1,2008,2\nc2,Beta,R1,P1,2007,3\n"
+                     "c3,Gamma,R2,P2,2007,5\nc3,Gamma,R2,P2,2008,6\n")
+    out = tmp_path / "out"
+    assert cli.main(["pairwise", "--input", str(panel), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"ranklaw: pairwise: {panel}: missing value for 'c2' in year 2008\n")
     assert list(out.iterdir()) == []

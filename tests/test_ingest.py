@@ -285,3 +285,29 @@ def test_serialized_values_have_12_significant_digits(values):
     rows = ingest.serialize_panel(panel).splitlines()[2:]
     assert [row.rsplit(",", 1)[1] for row in rows] == \
         ["" if v != v else format(v, ".12g") for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from([0.1, 0.2, 0.3, 1e308, 1.0, -0.0, 0.0, math.nan]),
+                         min_size=2, max_size=2), min_size=1, max_size=12),
+       st.data())
+def test_merged_sums_add_components_in_ledger_order(rows, data):
+    n = len(rows)
+    panel = ingest.Panel("q", (2007, 2008), tuple(f"e{i}" for i in range(n)),
+                         ("N",) * n, ("R",) * n, ("P",) * n, np.array(rows))
+    # a few entities, in drawn order, split into targets of one to three components
+    components = data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))]
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=len(components),
+                               max_size=len(components)))
+    groups, at = [], 0
+    for size in sizes:
+        if at < len(components):
+            groups.append(components[at:at + size])
+            at += size
+    ledger = ingest.MergeLedger(tuple(
+        ingest.MergeEntry(f"m{t}", f"M{t}", tuple(f"e{i}" for i in group), 2009)
+        for t, group in enumerate(groups)))
+    merged = ingest.apply_merge_ledger(panel, ledger)
+    for t, group in enumerate(groups):
+        expected = sum(panel.values[i] for i in group)  # from 0, in ledger order
+        assert merged.values[merged.ids.index(f"m{t}")].tobytes() == expected.tobytes()

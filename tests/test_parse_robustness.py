@@ -1,6 +1,7 @@
 """Panel parsing on hostile input: any text gives a Panel or an IngestError, and
 an error names the first failing row in file order."""
 
+import csv
 import tracemalloc
 from unittest import mock
 
@@ -297,3 +298,80 @@ def test_a_misaligned_panel_is_refused():
             ingest.Panel(**{**columns, name: value})
     with pytest.raises(IngestError, match="^duplicate entity_id in 1 ids: 'a'$"):
         ingest.Panel(**{**columns, "ids": ("a", "a")})
+
+
+def _reads(read_header, read_chunk):
+    """(rows, row numbers, error message) of a header read and of each chunk
+    read after it, up to an error or the end."""
+    reads = []
+    rows, row_nums, error = read_header()
+    while True:
+        rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
+        reads.append((rows, row_nums, error and str(error)))
+        if error is not None or not rows:
+            return reads
+        rows, row_nums, error = read_chunk(len(reads[0][0][0]))
+
+
+# fields from a quote-, delimiter- and NUL-heavy alphabet, and lines mostly of
+# one width, so that chunks of lines that are rows of the header's width, and
+# chunks that are not, both come up often; '#' and doubled breaks make lines
+# that _body drops
+FIELD = st.one_of(*[st.text(st.sampled_from(list("aa \t\0\u00e9")), max_size=3)] * 6,
+                  st.text(st.sampled_from(list('a,"#\t')), max_size=4))
+BREAK = st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0b", "\x1c", "\n\n", ""])
+LINES = st.integers(1, 3).flatmap(lambda width: st.lists(st.tuples(
+    st.one_of(*[st.lists(FIELD, min_size=width, max_size=width)] * 4,
+              st.lists(FIELD, min_size=1, max_size=3)), BREAK), min_size=2, max_size=12))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(LINES, st.sampled_from([",", "\t"]), st.sampled_from([2, 3]),
+       st.sampled_from([3, 131072, 131072]))
+def test_read_agrees_with_a_row_by_row_csv_reader(lines, delimiter, count, limit):
+    text = "".join(delimiter.join(fields) + end for fields, end in lines)
+    _, numbers, body = ingest._body(text)
+    reader = csv.reader(body, delimiter=delimiter)
+    start = 0
+
+    def read(count, width):
+        nonlocal start
+        rows, row_nums, start, error = ingest._read(body, numbers, start, count, delimiter,
+                                                    width)
+        return rows, row_nums, error
+
+    old_limit = csv.field_size_limit(limit)  # lines at and over the limit read with csv
+    try:
+        expected = _reads(lambda: reference_ingest._read(reader, numbers, 1),
+                          lambda width: reference_ingest._read(reader, numbers, count))
+        assert _reads(lambda: read(1, None), lambda width: read(count, width)) == expected
+    finally:
+        csv.field_size_limit(old_limit)
+
+
+@pytest.mark.parametrize("body", [
+    'a,"b\nc",d\n',  # the quote of the chunk's last line continues past it
+    'a,b\nc,"d\ne",f\ng,h\n',
+    'a,b\nc,d,e\nf,g\n',  # a ragged row
+    'a\0,b\r\nc,d\r\n',
+])
+def test_read_of_a_chunk_the_tokenizer_cannot_take(body):
+    lines = ["x,y\n", *body.splitlines(keepends=True)]
+    _, numbers, lines = ingest._body("".join(lines))
+    reader = csv.reader(lines)
+    start = 1
+    next(reader)
+    expected = reference_ingest._read(reader, numbers, 2)
+    rows, row_nums, _, error = ingest._read(lines, numbers, start, 2, ",", 2)
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
+    assert (rows, row_nums, error and str(error)) == (expected[0], expected[1],
+                                                      expected[2] and str(expected[2]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(["#", " ", "\t", "\n", "\r", "\r\n", "\x0b", "\x85", "rank,",
+                                 "rank\t", "rank", ",", "x", '"']), max_size=12).map("".join))
+def test_is_ranking_reads_the_first_line_that_is_not_dropped(text):
+    lines = ingest._body(text)[2]
+    assert ingest.is_ranking(text) == (bool(lines) and
+                                       lines[0].replace("\t", ",").startswith("rank,"))

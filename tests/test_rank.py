@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ranklaw import rank
 from ranklaw.errors import RankingError
@@ -172,3 +174,36 @@ def test_ranked_series_arrays_are_read_only():
     for array in (s.values, s.ranks):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
+
+
+# ids that may differ only by trailing NULs; values with -0.0/0.0 ties
+IDS = st.text(st.sampled_from("ab\x00"), min_size=1, max_size=4)
+VALUES = st.sampled_from([-0.0, 0.0, 1.0, 2.5, -2.5, 1e308, 5e-324])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(IDS, VALUES, min_size=1, max_size=30), st.data())
+def test_rank_desc_equals_a_sort_by_its_keys(values, data):
+    names = data.draw(st.dictionaries(st.sampled_from(sorted(values)),
+                                      st.text(st.sampled_from("xY \x00"), max_size=2)))
+    for rule in TieBreak:
+        s = rank.rank_desc(values, rule=rule, names=names)
+        ids, ordered, ranks, groups = _reference_ranking(values, rule, names)
+        assert (s.ids, s.ranks.tolist(), s.tie_groups) == (ids, ranks, groups)
+        assert s.values.tobytes() == np.array(ordered).tobytes()  # the sign of a zero too
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(IDS, st.tuples(VALUES, VALUES), min_size=1, max_size=30),
+       st.sampled_from(list(TieBreak)), st.sampled_from(list(TieBreak)))
+def test_pair_ranks_joins_on_id_in_id_order(values, x_rule, y_rule):
+    x = rank.rank_desc({eid: v for eid, (v, _) in values.items()}, rule=x_rule)
+    y = rank.rank_desc({eid: v for eid, (_, v) in values.items()}, rule=y_rule)
+    pairs = rank.pair_ranks(x, y)
+    x_ranks, y_ranks = (dict(zip(s.ids, s.ranks.tolist())) for s in (x, y))
+    assert pairs.entries == tuple((eid, x_ranks[eid], y_ranks[eid]) for eid in sorted(x_ranks))
+    # Pearson pi reads the values in the same order: by id
+    ox, oy = pairs.positions
+    for s, order in ((x, ox), (y, oy)):
+        by_id = [v for _, v in sorted(zip(s.ids, s.values.tolist()))]
+        assert s.values[order].tobytes() == np.array(by_id).tobytes()

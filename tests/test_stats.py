@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ranklaw import stats
 from ranklaw.errors import StatsError
@@ -85,3 +85,16 @@ def test_format_summary_contains_both_kurtosis_conventions():
     text = stats.format_summary(stats.describe([1.0, 2.0, 3.0, 4.0]))
     assert "Kurtosis (excess)" in text
     assert "Kurtosis (non-excess)" in text
+
+
+EDGES = [-0.0, 0.0, 1.0, -1.0, 2.5, 1e308, -1e308, 1.7976931348623157e308, 5e-324]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=False)),
+                min_size=2, max_size=9))
+def test_median_is_np_median_bit_for_bit(values):
+    with np.errstate(all="ignore"):
+        expected = np.median(np.array(values))
+        median = stats.describe(values).median
+    assert np.float64(median).tobytes() == expected.tobytes()
