@@ -15,6 +15,7 @@ import contextlib
 import csv
 import math
 import operator
+import re
 from dataclasses import dataclass
 from itertools import chain, compress, count, filterfalse, islice, repeat
 from types import SimpleNamespace
@@ -176,17 +177,24 @@ def _read(lines: list[str], numbers: list[int], start: int, count: int, delimite
     """Up to `count` rows from lines[start:], numbered `numbers`, the number of
     the line each starts on, the index of the next line, and the IngestError
     that stopped the read early, or None.  Lines that are `count` rows of
-    `width` fields come from numpy's C tokenizer, which splits as csv does, as
-    an object array; other rows come from csv as lists.  A row whose lines are
-    not consecutive holds a quoted field over a '#' or blank line, which _body
-    dropped."""
+    `width` fields (not None) come from numpy's C tokenizer, which splits as csv
+    does, as an object array; other rows come from csv as lists.  A row whose
+    lines are not consecutive holds a quoted field over a '#' or blank line."""
     chunk = lines[start:start + count]
-    if chunk and '"' not in chunk[-1] and max(map(len, chunk)) < csv.field_size_limit():
-        with contextlib.suppress(ValueError):  # e.g. rows of different widths
+    if width is not None and chunk and max(map(len, chunk)) < csv.field_size_limit():
+        with contextlib.suppress(ValueError, csv.Error):  # e.g. rows of different widths
+            # strict csv fails where the last line ends inside a quoted field
+            list(csv.reader(chunk[-1:], delimiter=delimiter, strict=True))
             table = np.loadtxt(chunk, dtype=object, delimiter=delimiter, quotechar='"',
                                comments=None, ndmin=2)
             if table.shape == (len(chunk), width):
                 return table, numbers[start:start + len(chunk)], start + len(chunk), None
+    reader = csv.reader(map(lines.__getitem__, range(start, len(lines))), delimiter=delimiter)
+    with contextlib.suppress(csv.Error):
+        rows = list(islice(reader, count))
+        if reader.line_num == len(rows):  # every row is one line
+            return rows, numbers[start:start + len(rows)], start + len(rows), None
+    # a row spans lines, or csv failed: read the same lines again row by row
     reader = csv.reader(map(lines.__getitem__, range(start, len(lines))), delimiter=delimiter)
     rows = []
     ends = [start]  # lines read before each row, and after the last
@@ -229,10 +237,11 @@ def _table(text: str, columns: list[str]):
             f"header must start with {','.join(columns)}; got {','.join(header)}"
         )
 
-    def chunks(start):
+    def chunks(start, width):
         while True:
-            rows, row_nums, start, error = _read(lines, numbers, start, _CHUNK_ROWS,
-                                                 delimiter, len(header))
+            rows, row_nums, end, error = _read(lines, numbers, start, _CHUNK_ROWS, delimiter, width)
+            # numpy cannot number rows that span lines: once a row does, csv reads on
+            width, start = width if end - start == len(rows) else None, end
             lengths = list(map(len, rows))
             if lengths.count(len(header)) != len(rows):
                 bad = next(i for i, k in enumerate(lengths) if k != len(header))
@@ -240,12 +249,13 @@ def _table(text: str, columns: list[str]):
                                     f"expected {len(header)} fields, got {lengths[bad]}")
                 rows = rows[:bad]
             if len(rows):
-                yield row_nums[:len(rows)], np.asarray(rows, dtype=object)
+                yield row_nums[:len(rows)], rows if isinstance(rows, np.ndarray) else np.fromiter(
+                    chain.from_iterable(rows), object).reshape(len(rows), -1)
             if error is not None:
                 raise error
             if not len(rows):
                 return
-    return comments, numbers[0], header, chunks(start)
+    return comments, numbers[0], header, chunks(start, len(header))
 
 
 def _or_none(convert, cell):
@@ -383,15 +393,10 @@ def parse_panel(text: str) -> Panel:
 
 
 def is_ranking(text: str) -> bool:
-    """Whether the text has the `rank,entity_id,value` layout rather than a panel's.
-    Only '\\n'-ended pieces up to the first line that _body keeps are split."""
-    end = 0
-    while end < len(text):
-        start, end = end, text.find("\n", end) + 1 or len(text)
-        lines = _body(text[start:end])[2]
-        if lines:
-            return lines[0].replace("\t", ",").startswith("rank,")
-    return False
+    """Whether the text has the `rank,entity_id,value` layout rather than a panel's."""
+    # only the '\n'-ended pieces up to the first line that _body keeps are split
+    kept = filter(None, (_body(piece[0])[2] for piece in re.finditer(r"[^\n]*\n?", text)))
+    return next(kept, [""])[0].replace("\t", ",").startswith("rank,")
 
 
 def parse_ranking(text: str) -> dict[str, float]:
@@ -467,18 +472,14 @@ def apply_merge_ledger(panel: Panel, ledger: MergeLedger) -> Panel:
         taken.add(entry.target_id)
 
     sources = keep + [index[entry.component_ids[0]] for entry in ledger.entries]
-    # from 0 and in ledger order, as sum() adds: step k adds each target's k-th component
-    rows = [[index[cid] for cid in entry.component_ids] for entry in ledger.entries]
-    sums = np.zeros((len(rows), len(panel.years)))
-    for k in range(max(map(len, rows), default=0)):
-        targets = [t for t, r in enumerate(rows) if len(r) > k]
-        sums[targets] += panel.values[[rows[t][k] for t in targets]]
+    sums = [sum(panel.values[index[cid]] for cid in entry.component_ids)
+            for entry in ledger.entries]
     return Panel(
         panel.quantity_label, panel.years,
         tuple([panel.ids[i] for i in keep] + [entry.target_id for entry in ledger.entries]),
         tuple([panel.names[i] for i in keep] + [entry.target_name for entry in ledger.entries]),
         tuple(panel.regions[i] for i in sources), tuple(panel.provinces[i] for i in sources),
-        np.vstack([panel.values[keep], sums]), panel.provenance,
+        np.vstack([panel.values[keep], *sums]), panel.provenance,
     )
 
 

@@ -47,7 +47,7 @@ class RankPairs:
     """Per-entity join of the ranks an entity holds under two criteria."""
 
     entries: tuple[tuple[str, float, float], ...]  # (entity_id, r_x, r_y), by entity id
-    positions: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False)
+    positions: tuple[np.ndarray, np.ndarray] = field(compare=False)  # of each entity in x, y
 
     @property
     def n(self) -> int:

@@ -161,7 +161,7 @@ def test_criterion_07_spearman_pearson_bridge():
                     zip(rng.permutation(n) + 1, rng.permutation(n) + 1)
                 )
             )
-            pairs = rank.RankPairs(entries)
+            pairs = rank.RankPairs(entries, (np.arange(n),) * 2)
             rx, ry = pairs.rank_vectors()
             assert corr.spearman_rho(pairs) == pytest.approx(
                 corr.pearson_pi(rx, ry), abs=1e-12

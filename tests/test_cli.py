@@ -644,3 +644,13 @@ def test_pairwise_names_the_file_of_a_missing_value(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"ranklaw: pairwise: {panel}: missing value for 'c2' in year 2008\n")
     assert list(out.iterdir()) == []
+
+
+def test_pairwise_window_outside_the_panel_names_the_year(tmp_path, capsys):
+    # the window's years are checked before its gaps, as at every release so far
+    panel = tmp_path / "panel.csv"
+    panel.write_text(LONG_PANEL)
+    assert cli.main(["pairwise", "--input", str(panel), "--window", "2007", "1999",
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"ranklaw: pairwise: {panel}: year 1999 not in panel years [2007, 2008]\n")

@@ -10,7 +10,7 @@ from ranklaw.errors import CorrelationError
 
 def _pairs_from_perms(px, py):
     entries = tuple((f"e{i}", float(a), float(b)) for i, (a, b) in enumerate(zip(px, py)))
-    return rank.RankPairs(entries)
+    return rank.RankPairs(entries, (np.arange(len(entries)),) * 2)
 
 
 def test_counts_identical_rankings():

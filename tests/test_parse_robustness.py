@@ -368,6 +368,29 @@ def test_read_of_a_chunk_the_tokenizer_cannot_take(body):
                                                       expected[2] and str(expected[2]))
 
 
+@pytest.mark.parametrize("body", [
+    '"a,1","b"\n"c","d"\n',  # the quotes of every line close on it
+    'a,"b ""c"""\n"d",e\n',
+    'a,b\nc,"d,e"\n',
+])
+def test_the_tokenizer_takes_a_chunk_whose_last_line_closes_its_quotes(body):
+    lines = body.splitlines(keepends=True)
+    rows, row_nums, end, error = ingest._read(lines, [2, 3], 0, 2, ",", 2)
+    assert isinstance(rows, np.ndarray) and (row_nums, end, error) == ([2, 3], 2, None)
+    assert rows.tolist() == list(csv.reader(lines))
+
+
+def test_rows_after_a_row_over_lines_are_read_as_csv_reads_them():
+    # once a row spans lines, later chunks skip numpy's tokenizer; their
+    # rows and row numbers stay those of the reference parser
+    rows = [f'e{i},"E{i}{chr(10) if i == 1 else ""}",R1,P1,2007,{i}' for i in range(9)]
+    text = LONG + "\n".join(rows) + "\n"
+    with mock.patch.object(ingest, "_CHUNK_ROWS", 2):
+        assert ingest.parse_panel(text) == reference_ingest.parse_panel(text)
+        with pytest.raises(IngestError, match="^negative value at row 10$"):
+            ingest.parse_panel(text.replace(",7\n", ",-7\n"))
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.lists(st.sampled_from(["#", " ", "\t", "\n", "\r", "\r\n", "\x0b", "\x85", "rank,",
                                  "rank\t", "rank", ",", "x", '"']), max_size=12).map("".join))
