@@ -19,7 +19,7 @@ import numpy as np
 # every layer module is imported inside the functions that use it, so that a
 # command pays the start-up cost only of the modules it runs
 from . import __version__
-from .errors import CorrelationError, IngestError, PanelGapError, RanklawError
+from .errors import IngestError, PanelGapError, RanklawError
 
 SCHEMA_VERSION = 1
 LOCK_NAME = ".ranklaw.lock"
@@ -77,21 +77,23 @@ class OutputDir:
 
 @contextlib.contextmanager
 def _naming(path: str):
-    """Prefix an IngestError raised in the block with the file it concerns."""
+    """Prefix an IngestError raised in the block with the file it concerns.
+
+    Every input file is read in such a block, so a file that cannot be read
+    or decoded raises one IngestError naming it, as a fault in its rows does.
+    """
     try:
         yield
     except IngestError as exc:
         raise IngestError(f"{path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IngestError(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def _load_panel(path: str) -> ingest.Panel:
     from . import ingest
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise RanklawError(f"ingest: cannot read {path}: {exc}") from exc
     with _naming(path):
-        return ingest.parse_panel(text)
+        return ingest.parse_panel(Path(path).read_text())
 
 
 def _merged(panel: ingest.Panel, merges: str | None) -> ingest.Panel:
@@ -108,8 +110,8 @@ def _load_ranked(path: str, window: list[int] | None,
                  merges: str | None = None) -> rank.RankedSeries:
     """Load a ranked series from either an exported ranking file or a panel."""
     from . import ingest, rank
-    text = Path(path).read_text()
     with _naming(path):
+        text = Path(path).read_text()
         if ingest.is_ranking(text):
             if merges:
                 raise IngestError("--merges needs a panel, not a ranking file")
@@ -117,7 +119,7 @@ def _load_ranked(path: str, window: list[int] | None,
         panel = ingest.parse_panel(text)
     panel = _merged(panel, merges)
     with _naming(path):
-        averages = ingest.average_over_years(panel, window or list(panel.years))
+        averages = ingest.average_over_years(panel, window)
     return rank.rank_desc(averages, names=dict(zip(panel.ids, panel.names)))
 
 
@@ -158,18 +160,15 @@ def cmd_ingest(args, out: OutputDir) -> None:
 def cmd_describe(args, out: OutputDir) -> None:
     from . import ingest, stats
     panel = _load_panel(args.input)
-    window = args.window or list(panel.years)
+    with _naming(args.input):  # checks every window year and cell first
+        averages = ingest.average_over_years(panel, args.window)
     sections = []
     machine: dict = {}
-    for year in window:
-        with _naming(args.input):
-            values = panel.column(year)
-        summary = stats.describe(values[~np.isnan(values)])
+    for year in args.window or panel.years:
+        summary = stats.describe(panel.column(year))
         sections.append(stats.format_summary(summary, label=f"[{year}]"))
         for key, value in stats.summary_key_values(summary).items():
             machine[f"{year}.{key}"] = value
-    with _naming(args.input):
-        averages = ingest.average_over_years(panel, window)
     summary = stats.describe(list(averages.values()))
     sections.append(stats.format_summary(summary, label="[window average]"))
     for key, value in stats.summary_key_values(summary).items():
@@ -184,7 +183,7 @@ def cmd_rank(args, out: OutputDir) -> None:
     from . import ingest, rank
     panel = _load_panel(args.input)
     with _naming(args.input):
-        averages = ingest.average_over_years(panel, args.window or list(panel.years))
+        averages = ingest.average_over_years(panel, args.window)
     series = rank.rank_desc(averages, rule=rank.TieBreak(args.ties),
                             names=dict(zip(panel.ids, panel.names)))
     out.write("ranked.csv", rank.export_ranked_series(series))
@@ -228,14 +227,10 @@ def cmd_corr(args, out: OutputDir) -> None:
 
 
 def cmd_pairwise(args, out: OutputDir) -> None:
-    from . import corr, ingest
+    from . import corr
     panel = _load_panel(args.input)
     with _naming(args.input):
-        try:
-            matrix = corr.pairwise_matrix(panel, args.window or None)
-        except CorrelationError:  # name a missing value as every other command does
-            ingest.average_over_years(panel, args.window or list(panel.years))
-            raise
+        matrix = corr.pairwise_matrix(panel, args.window)
     out.write("pairwise_pq.csv", corr.format_pq_matrix(matrix))
     out.write("pairwise_tau_z.csv", corr.format_tau_z_matrix(matrix))
 
@@ -297,12 +292,11 @@ def cmd_report(args, out: OutputDir) -> None:
     from . import fit, ingest, rank, regime, stats
     ati = _merged(_load_panel(args.input), args.merges)
     pop = _load_panel(args.population)
-    window = args.window or list(ati.years)
 
     parts = [f"# ranklaw report (schema_version {SCHEMA_VERSION})", ""]
 
     with _naming(args.input):
-        averages = ingest.average_over_years(ati, window)
+        averages = ingest.average_over_years(ati, args.window)
     parts.append(stats.format_summary(stats.describe(list(averages.values())),
                                       label="[summary: window-average values]"))
 

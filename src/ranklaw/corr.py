@@ -191,7 +191,8 @@ def spearman_rho(pairs: RankPairs) -> float:
 def correlation_report(pairs: RankPairs, x_values, y_values) -> CorrelationReport:
     """Full statistics for one pair of rankings; Pearson pi is computed on the
     raw value series, given in the order of pairs.entries."""
-    counts = kendall_counts_xy(*pairs.rank_vectors())
+    rx, ry = pairs.rank_vectors()
+    counts = kendall_counts_xy(rx, ry)
     tau_a, tau_b = kendall_tau(counts)
     sigma_tau, z = z_score(tau_a, pairs.n)
     return CorrelationReport(
@@ -199,7 +200,7 @@ def correlation_report(pairs: RankPairs, x_values, y_values) -> CorrelationRepor
         ties_x=counts.ties_x + counts.ties_both,
         ties_y=counts.ties_y + counts.ties_both,
         tau_a=tau_a, tau_b=tau_b, sigma_tau=sigma_tau, z=z,
-        rho=spearman_rho(pairs), pi=pearson_pi(x_values, y_values),
+        rho=pearson_pi(rx, ry), pi=pearson_pi(x_values, y_values),
     )
 
 
@@ -217,23 +218,15 @@ AVERAGE_LABEL = "avg"
 
 
 def pairwise_matrix(panel: Panel, window: list[int] | None = None) -> PairwiseMatrix:
-    """Kendall counts, tau and Z for every pair of columns: the window years
-    and the window average."""
-    window = list(window) if window is not None else list(panel.years)
-    order = sorted(range(len(panel.ids)), key=panel.ids.__getitem__)
-    columns: dict[str, np.ndarray] = {}
-    for year in window:
-        values = panel.column(year)[order]
-        missing = np.flatnonzero(np.isnan(values))
-        if missing.size:
-            raise CorrelationError(f"missing values in year {year}: "
-                                   f"{[panel.ids[order[i]] for i in missing[:5]]}")
-        columns[str(year)] = values
+    """Kendall counts, tau and Z for every pair of columns: each year of the
+    window (every panel year if it is empty or None) and the window average,
+    whose computation first checks that those years and cells are all there."""
     avg = average_over_years(panel, window)
-    columns[AVERAGE_LABEL] = np.array([avg[panel.ids[i]] for i in order])
+    columns = {str(year): panel.column(year) for year in window or panel.years}
+    columns[AVERAGE_LABEL] = np.fromiter(avg.values(), float, len(avg))
 
     labels = tuple(columns)
-    n = len(order)
+    n = len(avg)
     counts: dict[tuple[str, str], PairCounts] = {}
     tau: dict[tuple[str, str], float] = {}
     zs: dict[tuple[str, str], float] = {}

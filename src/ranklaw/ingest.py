@@ -404,6 +404,7 @@ def parse_ranking(text: str) -> dict[str, float]:
     values: dict[str, float] = {}
     for row_nums, table in _table(text, RANKING_COLUMNS)[3]:
         for row_num, eid, raw in zip(row_nums, *table.T[1:3].tolist()):
+            eid = eid.strip()
             if eid in values:
                 raise IngestError(f"duplicate entity_id {eid!r} at row {row_num}")
             values[eid] = _number(raw, row_num)
@@ -415,6 +416,7 @@ def parse_scatter(text: str) -> list[tuple[str, float, float]]:
     points: dict[str, tuple[str, float, float]] = {}
     for row_nums, table in _table(text, SCATTER_COLUMNS)[3]:
         for row_num, eid, x, y in zip(row_nums, *table.T[:3].tolist()):
+            eid = eid.strip()
             if eid in points:
                 raise IngestError(f"duplicate entity_id {eid!r} at row {row_num}")
             points[eid] = (eid, _number(x, row_num), _number(y, row_num))
@@ -526,14 +528,14 @@ def aggregate_by_region(ati_panel: Panel, pop_panel: Panel) -> list[RegionAggreg
     return aggregates
 
 
-def average_over_years(panel: Panel, window: list[int]) -> dict[str, float]:
-    """Unweighted per-entity arithmetic mean of values over the year window."""
+def average_over_years(panel: Panel, window: list[int] | None = None) -> dict[str, float]:
+    """Unweighted per-entity arithmetic mean of values over the year window;
+    an empty or None window means every panel year.  Every window year is
+    checked to be in the panel before any window cell is checked to be there."""
     if not panel.ids:
         raise IngestError("no entity rows to average")
-    missing_years = [y for y in window if y not in panel.years]
-    if missing_years:
-        raise IngestError(f"window years {missing_years} not in panel")
-    block = panel.values[:, [panel.years.index(y) for y in window]]
+    window = list(window or panel.years)
+    block = np.column_stack([panel.column(year) for year in window])
     gaps = np.isnan(block)
     if gaps.any():
         i, j = divmod(int(np.argmax(gaps)), len(window))

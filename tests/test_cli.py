@@ -1,3 +1,4 @@
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -595,13 +596,17 @@ def test_each_subcommand_accepts_only_the_options_it_reads(tmp_path, capsys):
     ("ranklaw.cli, ranklaw.urnsim",
      {"ranklaw.ingest", "ranklaw.fit", "ranklaw.rank", "ranklaw.stats", "statistics"}),
     ("ranklaw.cli, ranklaw.ingest, ranklaw.fit", {"ranklaw.stats", "statistics"}),
-], ids=["simulate", "fit"])
+    # the runtime is numpy-only: scipy and the test tools serve the tests alone
+    (", ".join(f"ranklaw.{m.name}" for m in pkgutil.iter_modules(ranklaw.__path__)),
+     {"scipy", "hypothesis", "pytest"}),
+], ids=["simulate", "fit", "every_module"])
 def test_start_up_loads_only_the_layers_a_command_runs(imports, absent):
     src = str(Path(ranklaw.__file__).parents[1])
     code = f"import sys; sys.path.insert(0, {src!r}); import {imports}; print(*sys.modules)"
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
-    assert set(run.stdout.split()) & absent == set()
+    # a package in `absent` stands for each of its submodules too
+    assert {m for m in run.stdout.split() if {m, m.split(".")[0]} & absent} == set()
 
 
 def test_describe_runs_without_numpy_ma(tmp_path):
@@ -654,3 +659,82 @@ def test_pairwise_window_outside_the_panel_names_the_year(tmp_path, capsys):
                      "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == (
         f"ranklaw: pairwise: {panel}: year 1999 not in panel years [2007, 2008]\n")
+
+
+# every option that names an input file, with the valid files the command
+# reads before it; {bad} is the file under test
+FILE_OPTIONS = [
+    ["ingest", "--input", "{bad}"],
+    ["ingest", "--input", "{panel}", "--merges", "{bad}"],
+    ["ingest", "--input", "{panel}", "--population", "{bad}"],
+    ["describe", "--input", "{bad}"],
+    ["rank", "--input", "{bad}"],
+    ["corr", "--input", "{bad}", "--population", "{panel}"],
+    ["corr", "--input", "{panel}", "--population", "{bad}"],
+    ["corr", "--input", "{panel}", "--population", "{panel}", "--merges", "{bad}"],
+    ["pairwise", "--input", "{bad}"],
+    ["fit", "--input", "{bad}"],
+    ["regime", "--input", "{bad}"],
+    ["report", "--input", "{bad}", "--population", "{panel}"],
+    ["report", "--input", "{panel}", "--population", "{bad}"],
+    ["report", "--input", "{panel}", "--population", "{panel}", "--merges", "{bad}"],
+]
+
+
+@pytest.mark.parametrize("argv", FILE_OPTIONS,
+                         ids=[f"{argv[0]}{argv[argv.index('{bad}') - 1]}" for argv in FILE_OPTIONS])
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read: No such file or directory"),
+    (b"entity_id,name\n\xff\n",
+     "cannot read: 'utf-8' codec can't decode byte 0xff in position 15: invalid start byte"),
+], ids=["missing", "not_utf8"])
+def test_every_command_names_a_file_it_cannot_read_alike(tmp_path, capsys, argv, content,
+                                                         message):
+    panel, bad = tmp_path / "panel.csv", tmp_path / "bad.csv"
+    panel.write_text(LONG_PANEL)
+    if content is not None:
+        bad.write_bytes(content)
+    argv = [arg.format(panel=panel, bad=bad) for arg in argv]
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"ranklaw: {argv[0]}: {bad}: {message}\n"
+    assert list(out.iterdir()) == []
+
+
+WINDOW_COMMANDS = [["describe"], ["rank"], ["corr", "--population", "{panel}"], ["pairwise"],
+                   ["fit"], ["report", "--population", "{panel}"]]
+
+
+@pytest.mark.parametrize("argv", WINDOW_COMMANDS, ids=[argv[0] for argv in WINDOW_COMMANDS])
+@pytest.mark.parametrize("window, message", [
+    # the window's years are checked before its cells
+    (["--window", "2008", "1999"], "year 1999 not in panel years [2007, 2008]"),
+    ([], "missing value for 'c2' in year 2008"),
+    (["--window"], "missing value for 'c2' in year 2008"),  # an empty window is every year
+    (["--window", "2008"], "missing value for 'c2' in year 2008"),
+], ids=["absent_year", "gap", "gap_empty_window", "gap_in_window"])
+def test_every_command_names_a_window_fault_alike(tmp_path, capsys, argv, window, message):
+    panel, gap = tmp_path / "panel.csv", tmp_path / "gap.csv"
+    panel.write_text(LONG_PANEL)
+    # one value left in 2008, too few for describe's summary of that year
+    gap.write_text(LONG_PANEL.replace("c2,Beta,R1,P1,2008,210\n", "")
+                   .replace("c3,Gamma,R2,P2,2008,55\n", ""))
+    argv = [argv[0], "--input", str(gap), *(arg.format(panel=panel) for arg in argv[1:])]
+    out = tmp_path / "out"
+    assert cli.main(argv + window + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"ranklaw: {argv[0]}: {gap}: {message}\n"
+    assert list(out.iterdir()) == []
+
+
+def test_ranking_and_scatter_ids_are_stripped_as_panel_ids_are(tmp_path):
+    panel, ranking = tmp_path / "panel.csv", tmp_path / "ranking.csv"
+    panel.write_text(LONG_PANEL)
+    ranking.write_text("rank,entity_id,value\n1, c2,30\n2, c1 ,20\n3,c3\t,10\n")
+    assert cli.main(["corr", "--input", str(ranking), "--population", str(panel),
+                     "--format", "machine", "--out", str(tmp_path / "corr")]) == 0
+    assert "\nkendall_tau: 1\n" in (tmp_path / "corr" / "corr.txt").read_text()
+    scatter = _two_slope_scatter(tmp_path / "scatter.csv")
+    scatter.write_text(scatter.read_text().replace("\na0,", "\n a0 ,"))
+    assert cli.main(["regime", "--input", str(scatter), "--exclude", "a0",
+                     "--out", str(tmp_path / "regime")]) == 0
+    assert "\na0,1,3," in (tmp_path / "regime" / "regime_split.csv").read_text()

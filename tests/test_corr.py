@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ranklaw import corr, ingest, rank
-from ranklaw.errors import CorrelationError
+from ranklaw.errors import CorrelationError, IngestError
 
 
 def _pairs_from_perms(px, py):
@@ -164,17 +164,26 @@ def test_pairwise_matrix_identical_columns():
 def test_pairwise_matrix_cells_match_oracle(rng):
     columns = {y: list(rng.random(50)) for y in (2007, 2008, 2009)}
     panel = _panel_from_columns(columns)
-    m = corr.pairwise_matrix(panel)
-    order = sorted(range(len(panel.ids)), key=panel.ids.__getitem__)
-    columns = {str(year): panel.values[order, j] for j, year in enumerate(panel.years)}
-    average = ingest.average_over_years(panel, list(panel.years))
-    columns[corr.AVERAGE_LABEL] = [average[panel.ids[i]] for i in order]
-    for (a, b), cell in m.counts.items():
-        xa, xb = columns[a], columns[b]
-        assert cell == corr.kendall_counts_brute(xa, xb)
-        # swapping columns swaps nothing for p/q: concordance is symmetric
-        assert corr.kendall_counts_brute(xb, xa).p == cell.p
-        assert corr.kendall_counts_brute(xb, xa).q == cell.q
+    # a copy with the entities in another order: Kendall counts sum over
+    # unordered pairs, so permuting the rows of every column alike changes no cell
+    rows = rng.permutation(len(panel.ids)).tolist()
+    labels = (panel.ids, panel.names, panel.regions, panel.provinces)
+    shuffled = ingest.Panel(panel.quantity_label, panel.years,
+                            *(tuple(map(column.__getitem__, rows)) for column in labels),
+                            panel.values[rows])
+    assert shuffled.ids != panel.ids
+    for panel in (panel, shuffled):
+        m = corr.pairwise_matrix(panel)
+        order = sorted(range(len(panel.ids)), key=panel.ids.__getitem__)
+        columns = {str(year): panel.values[order, j] for j, year in enumerate(panel.years)}
+        average = ingest.average_over_years(panel, list(panel.years))
+        columns[corr.AVERAGE_LABEL] = [average[panel.ids[i]] for i in order]
+        for (a, b), cell in m.counts.items():
+            xa, xb = columns[a], columns[b]
+            assert cell == corr.kendall_counts_brute(xa, xb)
+            # swapping columns swaps nothing for p/q: concordance is symmetric
+            assert corr.kendall_counts_brute(xb, xa).p == cell.p
+            assert corr.kendall_counts_brute(xb, xa).q == cell.q
 
 
 def test_pairwise_matrix_includes_window_average():
@@ -188,8 +197,9 @@ def test_pairwise_matrix_rejects_missing():
     panel = ingest.parse_panel(
         "entity_id,name,region,province,2007,2008\na,A,R1,P1,1,\nb,B,R1,P1,2,3\n"
     )
-    with pytest.raises(CorrelationError, match="missing"):
+    with pytest.raises(IngestError) as exc:
         corr.pairwise_matrix(panel)
+    assert str(exc.value) == "missing value for 'a' in year 2008"
 
 
 def test_matrix_formatting_layout():

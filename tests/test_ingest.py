@@ -220,6 +220,9 @@ def test_average_over_years_mean():
     )
     assert ingest.average_over_years(panel, [2007, 2008, 2009]) == {"a": 20.0}
     assert ingest.average_over_years(panel, [2008]) == {"a": 20.0}
+    # an empty or absent window is every panel year
+    assert ingest.average_over_years(panel, []) == ingest.average_over_years(panel) \
+        == {"a": 20.0}
 
 
 # finite non-negative cells from 1e-300 to 1e300, so a row mixes magnitudes
