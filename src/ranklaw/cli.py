@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import fcntl
 import os
 import shutil
 import sys
@@ -19,7 +20,8 @@ import numpy as np
 # every layer module is imported inside the functions that use it, so that a
 # command pays the start-up cost only of the modules it runs
 from . import __version__
-from .errors import IngestError, PanelGapError, RanklawError
+from .errors import (CorrelationError, FitError, IngestError, PanelGapError, RanklawError,
+                     StatsError)
 
 SCHEMA_VERSION = 1
 LOCK_NAME = ".ranklaw.lock"
@@ -33,27 +35,34 @@ def _fmt(v: float) -> str:
 class OutputDir:
     """Stages one run's files so only a finished run's outputs reach the directory.
 
-    write() puts each file into a fresh staging directory inside the output
-    directory; commit() moves them into place and release() discards whatever
-    is left, so a failed run leaves the previous outputs untouched.  An
-    existing output is unlinked before the new file is renamed onto its free
-    name, never truncated or renamed over: on ext4 with auto_da_alloc,
-    replacing a non-empty file either way forces the new file's writeback.
+    A run holds a flock on the lock file until release() (POSIX only), so a
+    killed run's lock file blocks no later run.  write() puts each file into
+    a fresh staging directory inside the output directory; commit() moves
+    them into place and release() discards whatever is left, so a failed run
+    leaves the previous outputs untouched.  An existing output is unlinked
+    before the new file is renamed onto its free name, never truncated or
+    renamed over: on ext4 with auto_da_alloc, replacing a non-empty file
+    either way forces the new file's writeback.
     """
 
     def __init__(self, path: Path):
         self.path = path
         path.mkdir(parents=True, exist_ok=True)
         self.lock = path / LOCK_NAME
+        self.fd = os.open(self.lock, os.O_CREAT | os.O_WRONLY)
         try:
-            fd = os.open(self.lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise RanklawError(f"output directory locked by another run: {self.lock}") from None
+            fcntl.flock(self.fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            if not self._holds_path():  # the run that held it unlinked it on release
+                raise BlockingIOError
+        except OSError as exc:
+            os.close(self.fd)
+            if isinstance(exc, BlockingIOError):
+                raise RanklawError(f"output directory locked by another run: {self.lock}") \
+                    from None
+            raise
         self.stage = path / STAGE_NAME
         self.staged: list[str] = []
         try:
-            with os.fdopen(fd, "w") as f:
-                f.write(str(os.getpid()))
             shutil.rmtree(self.stage, ignore_errors=True)  # left by a killed run
             self.stage.mkdir()
         except BaseException:
@@ -70,21 +79,29 @@ class OutputDir:
             target.unlink(missing_ok=True)
             os.rename(self.stage / name, target)
 
+    def _holds_path(self) -> bool:
+        """Whether the lock file's path still names the file this run locked."""
+        with contextlib.suppress(FileNotFoundError):
+            return os.path.samestat(os.fstat(self.fd), os.stat(self.lock))
+        return False
+
     def release(self) -> None:
         shutil.rmtree(self.stage, ignore_errors=True)
-        self.lock.unlink(missing_ok=True)
+        if self._holds_path():
+            self.lock.unlink()
+        os.close(self.fd)
 
 
 @contextlib.contextmanager
-def _naming(path: str):
-    """Prefix an IngestError raised in the block with the file it concerns.
+def _naming(path: str, *errors: type[RanklawError]):
+    """Prefix an IngestError, or one of `errors`, raised in the block with the file it concerns.
 
     Every input file is read in such a block, so a file that cannot be read
     or decoded raises one IngestError naming it, as a fault in its rows does.
     """
     try:
         yield
-    except IngestError as exc:
+    except (IngestError, *errors) as exc:
         raise IngestError(f"{path}: {exc}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise IngestError(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from None
@@ -109,13 +126,14 @@ def _merged(panel: ingest.Panel, merges: str | None) -> ingest.Panel:
 def _load_ranked(path: str, window: list[int] | None,
                  merges: str | None = None) -> rank.RankedSeries:
     """Load a ranked series from either an exported ranking file or a panel."""
-    from . import ingest, rank
+    from . import rank, reader
     with _naming(path):
         text = Path(path).read_text()
-        if ingest.is_ranking(text):
+        if reader.is_ranking(text):
             if merges:
                 raise IngestError("--merges needs a panel, not a ranking file")
-            return rank.rank_desc(ingest.parse_ranking(text), rule=rank.TieBreak.ENTITY_ID)
+            return rank.rank_desc(reader.parse_ranking(text), rule=rank.TieBreak.ENTITY_ID)
+        from . import ingest
         panel = ingest.parse_panel(text)
     panel = _merged(panel, merges)
     with _naming(path):
@@ -124,9 +142,9 @@ def _load_ranked(path: str, window: list[int] | None,
 
 
 def _load_scatter(path: str) -> regime.ScatterSet:
-    from . import ingest, regime
+    from . import reader, regime
     with _naming(path):
-        return regime.ScatterSet(tuple(ingest.parse_scatter(Path(path).read_text())))
+        return regime.ScatterSet(tuple(reader.parse_scatter(Path(path).read_text())))
 
 
 def _machine_doc(section: str, pairs: dict) -> str:
@@ -164,12 +182,13 @@ def cmd_describe(args, out: OutputDir) -> None:
         averages = ingest.average_over_years(panel, args.window)
     sections = []
     machine: dict = {}
-    for year in args.window or panel.years:
-        summary = stats.describe(panel.column(year))
-        sections.append(stats.format_summary(summary, label=f"[{year}]"))
-        for key, value in stats.summary_key_values(summary).items():
-            machine[f"{year}.{key}"] = value
-    summary = stats.describe(list(averages.values()))
+    with _naming(args.input, StatsError):
+        for year in args.window or panel.years:
+            summary = stats.describe(panel.column(year))
+            sections.append(stats.format_summary(summary, label=f"[{year}]"))
+            for key, value in stats.summary_key_values(summary).items():
+                machine[f"{year}.{key}"] = value
+        summary = stats.describe(list(averages.values()))
     sections.append(stats.format_summary(summary, label="[window average]"))
     for key, value in stats.summary_key_values(summary).items():
         machine[f"avg.{key}"] = value
@@ -202,7 +221,8 @@ def cmd_corr(args, out: OutputDir) -> None:
     from . import rank, stats
     x = _load_ranked(args.input, args.window, args.merges)
     y = _load_ranked(args.population, args.window)
-    pairs, report = _correlate(x, y)
+    with _naming(args.input, CorrelationError):
+        pairs, report = _correlate(x, y)
     doc = {
         "n": report.n, "p": report.p, "q": report.q,
         "p_plus_q": report.p + report.q, "p_minus_q": report.p - report.q,
@@ -229,7 +249,7 @@ def cmd_corr(args, out: OutputDir) -> None:
 def cmd_pairwise(args, out: OutputDir) -> None:
     from . import corr
     panel = _load_panel(args.input)
-    with _naming(args.input):
+    with _naming(args.input, CorrelationError):
         matrix = corr.pairwise_matrix(panel, args.window)
     out.write("pairwise_pq.csv", corr.format_pq_matrix(matrix))
     out.write("pairwise_tau_z.csv", corr.format_tau_z_matrix(matrix))
@@ -239,11 +259,14 @@ def cmd_fit(args, out: OutputDir) -> None:
     from . import fit
     if not 0 < args.threshold < float("inf"):
         raise RanklawError(f"--threshold must be positive and finite; got {args.threshold}")
+    if args.amplitude is not None and not 0 < args.amplitude < float("inf"):
+        raise RanklawError(f"amplitude A must be positive and finite; got {args.amplitude}")
     ranked = _load_ranked(args.input, args.window)
     series = fit.remove_top_outliers(ranked, args.drop_top)
     kind = fit.ModelKind(args.model)
-    result = fit.fit_model(series, kind=kind, A=args.amplitude, scale=args.scale,
-                           excluded=ranked.ids[:args.drop_top])
+    with _naming(args.input, FitError):  # every option is checked by now
+        result = fit.fit_model(series, kind=kind, A=args.amplitude, scale=args.scale,
+                               excluded=ranked.ids[:args.drop_top])
     out.write("fit_report.txt", fit.format_fit_report(result))
     out.write("fit_table.csv", fit.fit_table(series, result))
     outliers = fit.detect_outliers(series, result, threshold=args.threshold)

@@ -10,13 +10,11 @@ reproduce bit-for-bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CorrelationError, require_finite
-from .ingest import Panel, average_over_years
 
 
 class PairCounts(NamedTuple):
@@ -37,8 +35,7 @@ class PairCounts(NamedTuple):
         return self.p + self.q + self.ties_x + self.ties_y + self.ties_both
 
 
-@dataclass(frozen=True)
-class CorrelationReport:
+class CorrelationReport(NamedTuple):
     """Kendall, Spearman and Pearson statistics of one pair of rankings.
 
     p, q and the tie counts are exact; tau_a, tau_b and rho are within 1e-12
@@ -204,8 +201,7 @@ def correlation_report(pairs: RankPairs, x_values, y_values) -> CorrelationRepor
     )
 
 
-@dataclass(frozen=True)
-class PairwiseMatrix:
+class PairwiseMatrix(NamedTuple):
     """Per-column-pair Kendall statistics over a panel's year columns."""
 
     labels: tuple[str, ...]
@@ -221,6 +217,7 @@ def pairwise_matrix(panel: Panel, window: list[int] | None = None) -> PairwiseMa
     """Kendall counts, tau and Z for every pair of columns: each year of the
     window (every panel year if it is empty or None) and the window average,
     whose computation first checks that those years and cells are all there."""
+    from .ingest import average_over_years
     avg = average_over_years(panel, window)
     columns = {str(year): panel.column(year) for year in window or panel.years}
     columns[AVERAGE_LABEL] = np.fromiter(avg.values(), float, len(avg))

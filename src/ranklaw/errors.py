@@ -43,6 +43,21 @@ class SimulationError(RanklawError):
     """Invalid urn-process configuration or exhausted capacity."""
 
 
+def checked(record: type) -> type:
+    """A subclass of the NamedTuple class `record`, named as it is, whose
+    construction, _make and _replace included, runs record._check(), and whose
+    != negates its ==, which the record may redefine (tuple's != would compare
+    field by field)."""
+    def __new__(cls, *args, **kwargs):
+        self = record.__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+    return type(record.__name__, (record,), {
+        "__slots__": (), "__new__": __new__, "__ne__": object.__ne__,
+        "_make": classmethod(lambda cls, fields: cls(*fields)),
+        "__module__": record.__module__, "__doc__": record.__doc__})
+
+
 def require_finite(values, error: type[RanklawError], labels=None) -> None:
     """Raise `error` naming the first NaN or infinite entry of `values`.
 

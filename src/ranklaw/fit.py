@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FitError
+from .errors import FitError, checked
 from .rank import RankedSeries
 
 
@@ -42,14 +42,14 @@ PARAM_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class RankSizeModel:
+@checked
+class RankSizeModel(NamedTuple):
     kind: ModelKind
     A: float
     N: int
     params: tuple[float, ...]
 
-    def __post_init__(self):
+    def _check(self):
         if self.N < 2:
             raise FitError("N must be >= 2")
         if self.A <= 0:
@@ -65,8 +65,7 @@ class RankSizeModel:
         return PARAM_NAMES[self.kind]
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     model: RankSizeModel
     scale: str                       # "log" or "linear" (fitting scale)
     r_squared: float                 # on the fitting scale

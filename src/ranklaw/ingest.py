@@ -1,41 +1,36 @@
-"""Input parsing and panel handling: delimited-text panels, ranking and scatter
-files, merge ledgers, regional aggregation.
+"""Panel handling: delimited-text panels, merge ledgers, regional aggregation.
 
 A Panel is an entity-by-year table of one measured quantity (e.g. aggregated
 tax income or population), keyed by a stable entity id carrying region and
 province membership, and held as columns: one tuple per label and one float64
 matrix of entities by years.  Administrative consolidations are applied
 through a MergeLedger; per-year values of merged entities are summed, which
-preserves panel-wide totals.
+preserves panel-wide totals.  The rows of every file are read by the reader
+module, which ranking and scatter files need alone.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import math
 import operator
-import re
-from dataclasses import dataclass
-from itertools import chain, compress, count, filterfalse, islice, repeat
+from itertools import chain, compress, count, filterfalse
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IngestError, PanelGapError, id_sample
+from .errors import IngestError, PanelGapError, checked, id_sample
+from .reader import _body, _or_none, _read, _table
 
 MISSING_MARKERS = {"", "NA", "NaN", "nan", "null", "None"}
 
 LONG_COLUMNS = ["entity_id", "name", "region", "province", "year", "value"]
 ID_COLUMNS = LONG_COLUMNS[:4]
-RANKING_COLUMNS = ["rank", "entity_id", "value"]
-SCATTER_COLUMNS = ["entity_id", "x", "y"]
-_CHUNK_ROWS = 500  # rows parsed at a time
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines breaks
 
 
-@dataclass(frozen=True)
-class EntityRecord:
+class EntityRecord(NamedTuple):
     """One entity with its per-year values. A value of None marks missing data."""
 
     entity_id: str
@@ -45,14 +40,15 @@ class EntityRecord:
     values: dict[int, float | None]
 
 
-@dataclass(frozen=True, eq=False)
-class Panel:
+@checked
+class Panel(NamedTuple):
     """An entity-by-year table held as columns.
 
     ids, names, regions and provinces are aligned tuples in first-appearance
     order; values is a read-only float64 matrix with one row per entity and
     one column per year, NaN marking a missing cell.  records and
-    values_for_year() are per-entity views built on each call.
+    values_for_year() are per-entity views built on each call.  Panels compare
+    by value, with NaN cells equal.
     """
 
     quantity_label: str
@@ -64,7 +60,7 @@ class Panel:
     values: np.ndarray
     provenance: str = ""
 
-    def __post_init__(self):
+    def _check(self):
         if len(set(self.ids)) < len(self.ids):
             ids = sorted(self.ids)
             repeated = {a for a, b in zip(ids, ids[1:]) if a == b}
@@ -81,7 +77,8 @@ class Panel:
     def __eq__(self, other):
         if not isinstance(other, Panel):
             return NotImplemented
-        return ({**vars(self), "values": None} == {**vars(other), "values": None}
+        # every field but values (the seventh), then values with NaN equal to NaN
+        return (self[:6] + self[7:] == other[:6] + other[7:]
                 and np.array_equal(self.values, other.values, equal_nan=True))
 
     def column(self, year: int) -> np.ndarray:
@@ -104,19 +101,18 @@ class Panel:
                 for eid, v in zip(self.ids, self.column(year).tolist())}
 
 
-@dataclass(frozen=True)
-class MergeEntry:
+class MergeEntry(NamedTuple):
     target_id: str
     target_name: str
     component_ids: tuple[str, ...]
     effective_year: int
 
 
-@dataclass(frozen=True)
-class MergeLedger:
+@checked
+class MergeLedger(NamedTuple):
     entries: tuple[MergeEntry, ...]
 
-    def __post_init__(self):
+    def _check(self):
         seen: set[str] = set()
         for entry in self.entries:
             if not entry.component_ids:
@@ -131,23 +127,12 @@ class MergeLedger:
                 )
 
 
-@dataclass(frozen=True)
-class RegionAggregate:
+class RegionAggregate(NamedTuple):
     region: str
     n_cities: int
     n_inhabitants: float
     ati_by_year: dict[int, float]
     ati_mean: float
-
-
-def _number(raw: str, row_num: int) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise IngestError(f"malformed value {raw!r} at row {row_num}") from None
-    if not math.isfinite(value):
-        raise IngestError(f"non-finite value {raw!r} at row {row_num}")
-    return value
 
 
 def _value_fault(cell: str) -> str:
@@ -160,110 +145,6 @@ def _value_fault(cell: str) -> str:
     if value < 0:
         return "negative value"
     raise AssertionError(f"value cell {cell!r} was rejected but is valid")
-
-
-def _body(text: str) -> tuple[list[str], list[int], list[str]]:
-    """The '#' comment lines of a text, and the line numbers and lines, with
-    their line breaks, of the others that are not blank."""
-    lines = text.splitlines(keepends=True)
-    comment = list(map(str.startswith, lines, repeat("#")))
-    blank = map(str.isspace, lines)  # a line holds at least its break
-    keep = list(map(operator.not_, map(operator.or_, comment, blank)))
-    comments = list(compress(lines, comment))
-    return comments, list(compress(count(1), keep)), list(compress(lines, keep))
-
-
-def _read(lines: list[str], numbers: list[int], start: int, count: int, delimiter, width):
-    """Up to `count` rows from lines[start:], numbered `numbers`, the number of
-    the line each starts on, the index of the next line, and the IngestError
-    that stopped the read early, or None.  Lines that are `count` rows of
-    `width` fields (not None) come from numpy's C tokenizer, which splits as csv
-    does, as an object array; other rows come from csv as lists.  A row whose
-    lines are not consecutive holds a quoted field over a '#' or blank line."""
-    chunk = lines[start:start + count]
-    if width is not None and chunk and max(map(len, chunk)) < csv.field_size_limit():
-        with contextlib.suppress(ValueError, csv.Error):  # e.g. rows of different widths
-            # strict csv fails where the last line ends inside a quoted field
-            list(csv.reader(chunk[-1:], delimiter=delimiter, strict=True))
-            table = np.loadtxt(chunk, dtype=object, delimiter=delimiter, quotechar='"',
-                               comments=None, ndmin=2)
-            if table.shape == (len(chunk), width):
-                return table, numbers[start:start + len(chunk)], start + len(chunk), None
-    reader = csv.reader(map(lines.__getitem__, range(start, len(lines))), delimiter=delimiter)
-    with contextlib.suppress(csv.Error):
-        rows = list(islice(reader, count))
-        if reader.line_num == len(rows):  # every row is one line
-            return rows, numbers[start:start + len(rows)], start + len(rows), None
-    # a row spans lines, or csv failed: read the same lines again row by row
-    reader = csv.reader(map(lines.__getitem__, range(start, len(lines))), delimiter=delimiter)
-    rows = []
-    ends = [start]  # lines read before each row, and after the last
-    error = None
-    try:
-        for row in islice(reader, count):
-            rows.append(row)
-            ends.append(start + reader.line_num)
-    except csv.Error as exc:  # e.g. a field over csv's size limit
-        error = IngestError(f"malformed row {numbers[ends[-1]]}: {exc}")
-    split = [numbers[b - 1] - numbers[a] != b - 1 - a for a, b in zip(ends, ends[1:])]
-    if any(split):
-        del rows[split.index(True):], ends[split.index(True) + 1:]
-        error = IngestError(f"malformed row {numbers[ends[-1]]}: a quoted field "
-                            "spans a '#' or blank line")
-    return rows, [numbers[i] for i in ends[:-1]], ends[-1], error
-
-
-def _table(text: str, columns: list[str]):
-    """(comment lines, header line number, header, chunks) of a delimited file
-    whose header starts with `columns`; the delimiter is tab if the header has
-    one, comma otherwise.
-
-    chunks yields (the number of the line each row starts on, a 2-D object
-    array of the fields) for a few hundred rows at a time, so that the rows
-    die young and a large file sets off no full garbage collection.  A row
-    that does not split into the header's fields raises its IngestError only
-    after the rows before it are yielded, so the caller checks those first.
-    """
-    comments, numbers, lines = _body(text)
-    if not lines:
-        raise IngestError("empty input: no header row")
-    delimiter = "\t" if "\t" in lines[0] else ","
-    head, _, start, error = _read(lines, numbers, 0, 1, delimiter, None)
-    if error is not None:
-        raise error
-    header = [h.strip() for h in head[0]]
-    if header[: len(columns)] != columns:
-        raise IngestError(
-            f"header must start with {','.join(columns)}; got {','.join(header)}"
-        )
-
-    def chunks(start, width):
-        while True:
-            rows, row_nums, end, error = _read(lines, numbers, start, _CHUNK_ROWS, delimiter, width)
-            # numpy cannot number rows that span lines: once a row does, csv reads on
-            width, start = width if end - start == len(rows) else None, end
-            lengths = list(map(len, rows))
-            if lengths.count(len(header)) != len(rows):
-                bad = next(i for i, k in enumerate(lengths) if k != len(header))
-                error = IngestError(f"malformed row {row_nums[bad]}: "
-                                    f"expected {len(header)} fields, got {lengths[bad]}")
-                rows = rows[:bad]
-            if len(rows):
-                yield row_nums[:len(rows)], rows if isinstance(rows, np.ndarray) else np.fromiter(
-                    chain.from_iterable(rows), object).reshape(len(rows), -1)
-            if error is not None:
-                raise error
-            if not len(rows):
-                return
-    return comments, numbers[0], header, chunks(start, len(header))
-
-
-def _or_none(convert, cell):
-    """convert(cell), or None where it raises ValueError."""
-    try:
-        return convert(cell)
-    except ValueError:
-        return None
 
 
 def _value_column(raw) -> tuple[np.ndarray, np.ndarray]:
@@ -390,37 +271,6 @@ def parse_panel(text: str) -> Panel:
         values[entity, sorted_column[column]] = cell_values
     return Panel(quantity_label, tuple(years), tuple(index), *map(tuple, labels), values,
                  provenance)
-
-
-def is_ranking(text: str) -> bool:
-    """Whether the text has the `rank,entity_id,value` layout rather than a panel's."""
-    # only the '\n'-ended pieces up to the first line that _body keeps are split
-    kept = filter(None, (_body(piece[0])[2] for piece in re.finditer(r"[^\n]*\n?", text)))
-    return next(kept, [""])[0].replace("\t", ",").startswith("rank,")
-
-
-def parse_ranking(text: str) -> dict[str, float]:
-    """Values by entity id from a `rank,entity_id,value` file; ranks are not read."""
-    values: dict[str, float] = {}
-    for row_nums, table in _table(text, RANKING_COLUMNS)[3]:
-        for row_num, eid, raw in zip(row_nums, *table.T[1:3].tolist()):
-            eid = eid.strip()
-            if eid in values:
-                raise IngestError(f"duplicate entity_id {eid!r} at row {row_num}")
-            values[eid] = _number(raw, row_num)
-    return values
-
-
-def parse_scatter(text: str) -> list[tuple[str, float, float]]:
-    """(entity_id, x, y) points from a file whose columns start entity_id,x,y."""
-    points: dict[str, tuple[str, float, float]] = {}
-    for row_nums, table in _table(text, SCATTER_COLUMNS)[3]:
-        for row_num, eid, x, y in zip(row_nums, *table.T[:3].tolist()):
-            eid = eid.strip()
-            if eid in points:
-                raise IngestError(f"duplicate entity_id {eid!r} at row {row_num}")
-            points[eid] = (eid, _number(x, row_num), _number(y, row_num))
-    return list(points.values())
 
 
 def parse_merge_ledger(text: str) -> MergeLedger:

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import enum
 import io
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import RankingError, id_sample, require_finite
+from .errors import RankingError, checked, id_sample, require_finite
 
 
 class TieBreak(enum.Enum):
@@ -17,23 +17,25 @@ class TieBreak(enum.Enum):
     AVERAGE_RANK = "average"
 
 
-@dataclass(frozen=True, eq=False)
-class RankedSeries:
+@checked
+class RankedSeries(NamedTuple):
     """Entities sorted by one criterion, rank 1 = largest value.
 
     ids is a tuple in rank order; values and ranks are aligned read-only
     float64 arrays.  Under a deterministic tie-break ranks are the integers
     1..n; under AVERAGE_RANK every tied entry carries the mean rank of its
     span.  tie_groups records (first_position, last_position) of each run of
-    equal values (1-based, runs of length >= 2), in both modes.
+    equal values (1-based, runs of length >= 2), in both modes.  A series
+    equals only itself.
     """
 
     ids: tuple[str, ...]
     values: np.ndarray
     ranks: np.ndarray
     tie_groups: tuple[tuple[int, int], ...]
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
+    def _check(self):
         self.values.setflags(write=False)
         self.ranks.setflags(write=False)
 
@@ -42,12 +44,19 @@ class RankedSeries:
         return len(self.ids)
 
 
-@dataclass(frozen=True)
-class RankPairs:
+class RankPairs(NamedTuple):
     """Per-entity join of the ranks an entity holds under two criteria."""
 
     entries: tuple[tuple[str, float, float], ...]  # (entity_id, r_x, r_y), by entity id
-    positions: tuple[np.ndarray, np.ndarray] = field(compare=False)  # of each entity in x, y
+    positions: tuple[np.ndarray, np.ndarray]  # of each entity in x, y; not compared
+
+    def __eq__(self, other):
+        return self.entries == other.entries if isinstance(other, RankPairs) else NotImplemented
+
+    __ne__ = object.__ne__  # the negation of __eq__, not tuple's field by field test
+
+    def __hash__(self):
+        return hash(self.entries)
 
     @property
     def n(self) -> int:

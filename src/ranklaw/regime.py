@@ -9,18 +9,18 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import RegimeError, id_sample
+from .errors import RegimeError, checked, id_sample
 
 
-@dataclass(frozen=True)
-class ScatterSet:
+@checked
+class ScatterSet(NamedTuple):
     points: tuple[tuple[str, float, float], ...]  # (entity_id, x, y)
 
-    def __post_init__(self):
+    def _check(self):
         if len(self.points) < 2:
             raise RegimeError("scatter set needs at least 2 points")
         finite = np.isfinite(self.arrays()).all(axis=0)
@@ -32,8 +32,7 @@ class ScatterSet:
         return np.array(x), np.array(y)
 
 
-@dataclass(frozen=True)
-class RegimeSplit:
+class RegimeSplit(NamedTuple):
     assignments: dict[str, int]        # entity_id -> 1-based class, steepest first
     slopes: tuple[float, ...]          # descending
     overall_slope: float

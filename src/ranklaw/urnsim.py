@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SimulationError
+from .errors import SimulationError, checked
 
 def beta_fn(x: float, y: float) -> float:
     """Euler Beta function Gamma(x)Gamma(y)/Gamma(x+y), computed in log space
@@ -97,8 +97,8 @@ def yule_simon_tail(k_max: int, a: float, b: float, k0: int = 1) -> float:
     return beta_fn(k_max + 1 + a, b - 1.0) / beta_fn(k0 + a, b - 1.0)
 
 
-@dataclass(frozen=True)
-class UrnConfig:
+@checked
+class UrnConfig(NamedTuple):
     n_urns: int
     total_balls: int
     a: float = 1.0             # attachment offset, weight is k + a
@@ -106,7 +106,7 @@ class UrnConfig:
     capacity: int | None = None
     seed: int = 0
 
-    def __post_init__(self):
+    def _check(self):
         if self.n_urns < 1 or self.total_balls < 0:
             raise SimulationError("n_urns >= 1 and total_balls >= 0 required")
         if not math.isfinite(self.n_urns * (self.k0 + self.a)):
@@ -120,8 +120,7 @@ class UrnConfig:
             raise SimulationError("capacity must be >= k0")
 
 
-@dataclass(frozen=True)
-class UrnOutcome:
+class UrnOutcome(NamedTuple):
     occupancy: tuple[int, ...]
 
     @property

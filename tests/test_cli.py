@@ -1,3 +1,4 @@
+import fcntl
 import pkgutil
 import subprocess
 import sys
@@ -107,14 +108,46 @@ def test_simulate_deterministic(tmp_path):
         assert first == second
 
 
-def test_lock_file_blocks_concurrent_run(tmp_path):
+def test_lock_file_blocks_concurrent_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    lock = out / cli.LOCK_NAME
+    with open(lock, "w") as held:  # another run's lock: a flock on its own open file
+        fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        code = cli.main(["simulate", "--urns", "2", "--balls", "3", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"ranklaw: output directory locked by another run: {lock}\n")
+        # the foreign lock is left in place
+        assert lock.exists()
+    assert list(out.iterdir()) == [lock]
+
+
+def test_stale_lock_file_does_not_block_a_run(tmp_path):
+    # a lock file left by a killed run holds no flock
     out = tmp_path / "out"
     out.mkdir()
     (out / cli.LOCK_NAME).write_text("999999")
-    code = cli.main(["simulate", "--urns", "2", "--balls", "3", "--out", str(out)])
-    assert code == 1
-    # the foreign lock is left in place
-    assert (out / cli.LOCK_NAME).exists()
+    assert cli.main(["simulate", "--urns", "2", "--balls", "3", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["occupancy.csv"]
+
+
+def test_lock_path_is_checked_after_locking_and_before_unlinking(tmp_path, capsys,
+                                                                  monkeypatch):
+    out = tmp_path / "out"
+    lock = out / cli.LOCK_NAME
+    # a run releasing the lock unlinks the file this run opened before locking it
+    flock = fcntl.flock
+    monkeypatch.setattr(cli.fcntl, "flock", lambda fd, op: (lock.unlink(), flock(fd, op)))
+    assert cli.main(["simulate", "--urns", "2", "--balls", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"ranklaw: output directory locked by another run: {lock}\n"
+    monkeypatch.undo()
+    # a lock file that replaced this run's is not this run's to unlink
+    held = cli.OutputDir(out)
+    lock.unlink()
+    lock.write_text("another run's")
+    held.release()
+    assert lock.read_text() == "another run's"
 
 
 def test_lock_released_after_success(tmp_path):
@@ -595,10 +628,13 @@ def test_each_subcommand_accepts_only_the_options_it_reads(tmp_path, capsys):
 @pytest.mark.parametrize("imports, absent", [
     ("ranklaw.cli, ranklaw.urnsim",
      {"ranklaw.ingest", "ranklaw.fit", "ranklaw.rank", "ranklaw.stats", "statistics"}),
-    ("ranklaw.cli, ranklaw.ingest, ranklaw.fit", {"ranklaw.stats", "statistics"}),
-    # the runtime is numpy-only: scipy and the test tools serve the tests alone
+    # fit on a ranking file
+    ("ranklaw.cli, ranklaw.reader, ranklaw.rank, ranklaw.fit",
+     {"ranklaw.ingest", "ranklaw.stats", "statistics", "dataclasses"}),
+    # the runtime is numpy-only: scipy and the test tools serve the tests alone;
+    # records are NamedTuples, not dataclasses
     (", ".join(f"ranklaw.{m.name}" for m in pkgutil.iter_modules(ranklaw.__path__)),
-     {"scipy", "hypothesis", "pytest"}),
+     {"scipy", "hypothesis", "pytest", "dataclasses"}),
 ], ids=["simulate", "fit", "every_module"])
 def test_start_up_loads_only_the_layers_a_command_runs(imports, absent):
     src = str(Path(ranklaw.__file__).parents[1])
@@ -637,6 +673,24 @@ def test_a_header_only_panel_is_refused_naming_its_file(tmp_path, capsys, argv, 
     assert cli.main(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == f"ranklaw: {argv[0]}: {empty}: {message}\n"
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, entities, message", [
+    ("corr", 2, "z_score needs n >= 3"),
+    ("pairwise", 2, "z_score needs n >= 3"),
+    ("fit", 2, "need at least 4 points, got 2"),
+    ("describe", 1, "describe needs at least 2 values"),
+])
+def test_a_panel_too_small_for_a_statistic_names_its_file(tmp_path, capsys, command,
+                                                          entities, message):
+    panel = tmp_path / "small.csv"
+    panel.write_text("".join(LONG_PANEL.splitlines(keepends=True)[:1 + 2 * entities]))
+    argv = [command, "--input", str(panel), "--out", str(tmp_path / "out")]
+    if command == "corr":
+        argv += ["--population", str(panel)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"ranklaw: {command}: {panel}: {message}\n"
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_pairwise_names_the_file_of_a_missing_value(tmp_path, capsys):

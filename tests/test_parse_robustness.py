@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ranklaw import ingest
+from ranklaw import ingest, reader
 from ranklaw.errors import IngestError
 from tests import reference_ingest
 
@@ -82,7 +82,7 @@ def test_chunk_size_does_not_change_the_outcome(rows, chunk_rows):
     # first seen in an earlier chunk
     text = "\n".join([HEADERS[0]] + [",".join(row) for row in rows]) + "\n"
     expected = _outcome(text)
-    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+    with mock.patch.object(reader, "_CHUNK_ROWS", chunk_rows):
         result = _outcome(text)
     assert type(result) is type(expected)
     if isinstance(expected, IngestError):
@@ -114,7 +114,7 @@ def test_parse_panel_agrees_with_the_reference_parser(header, rows, order, delim
         expected = reference_ingest.parse_panel(text)
     except IngestError as exc:
         expected = exc
-    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+    with mock.patch.object(reader, "_CHUNK_ROWS", chunk_rows):
         result = _outcome(text)
     assert type(result) is type(expected)
     if isinstance(expected, IngestError):
@@ -187,7 +187,7 @@ def test_a_panel_row_is_numbered_by_the_line_it_starts_on():
 def test_a_ranking_row_is_numbered_by_the_line_it_starts_on():
     text = 'rank,entity_id,value\n1,"a\nb",3\n2,c,x\n'
     with pytest.raises(IngestError, match="^malformed value 'x' at row 4$"):
-        ingest.parse_ranking(text)
+        reader.parse_ranking(text)
 
 
 PANEL_2007 = "entity_id,name,region,province,2007\n"
@@ -330,20 +330,20 @@ LINES = st.integers(1, 3).flatmap(lambda width: st.lists(st.tuples(
        st.sampled_from([3, 131072, 131072]))
 def test_read_agrees_with_a_row_by_row_csv_reader(lines, delimiter, count, limit):
     text = "".join(delimiter.join(fields) + end for fields, end in lines)
-    _, numbers, body = ingest._body(text)
-    reader = csv.reader(body, delimiter=delimiter)
+    _, numbers, body = reader._body(text)
+    rows_in = csv.reader(body, delimiter=delimiter)
     start = 0
 
     def read(count, width):
         nonlocal start
-        rows, row_nums, start, error = ingest._read(body, numbers, start, count, delimiter,
+        rows, row_nums, start, error = reader._read(body, numbers, start, count, delimiter,
                                                     width)
         return rows, row_nums, error
 
     old_limit = csv.field_size_limit(limit)  # lines at and over the limit read with csv
     try:
-        expected = _reads(lambda: reference_ingest._read(reader, numbers, 1),
-                          lambda width: reference_ingest._read(reader, numbers, count))
+        expected = _reads(lambda: reference_ingest._read(rows_in, numbers, 1),
+                          lambda width: reference_ingest._read(rows_in, numbers, count))
         assert _reads(lambda: read(1, None), lambda width: read(count, width)) == expected
     finally:
         csv.field_size_limit(old_limit)
@@ -357,12 +357,12 @@ def test_read_agrees_with_a_row_by_row_csv_reader(lines, delimiter, count, limit
 ])
 def test_read_of_a_chunk_the_tokenizer_cannot_take(body):
     lines = ["x,y\n", *body.splitlines(keepends=True)]
-    _, numbers, lines = ingest._body("".join(lines))
-    reader = csv.reader(lines)
+    _, numbers, lines = reader._body("".join(lines))
+    rows_in = csv.reader(lines)
     start = 1
-    next(reader)
-    expected = reference_ingest._read(reader, numbers, 2)
-    rows, row_nums, _, error = ingest._read(lines, numbers, start, 2, ",", 2)
+    next(rows_in)
+    expected = reference_ingest._read(rows_in, numbers, 2)
+    rows, row_nums, _, error = reader._read(lines, numbers, start, 2, ",", 2)
     rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
     assert (rows, row_nums, error and str(error)) == (expected[0], expected[1],
                                                       expected[2] and str(expected[2]))
@@ -375,7 +375,7 @@ def test_read_of_a_chunk_the_tokenizer_cannot_take(body):
 ])
 def test_the_tokenizer_takes_a_chunk_whose_last_line_closes_its_quotes(body):
     lines = body.splitlines(keepends=True)
-    rows, row_nums, end, error = ingest._read(lines, [2, 3], 0, 2, ",", 2)
+    rows, row_nums, end, error = reader._read(lines, [2, 3], 0, 2, ",", 2)
     assert isinstance(rows, np.ndarray) and (row_nums, end, error) == ([2, 3], 2, None)
     assert rows.tolist() == list(csv.reader(lines))
 
@@ -385,7 +385,7 @@ def test_rows_after_a_row_over_lines_are_read_as_csv_reads_them():
     # rows and row numbers stay those of the reference parser
     rows = [f'e{i},"E{i}{chr(10) if i == 1 else ""}",R1,P1,2007,{i}' for i in range(9)]
     text = LONG + "\n".join(rows) + "\n"
-    with mock.patch.object(ingest, "_CHUNK_ROWS", 2):
+    with mock.patch.object(reader, "_CHUNK_ROWS", 2):
         assert ingest.parse_panel(text) == reference_ingest.parse_panel(text)
         with pytest.raises(IngestError, match="^negative value at row 10$"):
             ingest.parse_panel(text.replace(",7\n", ",-7\n"))
@@ -395,6 +395,6 @@ def test_rows_after_a_row_over_lines_are_read_as_csv_reads_them():
 @given(st.lists(st.sampled_from(["#", " ", "\t", "\n", "\r", "\r\n", "\x0b", "\x85", "rank,",
                                  "rank\t", "rank", ",", "x", '"']), max_size=12).map("".join))
 def test_is_ranking_reads_the_first_line_that_is_not_dropped(text):
-    lines = ingest._body(text)[2]
-    assert ingest.is_ranking(text) == (bool(lines) and
+    lines = reader._body(text)[2]
+    assert reader.is_ranking(text) == (bool(lines) and
                                        lines[0].replace("\t", ",").startswith("rank,"))
