@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import fcntl
+import gc
 import os
 import shutil
 import sys
@@ -147,6 +148,12 @@ def _load_scatter(path: str) -> regime.ScatterSet:
         return regime.ScatterSet(tuple(reader.parse_scatter(Path(path).read_text())))
 
 
+def _check_amplitude(amplitude: float | None) -> None:
+    """Refuse a bad --A before any input is read, so that its message names no file."""
+    if amplitude is not None and not 0 < amplitude < float("inf"):
+        raise RanklawError(f"amplitude A must be positive and finite; got {amplitude}")
+
+
 def _machine_doc(section: str, pairs: dict) -> str:
     lines = [f"schema_version: {SCHEMA_VERSION}", f"section: {section}"]
     for key, value in pairs.items():
@@ -259,8 +266,7 @@ def cmd_fit(args, out: OutputDir) -> None:
     from . import fit
     if not 0 < args.threshold < float("inf"):
         raise RanklawError(f"--threshold must be positive and finite; got {args.threshold}")
-    if args.amplitude is not None and not 0 < args.amplitude < float("inf"):
-        raise RanklawError(f"amplitude A must be positive and finite; got {args.amplitude}")
+    _check_amplitude(args.amplitude)
     ranked = _load_ranked(args.input, args.window)
     series = fit.remove_top_outliers(ranked, args.drop_top)
     kind = fit.ModelKind(args.model)
@@ -313,15 +319,16 @@ def cmd_simulate(args, out: OutputDir) -> None:
 
 def cmd_report(args, out: OutputDir) -> None:
     from . import fit, ingest, rank, regime, stats
+    _check_amplitude(args.amplitude)
     ati = _merged(_load_panel(args.input), args.merges)
     pop = _load_panel(args.population)
 
     parts = [f"# ranklaw report (schema_version {SCHEMA_VERSION})", ""]
 
-    with _naming(args.input):
+    with _naming(args.input, StatsError):
         averages = ingest.average_over_years(ati, args.window)
-    parts.append(stats.format_summary(stats.describe(list(averages.values())),
-                                      label="[summary: window-average values]"))
+        parts.append(stats.format_summary(stats.describe(list(averages.values())),
+                                          label="[summary: window-average values]"))
 
     names = dict(zip(ati.ids, ati.names))
     x = rank.rank_desc(averages, names=names)
@@ -334,7 +341,10 @@ def cmd_report(args, out: OutputDir) -> None:
         raise IngestError(f"{args.population}: missing population for "
                           f"{missing!r} in year {census_year}")
     y = rank.rank_desc(dict(zip(pop.ids, census.tolist())), names=names)
-    pairs, report = _correlate(x, y)
+    with _naming(args.input, CorrelationError, FitError, StatsError):
+        pairs, report = _correlate(x, y)
+        result = fit.fit_model(x, kind=fit.ModelKind(args.model), A=args.amplitude,
+                               scale=args.scale)
     parts.append("[correlation]")
     parts.append(f"p+q          {report.p + report.q}")
     parts.append(f"p-q          {report.p - report.q}")
@@ -347,8 +357,6 @@ def cmd_report(args, out: OutputDir) -> None:
     parts.append(f"Pearson Pi   {_fmt(report.pi)}")
     parts.append("")
 
-    kind = fit.ModelKind(args.model)
-    result = fit.fit_model(x, kind=kind, A=args.amplitude, scale=args.scale)
     parts.append("[rank-size fit]")
     parts.append(fit.format_fit_report(result))
 
@@ -481,5 +489,20 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def run() -> None:
+    """The program entry: main(), then exit without the interpreter's teardown collections.
+
+    At shutdown the interpreter runs full garbage collections over every
+    container object numpy and the standard library hold, which took longer
+    than a small command's own work.  gc.freeze() moves them all into the
+    permanent generation, which no collection visits; atexit handlers, the
+    stdio flushes and module teardown still run.  main() never freezes, so a
+    caller that runs it in-process keeps its collector as it was.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -251,7 +251,7 @@ def fit_model(series: RankedSeries, kind: ModelKind = ModelKind.LAVALETTE3,
     return FitResult(
         model=model, scale=scale,
         r_squared=r2, r_squared_linear=r2_lin, chi_squared=chi2,
-        residuals=tuple(float(v) for v in res),
+        residuals=tuple(res.tolist()),
         param_std_err=std_err, excluded=tuple(excluded),
         iterations=iterations, converged=converged,
     )
@@ -299,7 +299,7 @@ def detect_outliers(series: RankedSeries, fit: FitResult,
     if std == 0:
         return []
     flagged = np.abs(res) / std > threshold
-    return [eid for eid, bad in zip(series.ids, flagged) if bad]
+    return list(map(series.ids.__getitem__, np.flatnonzero(flagged).tolist()))
 
 
 def format_fit_report(fit: FitResult) -> str:

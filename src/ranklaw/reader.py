@@ -8,7 +8,7 @@ import csv
 import math
 import operator
 import re
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, islice
 
 import numpy as np
 
@@ -33,11 +33,22 @@ def _body(text: str) -> tuple[list[str], list[int], list[str]]:
     """The '#' comment lines of a text, and the line numbers and lines, with
     their line breaks, of the others that are not blank."""
     lines = text.splitlines(keepends=True)
-    comment = list(map(str.startswith, lines, repeat("#")))
-    blank = map(str.isspace, lines)  # a line holds at least its break
-    keep = list(map(operator.not_, map(operator.or_, comment, blank)))
-    comments = list(compress(lines, comment))
-    return comments, list(compress(count(1), keep)), list(compress(lines, keep))
+    # splitlines yields no empty line, and only one that starts with '#' or
+    # whitespace can be dropped
+    firsts = "".join(map(operator.itemgetter(0), lines))
+    comments, numbers, kept, start = [], [], [], 0
+    for candidate in re.finditer(r"[#\s]", firsts):
+        i = candidate.start()
+        if candidate[0] == "#":
+            comments.append(lines[i])
+        elif not lines[i].isspace():
+            continue
+        kept += lines[start:i]
+        numbers += range(start + 1, i + 1)
+        start = i + 1
+    kept += lines[start:]
+    numbers += range(start + 1, len(lines) + 1)
+    return comments, numbers, kept
 
 
 def _read(lines: list[str], numbers: list[int], start: int, count: int, delimiter, width):

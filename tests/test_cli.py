@@ -1,4 +1,6 @@
 import fcntl
+import gc
+import os
 import pkgutil
 import subprocess
 import sys
@@ -465,6 +467,14 @@ def test_fit_rejects_a_bad_amplitude(tmp_path, capsys, amplitude):
     assert list(out.iterdir()) == []
 
 
+def test_report_checks_the_amplitude_before_reading_a_file(tmp_path, capsys):
+    missing = str(tmp_path / "nope.csv")
+    assert cli.main(["report", "--input", missing, "--population", missing, "--A", "-1",
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "ranklaw: report: amplitude A must be positive and finite; got -1.0\n")
+
+
 @pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "0"])
 def test_fit_rejects_a_bad_threshold(tmp_path, capsys, threshold):
     ranking = _write_region_ranking(tmp_path / "ranked.csv")
@@ -680,13 +690,15 @@ def test_a_header_only_panel_is_refused_naming_its_file(tmp_path, capsys, argv, 
     ("pairwise", 2, "z_score needs n >= 3"),
     ("fit", 2, "need at least 4 points, got 2"),
     ("describe", 1, "describe needs at least 2 values"),
+    ("report", 2, "z_score needs n >= 3"),
+    ("report", 3, "need at least 4 points, got 3"),
 ])
 def test_a_panel_too_small_for_a_statistic_names_its_file(tmp_path, capsys, command,
                                                           entities, message):
     panel = tmp_path / "small.csv"
     panel.write_text("".join(LONG_PANEL.splitlines(keepends=True)[:1 + 2 * entities]))
     argv = [command, "--input", str(panel), "--out", str(tmp_path / "out")]
-    if command == "corr":
+    if command in ("corr", "report"):
         argv += ["--population", str(panel)]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == f"ranklaw: {command}: {panel}: {message}\n"
@@ -792,3 +804,56 @@ def test_ranking_and_scatter_ids_are_stripped_as_panel_ids_are(tmp_path):
     assert cli.main(["regime", "--input", str(scatter), "--exclude", "a0",
                      "--out", str(tmp_path / "regime")]) == 0
     assert "\na0,1,3," in (tmp_path / "regime" / "regime_split.csv").read_text()
+
+
+SIMULATE = ["simulate", "--urns", "20", "--balls", "1000", "--seed", "11", "--replicates", "5"]
+
+
+def _python(*args, cwd):
+    """Run the interpreter with this checkout's sources first on its path."""
+    path = [str(Path(ranklaw.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          cwd=cwd)
+
+
+def test_the_program_entry_writes_what_main_writes(tmp_path):
+    run = _python("-m", "ranklaw.cli", *SIMULATE, "--out", str(tmp_path / "entry"), cwd=tmp_path)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "", "")
+    assert cli.main(SIMULATE + ["--out", str(tmp_path / "main")]) == 0
+    names = sorted(p.name for p in (tmp_path / "main").iterdir())
+    assert names == ["occupancy.csv", "simulate_summary.csv"]
+    assert sorted(p.name for p in (tmp_path / "entry").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "entry" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
+
+
+def test_a_failing_program_entry_prints_the_line_main_prints(tmp_path, capsys):
+    argv = ["fit", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "out")]
+    run = _python("-m", "ranklaw.cli", *argv, cwd=tmp_path)
+    assert cli.main(argv) == 1
+    assert (run.returncode, run.stdout, run.stderr) == (1, "", capsys.readouterr().err)
+    assert run.stderr.count("\n") == 1
+
+
+def test_the_program_entry_freezes_the_heap_and_runs_atexit_handlers(tmp_path):
+    argv = SIMULATE + ["--out", str(tmp_path / "out")]
+    code = ("import atexit, gc, sys; from ranklaw import cli; "
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0)); "
+            f"sys.argv[1:] = {argv!r}; cli.run()")
+    run = _python("-c", code, cwd=tmp_path)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "True\n", "")
+
+
+def test_main_leaves_the_collector_as_it_was(tmp_path):
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert cli.main(SIMULATE + ["--out", str(tmp_path / "out")]) == 0
+    assert cli.main(["fit", "--input", str(tmp_path / "nope.csv"),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_the_console_script_is_the_program_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    assert pyproject["project"]["scripts"] == {"ranklaw": "ranklaw.cli:run"}

@@ -398,3 +398,25 @@ def test_is_ranking_reads_the_first_line_that_is_not_dropped(text):
     lines = reader._body(text)[2]
     assert reader.is_ranking(text) == (bool(lines) and
                                        lines[0].replace("\t", ",").startswith("rank,"))
+
+
+# lines of '#', whitespace that breaks no line and other characters, each
+# ended by one of the breaks str.splitlines knows, and a last line with none
+BODY_LINES = st.lists(st.tuples(st.text(st.sampled_from("# \t\u3000a,"), max_size=3),
+                                st.sampled_from(["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c",
+                                                 "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])),
+                      max_size=12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(BODY_LINES, st.text(st.sampled_from("# \ta"), max_size=3))
+def test_body_agrees_with_a_line_by_line_definition(lines, last):
+    text = "".join(line + end for line, end in lines) + last
+    comments, numbers, kept = [], [], []
+    for number, line in enumerate(text.splitlines(keepends=True), 1):
+        if line.startswith("#"):
+            comments.append(line)
+        elif not line.isspace():
+            numbers.append(number)
+            kept.append(line)
+    assert reader._body(text) == (comments, numbers, kept)
