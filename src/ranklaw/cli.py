@@ -22,7 +22,7 @@ import numpy as np
 # command pays the start-up cost only of the modules it runs
 from . import __version__
 from .errors import (CorrelationError, FitError, IngestError, PanelGapError, RanklawError,
-                     StatsError)
+                     RegimeError, StatsError)
 
 SCHEMA_VERSION = 1
 LOCK_NAME = ".ranklaw.lock"
@@ -283,22 +283,23 @@ def cmd_regime(args, out: OutputDir) -> None:
     from . import regime
     points = _load_scatter(args.input)
     exclude = tuple(args.exclude.split(",")) if args.exclude else ()
-    split = regime.two_line_split(points, k=args.k_lines, outlier_ids=exclude)
-    out.write("regime_split.csv", regime.export_split(points, split))
-    intercept, slope, r2, int_se, slope_se = regime.inertia_axis(points)
-    lines = [
-        f"intercept: {_fmt(intercept)} +/- {_fmt(int_se)}",
-        f"slope: {_fmt(slope)} +/- {_fmt(slope_se)}",
-        f"r_squared: {_fmt(r2)}",
-    ]
-    x, y = points.arrays()
-    if x.min() > 0 and y.min() > 0:
-        c, beta, r2log = regime.loglog_power_fit(points)
-        lines += [
-            f"loglog_c: {_fmt(c)}",
-            f"loglog_beta: {_fmt(beta)}",
-            f"loglog_r_squared: {_fmt(r2log)}",
+    with _naming(args.input, RegimeError):
+        split = regime.two_line_split(points, k=args.k_lines, outlier_ids=exclude)
+        intercept, slope, r2, int_se, slope_se = regime.inertia_axis(points)
+        lines = [
+            f"intercept: {_fmt(intercept)} +/- {_fmt(int_se)}",
+            f"slope: {_fmt(slope)} +/- {_fmt(slope_se)}",
+            f"r_squared: {_fmt(r2)}",
         ]
+        x, y = points.arrays()
+        if x.min() > 0 and y.min() > 0:
+            c, beta, r2log = regime.loglog_power_fit(points)
+            lines += [
+                f"loglog_c: {_fmt(c)}",
+                f"loglog_beta: {_fmt(beta)}",
+                f"loglog_r_squared: {_fmt(r2log)}",
+            ]
+    out.write("regime_split.csv", regime.export_split(points, split))
     out.write("regime_axis.txt", "\n".join(lines) + "\n")
 
 
@@ -364,7 +365,8 @@ def cmd_report(args, out: OutputDir) -> None:
     points = regime.ScatterSet(tuple(zip(map(x.ids.__getitem__, ox.tolist()),
                                          x.values[ox].tolist(), y.values[oy].tolist())))
     exclude = tuple(args.exclude.split(",")) if args.exclude else ()
-    split = regime.two_line_split(points, k=args.k_lines, outlier_ids=exclude)
+    with _naming(args.input, RegimeError):
+        split = regime.two_line_split(points, k=args.k_lines, outlier_ids=exclude)
     parts.append("[two-regime split]")
     parts.append("slopes: " + ",".join(_fmt(s) for s in split.slopes))
     parts.append(f"overall_slope: {_fmt(split.overall_slope)}")

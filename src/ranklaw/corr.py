@@ -61,14 +61,15 @@ def _tied_pairs(sizes: np.ndarray) -> int:
 
 
 _BLOCK = 32
+_UPPER = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), k=1)  # the pairs i < j of a block
 
 
 def _inversions(codes: np.ndarray) -> int:
     """The number of pairs i < j with codes[i] > codes[j], for integer codes in
-    [0, n): Knight's merge count, bottom-up.  One broadcast compare counts the
-    inversions inside each block of _BLOCK; then at each doubling level one
-    searchsorted counts, for every sorted run, the elements of its right
-    neighbour below each of its own, and one sort merges the two."""
+    [0, n): Knight's merge count, bottom-up.  One masked broadcast compare
+    counts the inversions inside each block of _BLOCK; then at each doubling
+    level one searchsorted counts, for every sorted run, the elements of its
+    right neighbour below each of its own, and one sort merges the two."""
     n = codes.size
     size = _BLOCK
     while size < n:
@@ -76,7 +77,7 @@ def _inversions(codes: np.ndarray) -> int:
     runs = np.full(size, n, dtype=np.int64)  # padded at the end above every code
     runs[:n] = codes
     blocks = runs.reshape(-1, _BLOCK)
-    count = int(np.count_nonzero(np.triu(blocks[:, :, None] > blocks[:, None, :], k=1)))
+    count = int(np.count_nonzero((blocks[:, :, None] > blocks[:, None, :]) & _UPPER))
     runs = np.sort(blocks, axis=1)
     width = _BLOCK
     while width < size:
@@ -91,27 +92,31 @@ def _inversions(codes: np.ndarray) -> int:
     return count
 
 
-def kendall_counts_xy(x, y) -> PairCounts:
-    """O(n log n) concordant/discordant/tie pair counts for two value series."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size != y.size:
-        raise CorrelationError(f"length mismatch: {x.size} vs {y.size}")
-    require_finite(x, CorrelationError)
-    require_finite(y, CorrelationError)
-    n = x.size
-    n0 = n * (n - 1) // 2
-    # integer ranks that keep each series' order and ties, and the tie sizes
-    (_, cx, kx), (_, cy, ky) = (np.unique(v, return_inverse=True, return_counts=True)
-                                for v in (x, y))
+def _ranked(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """(integer codes that keep a finite series' order and ties, its tied pairs)."""
+    require_finite(values, CorrelationError)
+    _, codes, sizes = np.unique(values, return_inverse=True, return_counts=True)
+    return codes, _tied_pairs(sizes)
+
+
+def _pair_counts(cx: np.ndarray, n1: int, cy: np.ndarray, n2: int) -> PairCounts:
+    """Pair counts of two series of one length from their _ranked codes and tied pairs."""
+    n = cx.size
     key = cx * n + cy
-    order = np.argsort(key)
-    n1, n2, n3 = map(_tied_pairs, (kx, ky, np.unique(key, return_counts=True)[1]))
+    n3 = _tied_pairs(np.unique(key, return_counts=True)[1])
     # after sorting by (x, y), strict inversions in y are exactly the
     # discordant pairs: x-tied runs are y-ascending and contribute none
-    q = _inversions(cy[order])
-    p = n0 - n1 - n2 + n3 - q
+    q = _inversions(cy[np.argsort(key)])
+    p = n * (n - 1) // 2 - n1 - n2 + n3 - q
     return PairCounts(p, q, n1 - n3, n2 - n3, n3)
+
+
+def kendall_counts_xy(x, y) -> PairCounts:
+    """O(n log n) concordant/discordant/tie pair counts for two value series."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.size != y.size:
+        raise CorrelationError(f"length mismatch: {x.size} vs {y.size}")
+    return _pair_counts(*_ranked(x), *_ranked(y))
 
 
 def kendall_counts_brute(x, y) -> PairCounts:
@@ -224,12 +229,13 @@ def pairwise_matrix(panel: Panel, window: list[int] | None = None) -> PairwiseMa
 
     labels = tuple(columns)
     n = len(avg)
+    ranked = {label: _ranked(column) for label, column in columns.items()}
     counts: dict[tuple[str, str], PairCounts] = {}
     tau: dict[tuple[str, str], float] = {}
     zs: dict[tuple[str, str], float] = {}
     for i, a in enumerate(labels):
         for b in labels[i + 1:]:
-            c = kendall_counts_xy(columns[a], columns[b])
+            c = _pair_counts(*ranked[a], *ranked[b])
             counts[(a, b)] = c
             tau_a, _ = kendall_tau(c)
             tau[(a, b)] = tau_a

@@ -14,7 +14,8 @@ from __future__ import annotations
 import csv
 import math
 import operator
-from itertools import chain, compress, count, filterfalse
+from collections import defaultdict
+from itertools import chain, compress, count, islice
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -195,38 +196,39 @@ def parse_panel(text: str) -> Panel:
             raise IngestError("wide form needs at least one year column")
         last = {year: j for j, year in enumerate(wide_years)}  # a repeated year's last column
 
-    index: dict[str, int] = {}
+    index: defaultdict[str, int] = defaultdict(count().__next__)  # entities, as first seen
     # each entity's first name, region, province; a tuple each would wake the GC every chunk
     labels: tuple[list[str], ...] = ([], [], [])
     # the column of each year, numbered in the order the years are first seen
     positions = {} if long_form else {year: j for j, year in enumerate(sorted(last))}
-    column_of: dict[str, int] = {}  # long form: column of each year cell, -1 if malformed
+    cell_no = defaultdict(count().__next__)  # long form: raw year cells, as first seen
+    columns: list[int] = []  # long form: the column of each raw year cell, -1 if malformed
     filled = np.zeros((0, 0), dtype=bool)  # long form: the cells read, by entity and column
     first_cells = np.empty((0, 3), dtype=object)  # long form: each entity's first raw labels
     parts = []  # (entity, column, value) arrays of each chunk
     for row_nums, table in chunks:
         n = len(row_nums)
-        columns = table.T.tolist()
-        ids = list(map(str.strip, columns[0]))
+        ids = list(map(str.strip, table[:, 0].tolist()))
         start = len(index)
-        index.update(zip(list(filterfalse(index.__contains__, dict.fromkeys(ids))), count(start)))
         entity = np.fromiter(map(index.__getitem__, ids), np.intp, n)
-        # new entities take the next indices, so their first rows are where the
-        # running max of the indices, seeded below this chunk's new ones, rises
-        firsts = np.flatnonzero(np.diff(np.maximum.accumulate(np.r_[start - 1, entity])) > 0)
-        first_rows = firsts.tolist()
-        for first, column in zip(labels, columns[1:4]):
-            first.extend(map(str.strip, map(column.__getitem__, first_rows)))
+        # new entities take the next indices as they are first seen, so the
+        # running max of the indices first reaches each new one at its first row
+        firsts = np.maximum.accumulate(entity).searchsorted(np.arange(start, len(index)))
+        new_cells = table[firsts, 1:4]
+        for first, column in zip(labels, new_cells.T.tolist()):
+            first.extend(map(str.strip, column))
 
         checks = []  # (rows that fail, fault of row i) of each check, in a row's check order
         if long_form:
-            for raw in set(columns[4]).difference(column_of):
+            year_cells = table[:, 4].tolist()
+            number = np.fromiter(map(cell_no.__getitem__, year_cells), np.intp, n)
+            for raw in islice(cell_no, len(columns), None):  # the cells new in this chunk
                 year = _or_none(int, raw)
-                column_of[raw] = -1 if year is None else positions.setdefault(year, len(positions))
-            column = np.fromiter(map(column_of.__getitem__, columns[4]), np.intp, n)
-            checks.append((column < 0, lambda i: f"malformed year {columns[4][i]!r}"))
+                columns.append(-1 if year is None else positions.setdefault(year, len(positions)))
+            column = np.array(columns)[number]
+            checks.append((column < 0, lambda i: f"malformed year {year_cells[i]!r}"))
         cells = []
-        for raw in columns[5:] if long_form else columns[4:]:
+        for raw in table[:, 5 if long_form else 4:].T.tolist():
             cell_values, invalid = _value_column(raw)
             cells.append(cell_values)
             checks.append((invalid, lambda i, raw=raw: _value_fault(raw[i].strip())))
@@ -237,13 +239,13 @@ def parse_panel(text: str) -> Panel:
                 grow = max(height, len(index) - height) if height < len(index) else 0
                 filled = np.pad(filled, ((0, grow), (0, len(positions) + 1 - width)))
                 first_cells = np.concatenate([first_cells, np.empty((grow, 3), dtype=object)])
-            first_cells[start:len(index)] = table[firsts, 1:4]
+            first_cells[start:len(index)] = new_cells
             # a row repeats an entity if its labels differ from the entity's
             # first row's, or if it fills a cell already filled; the stripped
             # labels can differ only where the raw cells do
             repeats = np.zeros(n, dtype=bool)
             for i in np.flatnonzero((table[:, 1:4] != first_cells[entity]).any(axis=1)).tolist():
-                repeats[i] = ([columns[k][i].strip() for k in (1, 2, 3)]
+                repeats[i] = (list(map(str.strip, table[i, 1:4].tolist()))
                               != [first[entity[i]] for first in labels])
             # column -1, a malformed year, takes the spare last column; such a
             # row fails before its repeat check and hides every fault after it
@@ -305,32 +307,37 @@ def apply_merge_ledger(panel: Panel, ledger: MergeLedger) -> Panel:
 
     Per-year target values are the sum of the component values, so panel-wide
     totals are preserved.  A year is missing in the target iff it is missing
-    in any component.  A target takes its region and province from its first
-    component.
+    in any component; a sum that overflows raises IngestError.  A target takes
+    its region and province from its first component.
     """
-    index = {eid: i for i, eid in enumerate(panel.ids)}
-    for entry in ledger.entries:
-        for cid in entry.component_ids:
-            if cid not in index:
-                raise IngestError(f"unknown component_id {cid!r}")
-    merged_away = {index[cid] for entry in ledger.entries for cid in entry.component_ids}
-    keep = [i for i in range(len(panel.ids)) if i not in merged_away]
-    taken = {panel.ids[i] for i in keep}
-    for entry in ledger.entries:
-        if entry.target_id in taken:
-            raise IngestError(
-                f"target_id {entry.target_id!r} collides with a surviving record"
-            )
-        taken.add(entry.target_id)
+    named = {eid for entry in ledger.entries for eid in (entry.target_id, *entry.component_ids)}
+    found = list(map(named.__contains__, panel.ids))
+    index = dict(zip(compress(panel.ids, found), compress(count(), found)))
+    try:
+        rows = [list(map(index.__getitem__, entry.component_ids)) for entry in ledger.entries]
+    except KeyError as exc:
+        raise IngestError(f"unknown component_id {exc.args[0]!r}") from None
+    keep = np.ones(len(panel.ids), dtype=bool)
+    keep[list(chain.from_iterable(rows))] = False
+    survivors = keep.tolist()
+    targets = [entry.target_id for entry in ledger.entries]
+    taken: set[str] = set()
+    for target in targets:
+        if target in taken or target in index and survivors[index[target]]:
+            raise IngestError(f"target_id {target!r} collides with a surviving record")
+        taken.add(target)
 
-    sources = keep + [index[entry.component_ids[0]] for entry in ledger.entries]
-    sums = [sum(panel.values[index[cid]] for cid in entry.component_ids)
-            for entry in ledger.entries]
+    with np.errstate(over="ignore"):  # sum() adds each target's rows to 0 in ledger order
+        sums = [sum(panel.values[row]) for row in rows]
+    if np.isinf(sums).any():
+        k, j = divmod(int(np.argmax(np.isinf(sums))), len(panel.years))
+        raise IngestError(f"the sum for target {targets[k]!r} in year {panel.years[j]} overflows")
     return Panel(
         panel.quantity_label, panel.years,
-        tuple([panel.ids[i] for i in keep] + [entry.target_id for entry in ledger.entries]),
-        tuple([panel.names[i] for i in keep] + [entry.target_name for entry in ledger.entries]),
-        tuple(panel.regions[i] for i in sources), tuple(panel.provinces[i] for i in sources),
+        (*compress(panel.ids, survivors), *targets),
+        (*compress(panel.names, survivors), *(entry.target_name for entry in ledger.entries)),
+        (*compress(panel.regions, survivors), *(panel.regions[row[0]] for row in rows)),
+        (*compress(panel.provinces, survivors), *(panel.provinces[row[0]] for row in rows)),
         np.vstack([panel.values[keep], *sums]), panel.provenance,
     )
 

@@ -13,6 +13,9 @@ from ranklaw import cli, fit, rank
 from ranklaw.errors import RanklawError
 from tests.conftest import LONG_PANEL, REGION_COUNTS_2011
 
+# a floating-point fault must end a command as an error, never pass as a warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _write_region_ranking(path):
     values = {f"reg{i:02d}": float(v) for i, v in enumerate(REGION_COUNTS_2011)}
@@ -500,7 +503,7 @@ def test_regime_rejects_an_unknown_exclude_id(tmp_path, capsys):
     assert cli.main(["regime", "--input", str(scatter), "--exclude", "a0,zz,b9",
                      "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err == "ranklaw: regime: outlier ids not in the scatter: 2 ids: 'b9', 'zz'\n"
+    assert err == f"ranklaw: regime: {scatter}: outlier ids not in the scatter: 2 ids: 'b9', 'zz'\n"
     assert list(out.iterdir()) == []
 
 
@@ -514,8 +517,47 @@ def test_report_rejects_an_unknown_exclude_id(tmp_path, capsys):
     assert cli.main(["report", "--input", str(ati), "--population", str(ati),
                      "--exclude", "c1,zz", "--out", str(out / "x")]) == 1
     err = capsys.readouterr().err
-    assert err == "ranklaw: report: outlier ids not in the scatter: 1 ids: 'zz'\n"
+    assert err == f"ranklaw: report: {ati}: outlier ids not in the scatter: 1 ids: 'zz'\n"
     assert list((out / "x").iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["regime", "report"])
+def test_too_few_points_for_the_split_names_the_file(tmp_path, capsys, command):
+    rows = [(f"c{i}", 100 * i + 7 * (i % 3), 110 * i) for i in range(1, 5)]
+    data = tmp_path / "four.csv"
+    if command == "regime":
+        data.write_text("entity_id,x,y\n" + "".join(f"{e},{x},{y}\n" for e, x, y in rows))
+        argv = ["regime", "--input", str(data)]
+    else:
+        data.write_text("entity_id,name,region,province,2007,2008\n" + "".join(
+            f"{e},N{e},R1,P1,{x},{y}\n" for e, x, y in rows))
+        argv = ["report", "--input", str(data), "--population", str(data)]
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--k-lines", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"ranklaw: {command}: {data}: need at least 5 points after outlier exclusion\n")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["ingest", "corr"])
+def test_a_merged_sum_that_overflows_names_the_ledger(tmp_path, capsys, command):
+    income, pop, ledger = (tmp_path / "income.csv", tmp_path / "pop.csv",
+                           tmp_path / "merges.csv")
+    income.write_text("entity_id,name,region,province,2007,2008\n"
+                      "c1,Alpha,R1,P1,1e308,1e308\nc2,Beta,R1,P1,1e308,1e308\n"
+                      "c3,Gamma,R2,P2,5,6\nc4,Delta,R2,P2,9,8\n")
+    pop.write_text("entity_id,name,region,province,2011\n"
+                   "c12,AlphaBeta,R1,P1,31\nc3,Gamma,R2,P2,6\nc4,Delta,R2,P2,8\n")
+    ledger.write_text("target_id,target_name,component_ids,effective_year\n"
+                      "c12,AlphaBeta,c1;c2,2008\n")
+    out = tmp_path / "out"
+    argv = [command, "--input", str(income), "--merges", str(ledger), "--out", str(out)]
+    if command == "corr":
+        argv += ["--population", str(pop)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"ranklaw: {command}: {ledger}: the sum for target 'c12' in year 2007 overflows\n")
+    assert list(out.iterdir()) == []
 
 
 def test_ingest_with_population_reads_a_year_ordered_panel(tmp_path):

@@ -285,3 +285,43 @@ def test_tau_b_matches_scipy_at_city_count(rng):
     y = x + rng.integers(0, 500, 8092)
     tau_b = corr.kendall_tau(corr.kendall_counts_xy(x, y))[1]
     assert tau_b == pytest.approx(scipy_stats.kendalltau(x, y).statistic, abs=1e-12)
+
+
+# lengths around the 32-element blocks and the doubling levels, and any other
+# up to 300; codes repeat whenever fewer distinct ones than the length are drawn
+@st.composite
+def _codes_with_repeats(draw):
+    n = draw(st.sampled_from([0, 1, 31, 32, 33, 64, 65, 257, 300]) | st.integers(0, 300))
+    distinct = draw(st.integers(1, max(n, 1)))
+    return np.array(draw(st.lists(st.integers(0, distinct - 1), min_size=n, max_size=n)),
+                    dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_codes_with_repeats())
+def test_inversions_equal_a_brute_force_count(codes):
+    brute = sum(int(np.count_nonzero(codes[i] > codes[i + 1:])) for i in range(codes.size))
+    assert corr._inversions(codes) == brute
+
+
+def test_pairwise_matrix_equals_brute_force_on_tied_columns(rng):
+    for _ in range(100):
+        n, years = int(rng.integers(3, 12)), int(rng.integers(2, 5))
+        # each column takes at most two to five distinct values, so most cells tie
+        values = rng.integers(0, rng.integers(2, 6, size=years), size=(n, years)).astype(float)
+        panel = ingest.Panel("q", tuple(range(2007, 2007 + years)),
+                             tuple(f"e{i}" for i in range(n)), ("N",) * n, ("R",) * n,
+                             ("P",) * n, values)
+        columns = {str(year): panel.column(year) for year in panel.years}
+        columns[corr.AVERAGE_LABEL] = list(ingest.average_over_years(panel).values())
+        brute = {(a, b): corr.kendall_counts_brute(columns[a], columns[b])
+                 for i, a in enumerate(columns) for b in list(columns)[i + 1:]}
+        if any(c.p + c.q == 0 for c in brute.values()):
+            with pytest.raises(CorrelationError, match="all pairs tied"):
+                corr.pairwise_matrix(panel)
+            continue
+        m = corr.pairwise_matrix(panel)
+        assert m.counts == brute
+        for pair, counts in brute.items():
+            tau = corr.kendall_tau(counts)[0]
+            assert (m.tau[pair], m.z[pair]) == (tau, corr.z_score(tau, n)[1])

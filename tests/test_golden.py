@@ -23,6 +23,9 @@ from ranklaw import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
+# a floating-point fault must end a command as an error, never pass as a warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 MERGES = {"m1": ("e03", "e04"), "m2": ("e10", "e11", "e12"), "m3": ("e20", "e21")}
 
 

@@ -310,7 +310,64 @@ def test_merged_sums_add_components_in_ledger_order(rows, data):
     ledger = ingest.MergeLedger(tuple(
         ingest.MergeEntry(f"m{t}", f"M{t}", tuple(f"e{i}" for i in group), 2009)
         for t, group in enumerate(groups)))
+    with np.errstate(over="ignore"):
+        expected = [sum(panel.values[i] for i in group) for group in groups]  # from 0, in order
+    overflows = [(t, year) for t, sums in enumerate(expected)
+                 for year, v in zip(panel.years, sums) if math.isinf(v)]
+    if overflows:
+        t, year = overflows[0]
+        with pytest.raises(IngestError, match=f"'m{t}' in year {year} overflows"):
+            ingest.apply_merge_ledger(panel, ledger)
+        return
     merged = ingest.apply_merge_ledger(panel, ledger)
-    for t, group in enumerate(groups):
-        expected = sum(panel.values[i] for i in group)  # from 0, in ledger order
-        assert merged.values[merged.ids.index(f"m{t}")].tobytes() == expected.tobytes()
+    for t, sums in enumerate(expected):
+        assert merged.values[merged.ids.index(f"m{t}")].tobytes() == sums.tobytes()
+
+
+def _merged_labels(panel, ledger):
+    """(ids, names, regions, provinces) of the merged panel, entity by entity:
+    the survivors in panel order, then each target with its first component's
+    region and province; None where a target collides."""
+    away = {cid for entry in ledger.entries for cid in entry.component_ids}
+    kept = [i for i, eid in enumerate(panel.ids) if eid not in away]
+    taken = {panel.ids[i] for i in kept}
+    for entry in ledger.entries:
+        if entry.target_id in taken:
+            return None
+        taken.add(entry.target_id)
+    firsts = [panel.ids.index(entry.component_ids[0]) for entry in ledger.entries]
+    return (tuple(panel.ids[i] for i in kept) + tuple(e.target_id for e in ledger.entries),
+            tuple(panel.names[i] for i in kept) + tuple(e.target_name for e in ledger.entries),
+            tuple(panel.regions[i] for i in kept + firsts),
+            tuple(panel.provinces[i] for i in kept + firsts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_merged_labels_equal_a_per_entity_reference(n, data):
+    regions = data.draw(st.lists(st.sampled_from("RS"), min_size=n, max_size=n))
+    provinces = data.draw(st.lists(st.sampled_from("PQT"), min_size=n, max_size=n))
+    panel = ingest.Panel("q", (2007,), tuple(f"e{i}" for i in range(n)),
+                         tuple(f"N{i}" for i in range(n)), tuple(regions), tuple(provinces),
+                         np.ones((n, 1)))
+    components = data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))]
+    groups, at = [], 0
+    while at < len(components):
+        size = data.draw(st.integers(1, 3))
+        groups.append(components[at:at + size])
+        at += size
+    # a target takes a new id, or any panel id but its own components': one
+    # merged away elsewhere is free, a survivor's collides, as does a repeated target
+    targets = [data.draw(st.sampled_from([f"m{t}", f"m{t % 2}"]
+                                         + [f"e{i}" for i in range(n) if i not in group]))
+               for t, group in enumerate(groups)]
+    ledger = ingest.MergeLedger(tuple(
+        ingest.MergeEntry(target, target.upper(), tuple(f"e{i}" for i in group), 2009)
+        for target, group in zip(targets, groups)))
+    expected = _merged_labels(panel, ledger)
+    if expected is None:
+        with pytest.raises(IngestError, match="collides with a surviving record"):
+            ingest.apply_merge_ledger(panel, ledger)
+        return
+    merged = ingest.apply_merge_ledger(panel, ledger)
+    assert (merged.ids, merged.names, merged.regions, merged.provinces) == expected

@@ -241,7 +241,7 @@ def test_regime_k3_on_wide_directions_is_one_error_line(tmp_path, capsys):
                      "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("ranklaw: regime: a 3-line split needs")
+    assert err.startswith(f"ranklaw: regime: {scatter}: a 3-line split needs")
     assert err.count("\n") == 1
 
 
@@ -335,3 +335,35 @@ def test_export_split_layout():
     assert lines[0] == "entity_id,x,y,class"
     assert any(l.startswith("# slopes:") for l in lines)
     assert any(l.startswith("# objective:") for l in lines)
+
+
+def _arc_optimum(x, y, k):
+    """The least objective over the splits of the points, taken in the circular
+    order of their directions mod pi, into k arcs."""
+    order = np.argsort(np.mod(np.arctan2(y, x), np.pi))
+    xs, ys = x[order], y[order]
+    best = np.inf
+    for cuts in itertools.combinations(range(x.size), k):
+        # an arc runs from one cut to the next; the last wraps round to the first
+        labels = np.searchsorted(cuts, np.arange(x.size), side="right") % k
+        objective = 0.0
+        for c in range(k):
+            cx, cy = xs[labels == c], ys[labels == c]
+            a, b, d = cx @ cx, cx @ cy, cy @ cy
+            objective += (a + d) / 2 - np.hypot((a - d) / 2, b)  # the smaller eigenvalue
+        best = min(best, objective)
+    return best
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_the_split_objective_is_the_least_over_arc_splits(k):
+    # criterion 10's monotone-objective check reads objective_trace, which the
+    # exact split leaves empty; this checks the objective itself
+    rng = np.random.default_rng(10 + k)
+    for _ in range(40):
+        n = int(rng.integers(k + 2, 11))
+        # three lines need every direction within a right angle: one quadrant
+        x, y = rng.random((2, n)) if k == 3 else rng.normal(size=(2, n))
+        split = regime.two_line_split(_scatter(x, y), k=k)
+        tolerance = 1e-9 * float(np.sum(x * x + y * y))
+        assert split.objective == pytest.approx(_arc_optimum(x, y, k), abs=tolerance)
