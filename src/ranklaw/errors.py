@@ -12,7 +12,7 @@ class IngestError(RanklawError):
 
 
 class PanelGapError(IngestError):
-    """A missing cell or year in one of several panels; `panel` is the one that has it."""
+    """A missing cell or year, or an overflowing sum, in `panel`, one of several."""
 
     def __init__(self, message: str, panel):
         super().__init__(message)

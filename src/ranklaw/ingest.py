@@ -5,8 +5,8 @@ tax income or population), keyed by a stable entity id carrying region and
 province membership, and held as columns: one tuple per label and one float64
 matrix of entities by years.  Administrative consolidations are applied
 through a MergeLedger; per-year values of merged entities are summed, which
-preserves panel-wide totals.  The rows of every file are read by the reader
-module, which ranking and scatter files need alone.
+preserves panel-wide totals.  Every file but a plain panel is read by the
+reader module, which ranking and scatter files need alone.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
+import re
 from collections import defaultdict
 from itertools import chain, compress, count, islice
 from types import SimpleNamespace
@@ -73,6 +74,11 @@ class Panel(NamedTuple):
                 f"panel columns disagree: {n} ids, {len(self.names)} names, "
                 f"{len(self.regions)} regions, {len(self.provinces)} provinces, "
                 f"{len(self.years)} years and a {self.values.shape} value matrix")
+        bad = np.isinf(self.values) | (self.values < 0)  # NaN marks a missing value
+        if bad.any():
+            i, j = divmod(int(np.argmax(bad)), len(self.years))
+            raise IngestError(f"value {self.values[i, j]} for {self.ids[i]!r} in year "
+                              f"{self.years[j]} is negative or infinite")
         self.values.setflags(write=False)
 
     def __eq__(self, other):
@@ -162,25 +168,110 @@ def _value_column(raw) -> tuple[np.ndarray, np.ndarray]:
         return values, ~missing & ~(np.isfinite(values) & (values >= 0))
 
 
+def _metadata(lines: list[str]) -> tuple[str, str]:
+    """(quantity_label, provenance) from the '#' lines of `lines`; a later line overrides."""
+    meta = {key: value.strip() for key, colon, value in
+            (line[1:].strip().partition(":") for line in lines if line[:1] == "#") if colon}
+    return meta.get("quantity_label", "value"), meta.get("provenance", "")
+
+
+# '#' and blank lines, then a header line of tabs and printable ASCII but '"'
+_HEAD = re.compile(r"(?:#.*\n|[ \t]*\n)*([\t -!#-~]*)\n")
+# beyond ASCII: where str.splitlines breaks, what str.strip strips, lone surrogates
+_UNPLAIN = re.compile(r"[\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000\ud800-\udfff]")
+# numpy 2.4's bytes-to-float cast was checked to read a plain number as float() does
+_CAST_CHECKED = np.lib.NumpyVersion(np.__version__) >= "2.4.0"
+
+
+def _plain_panel(text: str) -> Panel | None:
+    """The panel of a plain text whose every row is valid, read in one pass as
+    columns of UTF-8 bytes, or None.  A plain text breaks lines only at '\\n';
+    after its header it has rows of the header's width and no '"', '#' line,
+    control character but the delimiter, character in _UNPLAIN or edge space."""
+    head = _HEAD.match(text)
+    if not (_CAST_CHECKED and head) or len(head[0].splitlines()) != head[0].count("\n"):
+        return None
+    body, delimiter = text[head.end():], "\t" if "\t" in head[1] else ","
+    header = [h.strip() for h in head[1].split(delimiter)]
+    tail, long_form = header[4:], header[4:] == ["year", "value"]
+    if not (header[:4] == ID_COLUMNS and (long_form or tail and all(map(str.isdigit, tail)))
+            and '"' not in body and (body.isascii() or not _UNPLAIN.search(body))):
+        return None
+    buf = np.frombuffer((body if body.endswith("\n") else body + "\n").encode(), np.uint8)
+    seps = (buf == 10) | (buf == ord(delimiter))
+    # the separators before and after each field, by row; -1 comes before the first
+    bounds = np.r_[np.int32(-1), np.flatnonzero(seps).astype(np.int32)]
+    if len(bounds) % len(header) != 1 or len(buf) >= 2**31:
+        return None
+    before, ends = bounds[:-1].reshape(-1, len(header)), bounds[1:].reshape(-1, len(header))
+    longest = int((ends[:, -1] - before[:, 0]).max())
+    # a field under csv's size limit, and no cut over 4 times the text
+    if not (longest < min(csv.field_size_limit(), 4 * len(buf) // len(ends) + 1)
+            and np.count_nonzero(buf < 32) == (ends.size if delimiter == "\t" else len(ends))
+            and ((buf[ends] == 10) == (np.arange(len(header)) == len(header) - 1)).all()
+            and (buf[before[:, 0] + 1] != 35).all()
+            and (buf[before + 1] != 32).all() and (buf[ends - 1] != 32).all()):
+        return None
+    buf = np.concatenate([buf, np.zeros(longest, np.uint8)])
+
+    def cut(j, k):
+        """Fields j to k of every row, with the delimiters between, as fixed-width bytes."""
+        a, size = before[:, j] + 1, ends[:, k] - before[:, j] - 1
+        cells = np.lib.stride_tricks.sliding_window_view(buf, max(int(size.max()), 1))[a]
+        cells *= np.arange(cells.shape[1], dtype=np.int32) < size[:, None]
+        return cells.view(f"S{cells.shape[1]}").ravel()
+
+    # the value cells first: missing markers (NaN), or plain numbers >= 0 (NUL pads a cut)
+    cells = np.concatenate([cut(j, j) for j in range(5 if long_form else 4, len(header))])
+    missing = np.isin(cells, [marker.encode() for marker in MISSING_MARKERS])
+    with np.errstate(over="ignore"):
+        read = _or_none(lambda c: np.where(missing, b"nan", c).astype(float), cells)
+    if (read is None or cells[~missing].tobytes().translate(None, b"\0+-.0123456789Ee")
+            or np.isinf(read).any() or (read < 0).any()):
+        return None
+    # an entity is its id with its labels
+    spans, firsts, entity = np.unique(cut(0, 3), return_index=True, return_inverse=True)
+    order = np.argsort(firsts)
+    entity = np.argsort(order)[entity]  # numbered in the order first seen
+    # the id, name, region and province of each entity in turn
+    labels = b"\n".join(spans[order].tolist()).decode().replace(delimiter, "\n").split("\n")
+    if long_form:
+        # with return_index, np.unique sorts stably, which is faster on bytes
+        raw, _, column = np.unique(cut(4, 4), return_index=True, return_inverse=True)
+        if not all(map(bytes.isdigit, raw.tolist())):
+            return None
+        found, columns = list(map(int, raw.tolist())), [column]
+    else:
+        found, columns = list(map(int, tail)), range(len(tail))
+    years = sorted(set(found))
+    position = np.searchsorted(years, found)  # the column of each year found
+    at = np.concatenate([entity * len(years) + position[j] for j in columns])
+    ids = labels[::4]  # an id given other labels repeats
+    if not all(ids) or len(set(ids)) < len(ids) or np.bincount(at).max() > 1:
+        return None
+    values = np.full((len(spans), len(years)), np.nan)
+    values.flat[at] = read
+    quantity_label, provenance = _metadata(head[0].splitlines())
+    return Panel(quantity_label, tuple(years), *(tuple(labels[j::4]) for j in range(4)),
+                 values, provenance)
+
+
 def parse_panel(text: str) -> Panel:
     """Parse delimited text (long or wide form) into a Panel.
 
     Long form has columns entity_id,name,region,province,year,value; wide form
     replaces (year, value) with one column per year.  Lines starting with '#'
     carry optional metadata (quantity_label, provenance) and are skipped
-    otherwise.  The rows are read a chunk at a time and each check runs on a
-    chunk's columns; an error names the first row, in file order, that fails,
-    and the first check that row fails.
+    otherwise.  A plain text (see _plain_panel) with no faulty row is read in
+    one pass; any other is read a chunk at a time, each check running on a
+    chunk's columns, and an error names the first row in file order that
+    fails, and the first check that row fails.
     """
+    panel = _plain_panel(text)
+    if panel is not None:
+        return panel
     comments, header_no, header, chunks = _table(text, ID_COLUMNS)
-    quantity_label = "value"
-    provenance = ""
-    for line in comments:
-        meta = line[1:].strip()
-        if meta.startswith("quantity_label:"):
-            quantity_label = meta.split(":", 1)[1].strip()
-        elif meta.startswith("provenance:"):
-            provenance = meta.split(":", 1)[1].strip()
+    quantity_label, provenance = _metadata(comments)
 
     tail = header[len(ID_COLUMNS):]
     long_form = tail == ["year", "value"]
@@ -347,8 +438,8 @@ def aggregate_by_region(ati_panel: Panel, pop_panel: Panel) -> list[RegionAggreg
 
     n_inhabitants sums the population panel's last year; ati_by_year sums the
     member-city values per year and ati_mean averages those yearly totals.
-    Sums add the cities in panel order.  A missing cell raises PanelGapError
-    naming the panel that has it.
+    Sums add the cities in panel order.  A missing cell, or a total that
+    overflows, raises PanelGapError naming the panel that has it.
     """
     if set(ati_panel.ids) != set(pop_panel.ids):
         diff = id_sample(set(ati_panel.ids) ^ set(pop_panel.ids))
@@ -380,15 +471,21 @@ def aggregate_by_region(ati_panel: Panel, pop_panel: Panel) -> list[RegionAggreg
     aggregates = []
     for r, region in enumerate(regions):
         ati_by_year = {year: totals[r] for year, totals in zip(ati_panel.years, sums[1:])}
+        total = _or_none(math.fsum, ati_by_year.values())  # inf if a year's sum is
+        if math.isinf(sums[0][r]):
+            raise PanelGapError(f"the population of region {region!r} overflows", pop_panel)
+        if total is None or math.isinf(total):
+            raise PanelGapError(f"the income of region {region!r} overflows", ati_panel)
         aggregates.append(RegionAggregate(region, counts[r], sums[0][r], ati_by_year,
-                                          math.fsum(ati_by_year.values()) / len(ati_by_year)))
+                                          total / len(ati_by_year)))
     return aggregates
 
 
 def average_over_years(panel: Panel, window: list[int] | None = None) -> dict[str, float]:
     """Unweighted per-entity arithmetic mean of values over the year window;
     an empty or None window means every panel year.  Every window year is
-    checked to be in the panel before any window cell is checked to be there."""
+    checked to be in the panel before any window cell is checked to be there;
+    a sum that overflows raises IngestError."""
     if not panel.ids:
         raise IngestError("no entity rows to average")
     window = list(window or panel.years)
@@ -397,7 +494,12 @@ def average_over_years(panel: Panel, window: list[int] | None = None) -> dict[st
     if gaps.any():
         i, j = divmod(int(np.argmax(gaps)), len(window))
         raise IngestError(f"missing value for {panel.ids[i]!r} in year {window[j]}")
-    return dict(zip(panel.ids, [s / len(window) for s in map(math.fsum, block.tolist())]))
+    rows = block.tolist()
+    try:
+        return dict(zip(panel.ids, [s / len(window) for s in map(math.fsum, rows)]))
+    except OverflowError:
+        eid = panel.ids[[_or_none(math.fsum, row) for row in rows].index(None)]
+        raise IngestError(f"the sum for {eid!r} over the years {window} overflows") from None
 
 
 def serialize_panel(panel: Panel) -> str:

@@ -1,5 +1,5 @@
-"""The delimited-text reader every input file is read with, and the parsers of
-ranking and scatter files, which need nothing more (panels are in ingest)."""
+"""The chunked delimited-text reader every input file but a plain panel (see
+ingest) is read with, and the parsers of ranking and scatter files."""
 
 from __future__ import annotations
 
@@ -137,10 +137,10 @@ def _table(text: str, columns: list[str]):
 
 
 def _or_none(convert, cell):
-    """convert(cell), or None where it raises ValueError."""
+    """convert(cell), or None where it raises ValueError or OverflowError."""
     try:
         return convert(cell)
-    except ValueError:
+    except (ValueError, OverflowError):
         return None
 
 

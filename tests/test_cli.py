@@ -560,6 +560,42 @@ def test_a_merged_sum_that_overflows_names_the_ledger(tmp_path, capsys, command)
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["pairwise", "report"])
+def test_a_window_sum_that_overflows_names_the_input(tmp_path, capsys, command):
+    panel = tmp_path / "wide.csv"
+    panel.write_text("entity_id,name,region,province,2007,2008\n"
+                     "c1,Alpha,R1,P1,1e308,1.7e308\nc2,Beta,R1,P1,5,6\nc3,Gamma,R2,P2,9,8\n")
+    out = tmp_path / "out"
+    argv = [command, "--input", str(panel), "--out", str(out)]
+    if command == "report":
+        argv += ["--population", str(panel)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"ranklaw: {command}: {panel}: the sum for 'c1' over the years [2007, 2008] overflows\n")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("population, income, faulty, message", [
+    ("1e308", ("1e308,1", "1e308,1"), "pop", "the population of region 'R1' overflows"),
+    ("1", ("1e308,1", "1e308,1"), "income", "the income of region 'R1' overflows"),  # in 2007
+    ("1", ("1e308,1", "1,1e308"), "income", "the income of region 'R1' overflows"),  # in all
+])
+def test_a_regional_sum_that_overflows_names_its_panel(tmp_path, capsys, population, income,
+                                                       faulty, message):
+    paths = {"income": tmp_path / "income.csv", "pop": tmp_path / "pop.csv"}
+    paths["income"].write_text("entity_id,name,region,province,2007,2008\n"
+                               f"c1,Alpha,R1,P1,{income[0]}\nc2,Beta,R1,P1,{income[1]}\n"
+                               "c3,Gamma,R2,P2,9,8\n")
+    paths["pop"].write_text("entity_id,name,region,province,2011\n"
+                            f"c1,Alpha,R1,P1,{population}\nc2,Beta,R1,P1,1.7e308\n"
+                            "c3,Gamma,R2,P2,9\n")
+    out = tmp_path / "out"
+    assert cli.main(["ingest", "--input", str(paths["income"]), "--population",
+                     str(paths["pop"]), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"ranklaw: ingest: {paths[faulty]}: {message}\n"
+    assert list(out.iterdir()) == []
+
+
 def test_ingest_with_population_reads_a_year_ordered_panel(tmp_path):
     # 2 x 300 rows ordered by year cross a parse chunk boundary with every
     # entity already seen in the earlier chunk

@@ -1,6 +1,7 @@
 """Panel parsing on hostile input: any text gives a Panel or an IngestError, and
 an error names the first failing row in file order."""
 
+import contextlib
 import csv
 import tracemalloc
 from unittest import mock
@@ -34,6 +35,16 @@ def _outcome(text):
         return ingest.parse_panel(text)
     except IngestError as exc:
         return exc
+
+
+def _chunked():
+    """A patch under which parse_panel reads every text with the chunked
+    reader, which a plain text would otherwise bypass."""
+    return mock.patch.object(ingest, "_plain_panel", return_value=None)
+
+
+# parse_panel as it reads a text, and as it reads it with the chunked reader
+BOTH_PATHS = [contextlib.nullcontext, _chunked]
 
 
 @settings(max_examples=300, deadline=None)
@@ -82,7 +93,7 @@ def test_chunk_size_does_not_change_the_outcome(rows, chunk_rows):
     # first seen in an earlier chunk
     text = "\n".join([HEADERS[0]] + [",".join(row) for row in rows]) + "\n"
     expected = _outcome(text)
-    with mock.patch.object(reader, "_CHUNK_ROWS", chunk_rows):
+    with mock.patch.object(reader, "_CHUNK_ROWS", chunk_rows), _chunked():
         result = _outcome(text)
     assert type(result) is type(expected)
     if isinstance(expected, IngestError):
@@ -114,13 +125,14 @@ def test_parse_panel_agrees_with_the_reference_parser(header, rows, order, delim
         expected = reference_ingest.parse_panel(text)
     except IngestError as exc:
         expected = exc
-    with mock.patch.object(reader, "_CHUNK_ROWS", chunk_rows):
-        result = _outcome(text)
-    assert type(result) is type(expected)
-    if isinstance(expected, IngestError):
-        assert str(result) == str(expected)
-    else:
-        assert result == expected
+    for path in BOTH_PATHS:
+        with mock.patch.object(reader, "_CHUNK_ROWS", chunk_rows), path():
+            result = _outcome(text)
+        assert type(result) is type(expected)
+        if isinstance(expected, IngestError):
+            assert str(result) == str(expected)
+        else:
+            assert result == expected
 
 
 LONG = "entity_id,name,region,province,year,value\n"
@@ -143,10 +155,12 @@ def test_a_year_ordered_panel_parses_in_the_memory_of_an_entity_ordered_one():
     texts = [LONG + "".join(f"e{i},N{i},R{i % 7},P{i % 3},{year},{i * year}\n"
                             for i, year in order)
              for order in (cells, sorted(cells, key=lambda cell: cell[1]))]
-    (by_entity, entity_peak), (by_year, year_peak) = map(_parse_peak, texts)
-    assert by_year == reference_ingest.parse_panel(texts[1])
-    assert by_year.values.shape == (600, 12)
-    assert year_peak < 1.5 * entity_peak
+    for path in BOTH_PATHS:
+        with path():
+            (by_entity, entity_peak), (by_year, year_peak) = map(_parse_peak, texts)
+        assert by_year == reference_ingest.parse_panel(texts[1])
+        assert by_year.values.shape == (600, 12)
+        assert year_peak < 1.5 * entity_peak
 
 
 @pytest.mark.parametrize("text, message", [
@@ -256,9 +270,11 @@ def _long_rows(count):
 
 
 def test_rows_are_read_across_chunks():
-    panel = ingest.parse_panel(LONG + "\n".join(_long_rows(1200)) + "\n")
-    assert len(panel.ids) == 600 and panel.years == (2007, 2008)
-    assert panel.values[599].tolist() == [1199.0, 1200.0]
+    for path in BOTH_PATHS:
+        with path():
+            panel = ingest.parse_panel(LONG + "\n".join(_long_rows(1200)) + "\n")
+        assert len(panel.ids) == 600 and panel.years == (2007, 2008)
+        assert panel.values[599].tolist() == [1199.0, 1200.0]
 
 
 @pytest.mark.parametrize("line, message", [
@@ -278,13 +294,15 @@ def test_year_ordered_rows_across_chunks():
     # every row after the first chunk is of an entity seen before, except the last
     rows = [f"e{i:03d},E{i},R{i % 3},P{i % 2},{year},{i + 1}"
             for year in (2007, 2008) for i in range(400)]
-    panel = ingest.parse_panel(LONG + "\n".join(rows + ["late,Late,R1,P9,2008,7"]) + "\n")
-    assert panel.ids == tuple(f"e{i:03d}" for i in range(400)) + ("late",)
-    assert panel.names == tuple(f"E{i}" for i in range(400)) + ("Late",)
-    assert panel.regions == tuple(f"R{i % 3}" for i in range(400)) + ("R1",)
-    assert panel.provinces == tuple(f"P{i % 2}" for i in range(400)) + ("P9",)
-    assert panel.values[:400].tolist() == [[i + 1, i + 1] for i in range(400)]
-    assert np.isnan(panel.values[400, 0]) and panel.values[400, 1] == 7
+    for path in BOTH_PATHS:
+        with path():
+            panel = ingest.parse_panel(LONG + "\n".join(rows + ["late,Late,R1,P9,2008,7"]) + "\n")
+        assert panel.ids == tuple(f"e{i:03d}" for i in range(400)) + ("late",)
+        assert panel.names == tuple(f"E{i}" for i in range(400)) + ("Late",)
+        assert panel.regions == tuple(f"R{i % 3}" for i in range(400)) + ("R1",)
+        assert panel.provinces == tuple(f"P{i % 2}" for i in range(400)) + ("P9",)
+        assert panel.values[:400].tolist() == [[i + 1, i + 1] for i in range(400)]
+        assert np.isnan(panel.values[400, 0]) and panel.values[400, 1] == 7
 
 
 def test_a_misaligned_panel_is_refused():
@@ -298,6 +316,17 @@ def test_a_misaligned_panel_is_refused():
             ingest.Panel(**{**columns, name: value})
     with pytest.raises(IngestError, match="^duplicate entity_id in 1 ids: 'a'$"):
         ingest.Panel(**{**columns, "ids": ("a", "a")})
+
+
+def test_a_panel_refuses_infinite_and_negative_values():
+    columns = dict(quantity_label="q", years=(2007, 2008), ids=("a", "b"), names=("A", "B"),
+                   regions=("R1", "R1"), provinces=("P1", "P1"))
+    # NaN marks a missing value, and -0.0 is a value >= 0
+    assert ingest.Panel(**columns, values=np.array([[np.nan, 1.0], [-0.0, 2.0]])).ids == ("a", "b")
+    for cells, message in [([[1.0, 2.0], [np.inf, 3.0]], "value inf for 'b' in year 2007"),
+                           ([[1.0, -3.0], [1.0, -np.inf]], "value -3.0 for 'a' in year 2008")]:
+        with pytest.raises(IngestError, match=f"^{message} is negative or infinite$"):
+            ingest.Panel(**columns, values=np.array(cells))
 
 
 def _reads(read_header, read_chunk):
