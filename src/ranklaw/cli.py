@@ -139,13 +139,13 @@ def _load_ranked(path: str, window: list[int] | None,
     panel = _merged(panel, merges)
     with _naming(path):
         averages = ingest.average_over_years(panel, window)
-    return rank.rank_desc(averages, names=dict(zip(panel.ids, panel.names)))
+    return rank.rank_desc((panel.ids, averages), names=panel.names)
 
 
 def _load_scatter(path: str) -> regime.ScatterSet:
     from . import reader, regime
     with _naming(path):
-        return regime.ScatterSet(tuple(reader.parse_scatter(Path(path).read_text())))
+        return regime.ScatterSet.from_points(reader.parse_scatter(Path(path).read_text()))
 
 
 def _check_amplitude(amplitude: float | None) -> None:
@@ -174,12 +174,9 @@ def cmd_ingest(args, out: OutputDir) -> None:
         except PanelGapError as exc:
             path = args.population if exc.panel is pop else args.input
             raise IngestError(f"{path}: {exc}") from None
-        lines = ["region,n_cities,n_inhabitants,ati_mean"]
-        for agg in aggregates:
-            lines.append(
-                f"{agg.region},{agg.n_cities},{_fmt(agg.n_inhabitants)},{_fmt(agg.ati_mean)}"
-            )
-        out.write("regions.csv", "\n".join(lines) + "\n")
+        out.write("regions.csv", "region,n_cities,n_inhabitants,ati_mean\n" + "".join(
+            f"{a.region},{a.n_cities},{_fmt(a.n_inhabitants)},{_fmt(a.ati_mean)}\n"
+            for a in aggregates))
 
 
 def cmd_describe(args, out: OutputDir) -> None:
@@ -195,7 +192,7 @@ def cmd_describe(args, out: OutputDir) -> None:
             sections.append(stats.format_summary(summary, label=f"[{year}]"))
             for key, value in stats.summary_key_values(summary).items():
                 machine[f"{year}.{key}"] = value
-        summary = stats.describe(list(averages.values()))
+        summary = stats.describe(averages)
     sections.append(stats.format_summary(summary, label="[window average]"))
     for key, value in stats.summary_key_values(summary).items():
         machine[f"avg.{key}"] = value
@@ -210,8 +207,8 @@ def cmd_rank(args, out: OutputDir) -> None:
     panel = _load_panel(args.input)
     with _naming(args.input):
         averages = ingest.average_over_years(panel, args.window)
-    series = rank.rank_desc(averages, rule=rank.TieBreak(args.ties),
-                            names=dict(zip(panel.ids, panel.names)))
+    series = rank.rank_desc((panel.ids, averages), rule=rank.TieBreak(args.ties),
+                            names=panel.names)
     out.write("ranked.csv", rank.export_ranked_series(series))
 
 
@@ -291,8 +288,7 @@ def cmd_regime(args, out: OutputDir) -> None:
             f"slope: {_fmt(slope)} +/- {_fmt(slope_se)}",
             f"r_squared: {_fmt(r2)}",
         ]
-        x, y = points.arrays()
-        if x.min() > 0 and y.min() > 0:
+        if points.x.min() > 0 and points.y.min() > 0:
             c, beta, r2log = regime.loglog_power_fit(points)
             lines += [
                 f"loglog_c: {_fmt(c)}",
@@ -318,61 +314,58 @@ def cmd_simulate(args, out: OutputDir) -> None:
     out.write("occupancy.csv", urnsim.export_outcome(outcome))
 
 
+def _level_sections(ids, names, x_values, y_values, args) -> list[str]:
+    """The report's sections for entities `ids`, with names and both value
+    arrays aligned with them: the summary of x, the correlation of the x and
+    y rankings, the rank-size fit of x and the k-line split of (x, y)."""
+    from . import fit, rank, regime, stats
+    summary = stats.describe(x_values)
+    x = rank.rank_desc((ids, x_values), names=names)
+    y = rank.rank_desc((ids, y_values), names=names)
+    pairs, report = _correlate(x, y)
+    result = fit.fit_model(x, kind=fit.ModelKind(args.model), A=args.amplitude,
+                           scale=args.scale)
+    ox, oy = pairs.positions
+    exclude = tuple(args.exclude.split(",")) if args.exclude else ()
+    split = regime.two_line_split(regime.ScatterSet(pairs.ids, x.values[ox], y.values[oy]),
+                                  k=args.k_lines, outlier_ids=exclude)
+    correlation = {"p+q": report.p + report.q, "p-q": report.p - report.q, "p": report.p,
+                   "q": report.q, "Kendall tau": _fmt(report.tau_a),
+                   "sigma_tau": _fmt(report.sigma_tau), "Z": _fmt(report.z),
+                   "Spearman rho": _fmt(report.rho), "Pearson Pi": _fmt(report.pi)}
+    return [
+        stats.format_summary(summary, label="[summary: window-average values]"),
+        "[correlation]",
+        *(f"{key:<12} {value}" for key, value in correlation.items()),
+        "",
+        "[rank-size fit]",
+        fit.format_fit_report(result),
+        "[two-regime split]",
+        "slopes: " + ",".join(_fmt(s) for s in split.slopes),
+        f"overall_slope: {_fmt(split.overall_slope)}",
+        f"objective: {_fmt(split.objective)}",
+        f"degenerate: {str(split.degenerate).lower()}",
+    ]
+
+
 def cmd_report(args, out: OutputDir) -> None:
-    from . import fit, ingest, rank, regime, stats
+    from . import ingest, rank
     _check_amplitude(args.amplitude)
     ati = _merged(_load_panel(args.input), args.merges)
     pop = _load_panel(args.population)
-
-    parts = [f"# ranklaw report (schema_version {SCHEMA_VERSION})", ""]
-
-    with _naming(args.input, StatsError):
-        averages = ingest.average_over_years(ati, args.window)
-        parts.append(stats.format_summary(stats.describe(list(averages.values())),
-                                          label="[summary: window-average values]"))
-
-    names = dict(zip(ati.ids, ati.names))
-    x = rank.rank_desc(averages, names=names)
     if not pop.years:
         raise IngestError(f"{args.population}: no census year: the panel has no entity rows")
-    census_year = pop.years[-1]
-    census = pop.column(census_year)
+    census = pop.values[:, -1]
     if np.isnan(census).any():
-        missing = pop.ids[np.argmax(np.isnan(census))]
         raise IngestError(f"{args.population}: missing population for "
-                          f"{missing!r} in year {census_year}")
-    y = rank.rank_desc(dict(zip(pop.ids, census.tolist())), names=names)
-    with _naming(args.input, CorrelationError, FitError, StatsError):
-        pairs, report = _correlate(x, y)
-        result = fit.fit_model(x, kind=fit.ModelKind(args.model), A=args.amplitude,
-                               scale=args.scale)
-    parts.append("[correlation]")
-    parts.append(f"p+q          {report.p + report.q}")
-    parts.append(f"p-q          {report.p - report.q}")
-    parts.append(f"p            {report.p}")
-    parts.append(f"q            {report.q}")
-    parts.append(f"Kendall tau  {_fmt(report.tau_a)}")
-    parts.append(f"sigma_tau    {_fmt(report.sigma_tau)}")
-    parts.append(f"Z            {_fmt(report.z)}")
-    parts.append(f"Spearman rho {_fmt(report.rho)}")
-    parts.append(f"Pearson Pi   {_fmt(report.pi)}")
-    parts.append("")
-
-    parts.append("[rank-size fit]")
-    parts.append(fit.format_fit_report(result))
-
-    ox, oy = pairs.positions
-    points = regime.ScatterSet(tuple(zip(map(x.ids.__getitem__, ox.tolist()),
-                                         x.values[ox].tolist(), y.values[oy].tolist())))
-    exclude = tuple(args.exclude.split(",")) if args.exclude else ()
-    with _naming(args.input, RegimeError):
-        split = regime.two_line_split(points, k=args.k_lines, outlier_ids=exclude)
-    parts.append("[two-regime split]")
-    parts.append("slopes: " + ",".join(_fmt(s) for s in split.slopes))
-    parts.append(f"overall_slope: {_fmt(split.overall_slope)}")
-    parts.append(f"objective: {_fmt(split.objective)}")
-    parts.append(f"degenerate: {str(split.degenerate).lower()}")
-    out.write("report.txt", "\n".join(parts) + "\n")
+                          f"{pop.ids[np.argmax(np.isnan(census))]!r} in year {pop.years[-1]}")
+    # the city level: every array aligned with the income panel's entities
+    with _naming(args.input, CorrelationError, FitError, RegimeError, StatsError):
+        means = ingest.average_over_years(ati, args.window)
+        census = census[rank.positions_of(ati.ids, pop.ids)]
+        sections = _level_sections(ati.ids, ati.names, means, census, args)
+    out.write("report.txt", "\n".join(
+        [f"# ranklaw report (schema_version {SCHEMA_VERSION})", "", *sections]) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -477,7 +470,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"ranklaw: {exc}", file=sys.stderr)
         return 1
     try:
-        args.func(args, out)
+        # a floating-point fault is an internal error, unless a local np.errstate allows it
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            args.func(args, out)
         out.commit()
     except (RanklawError, OSError, ValueError) as exc:
         print(f"ranklaw: {args.command}: {exc}", file=sys.stderr)

@@ -186,23 +186,21 @@ def pearson_pi(x, y) -> float:
 
 def spearman_rho(pairs: RankPairs) -> float:
     """Pearson correlation applied to the two rank vectors."""
-    rx, ry = pairs.rank_vectors()
-    return pearson_pi(rx, ry)
+    return pearson_pi(pairs.rx, pairs.ry)
 
 
 def correlation_report(pairs: RankPairs, x_values, y_values) -> CorrelationReport:
     """Full statistics for one pair of rankings; Pearson pi is computed on the
-    raw value series, given in the order of pairs.entries."""
-    rx, ry = pairs.rank_vectors()
-    counts = kendall_counts_xy(rx, ry)
+    raw value series, given in the order of pairs.ids."""
+    counts = kendall_counts_xy(pairs.rx, pairs.ry)
     tau_a, tau_b = kendall_tau(counts)
-    sigma_tau, z = z_score(tau_a, pairs.n)
+    sigma_tau, z = z_score(tau_a, len(pairs.ids))
     return CorrelationReport(
-        n=pairs.n, p=counts.p, q=counts.q,
+        n=len(pairs.ids), p=counts.p, q=counts.q,
         ties_x=counts.ties_x + counts.ties_both,
         ties_y=counts.ties_y + counts.ties_both,
         tau_a=tau_a, tau_b=tau_b, sigma_tau=sigma_tau, z=z,
-        rho=pearson_pi(rx, ry), pi=pearson_pi(x_values, y_values),
+        rho=pearson_pi(pairs.rx, pairs.ry), pi=pearson_pi(x_values, y_values),
     )
 
 
@@ -225,7 +223,7 @@ def pairwise_matrix(panel: Panel, window: list[int] | None = None) -> PairwiseMa
     from .ingest import average_over_years
     avg = average_over_years(panel, window)
     columns = {str(year): panel.column(year) for year in window or panel.years}
-    columns[AVERAGE_LABEL] = np.fromiter(avg.values(), float, len(avg))
+    columns[AVERAGE_LABEL] = avg
 
     labels = tuple(columns)
     n = len(avg)

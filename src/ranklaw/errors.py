@@ -45,15 +45,18 @@ class SimulationError(RanklawError):
 
 def checked(record: type) -> type:
     """A subclass of the NamedTuple class `record`, named as it is, whose
-    construction, _make and _replace included, runs record._check(), and whose
-    != negates its ==, which the record may redefine (tuple's != would compare
-    field by field)."""
+    construction, _make and _replace included, runs record._check() if it has
+    one and then makes every array field read-only, and whose != negates its
+    ==, which the record may redefine (tuple's != would compare field by field)."""
     def __new__(cls, *args, **kwargs):
         self = record.__new__(cls, *args, **kwargs)
         self._check()
+        for array in (field for field in self if isinstance(field, np.ndarray)):
+            array.setflags(write=False)
         return self
     return type(record.__name__, (record,), {
         "__slots__": (), "__new__": __new__, "__ne__": object.__ne__,
+        "_check": getattr(record, "_check", lambda self: None),
         "_make": classmethod(lambda cls, fields: cls(*fields)),
         "__module__": record.__module__, "__doc__": record.__doc__})
 

@@ -221,8 +221,9 @@ def fit_model(series: RankedSeries, kind: ModelKind = ModelKind.LAVALETTE3,
             )
         step = np.linalg.solve(normal, jtr)
         trial = _clamp(kind, params + step)
-        trial_res = _residuals(kind, A, N, trial, r, y, scale)
-        trial_ssr = float(trial_res @ trial_res)
+        with np.errstate(over="ignore", invalid="ignore"):  # a step that overflows is rejected
+            trial_res = _residuals(kind, A, N, trial, r, y, scale)
+            trial_ssr = float(trial_res @ trial_res)
         if np.isfinite(trial_ssr) and trial_ssr <= ssr:
             rel_step = np.max(np.abs(trial - params) / (np.abs(params) + 1e-300))
             params, res, ssr = trial, trial_res, trial_ssr

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 import re
 from collections import defaultdict
 from itertools import chain, compress, count, islice
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -79,7 +77,6 @@ class Panel(NamedTuple):
             i, j = divmod(int(np.argmax(bad)), len(self.years))
             raise IngestError(f"value {self.values[i, j]} for {self.ids[i]!r} in year "
                               f"{self.years[j]} is negative or infinite")
-        self.values.setflags(write=False)
 
     def __eq__(self, other):
         if not isinstance(other, Panel):
@@ -481,11 +478,11 @@ def aggregate_by_region(ati_panel: Panel, pop_panel: Panel) -> list[RegionAggreg
     return aggregates
 
 
-def average_over_years(panel: Panel, window: list[int] | None = None) -> dict[str, float]:
-    """Unweighted per-entity arithmetic mean of values over the year window;
-    an empty or None window means every panel year.  Every window year is
-    checked to be in the panel before any window cell is checked to be there;
-    a sum that overflows raises IngestError."""
+def average_over_years(panel: Panel, window: list[int] | None = None) -> np.ndarray:
+    """Unweighted per-entity arithmetic mean of values over the year window,
+    aligned with panel.ids; an empty or None window means every panel year.
+    Every window year is checked to be in the panel before any window cell is
+    checked to be there; a sum that overflows raises IngestError."""
     if not panel.ids:
         raise IngestError("no entity rows to average")
     window = list(window or panel.years)
@@ -494,34 +491,42 @@ def average_over_years(panel: Panel, window: list[int] | None = None) -> dict[st
     if gaps.any():
         i, j = divmod(int(np.argmax(gaps)), len(window))
         raise IngestError(f"missing value for {panel.ids[i]!r} in year {window[j]}")
-    rows = block.tolist()
-    try:
-        return dict(zip(panel.ids, [s / len(window) for s in map(math.fsum, rows)]))
+    try:  # zip hands fsum one reused tuple per entity
+        sums = np.fromiter(map(math.fsum, zip(*block.T.tolist())), float, len(panel.ids))
     except OverflowError:
-        eid = panel.ids[[_or_none(math.fsum, row) for row in rows].index(None)]
+        eid = panel.ids[[_or_none(math.fsum, row) for row in block.tolist()].index(None)]
         raise IngestError(f"the sum for {eid!r} over the years {window} overflows") from None
+    return sums / len(window)
+
+
+_QUOTED = re.compile(f'[,"{_LINE_BREAKS}]')  # what csv's writer quotes, with these line breaks
 
 
 def serialize_panel(panel: Panel) -> str:
-    """Canonical long-form text serialization (stable ordering, round-trips)."""
+    """Canonical long-form text serialization (stable ordering, round-trips).
+
+    A label is quoted as csv's writer quotes it; a value is written by %.12g,
+    or as an integer where every value is a whole number below 1e12 and not
+    -0.0, which %.12g writes alike; a missing value is empty."""
     head = f"# quantity_label: {panel.quantity_label}\n"
     if panel.provenance:
         head += f"# provenance: {panel.provenance}\n"
     head += ",".join(LONG_COLUMNS) + "\n"
     order = sorted(range(len(panel.ids)), key=panel.ids.__getitem__)
-    # each entity's four label fields go through the csv writer once; csv
-    # quotes a field holding any character of its line terminator, so every
-    # line break of str.splitlines, which _body splits at, is one of them
-    labels: list[str] = []
-    csv.writer(SimpleNamespace(write=labels.append), lineterminator=_LINE_BREAKS).writerows(
-        zip(*(map(column.__getitem__, order)
-              for column in (panel.ids, panel.names, panel.regions, panel.provinces))))
-    heads = list(map(operator.itemgetter(slice(None, -len(_LINE_BREAKS))), labels))
-    # the year and value fields never need quoting; a missing value is empty
-    years = [f",{year}," for year in panel.years] * len(order)
-    values = panel.values[order].ravel().tolist()
-    texts = ("%.12g\n" * len(values) % tuple(values)).replace("nan", "")
-    # zip hands out one reused tuple, so no object per entity or cell is made
-    return "".join(chain([head], chain.from_iterable(zip(
-        chain.from_iterable(zip(*[heads] * len(panel.years))), years,
-        texts.splitlines(keepends=True)))))
+    columns = [list(map(column.__getitem__, order))
+               for column in (panel.ids, panel.names, panel.regions, panel.provinces)]
+    for fields in columns:  # _body splits at every line break that _QUOTED holds
+        if _QUOTED.search("".join(fields)):
+            fields[:] = ['"%s"' % f.replace('"', '""') if _QUOTED.search(f) else f for f in fields]
+    heads = list(map(",".join, zip(*columns)))
+    values = panel.values[order]
+    if ((values == np.floor(values)) & (values < 1e12) & ~np.signbit(values)).all():
+        cell, cells = "%d", values.astype(np.int64).ravel().tolist()
+    else:
+        cell, cells = "%s", values.ravel().tolist()
+        cells = ("%.12g\n" * len(cells) % tuple(cells)).replace("nan", "").splitlines()
+    # one line per entity and year: the entity's labels, the year and the value
+    args = [None] * (2 * len(cells))
+    args[::2] = chain.from_iterable(zip(*[heads] * len(panel.years)))
+    args[1::2] = cells
+    return head + "".join(f"%s,{year},{cell}\n" for year in panel.years) * len(heads) % tuple(args)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-import io
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -35,95 +35,105 @@ class RankedSeries(NamedTuple):
     tie_groups: tuple[tuple[int, int], ...]
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def _check(self):
-        self.values.setflags(write=False)
-        self.ranks.setflags(write=False)
-
     @property
     def n(self) -> int:
         return len(self.ids)
 
 
+@checked
 class RankPairs(NamedTuple):
-    """Per-entity join of the ranks an entity holds under two criteria."""
+    """The ranks each entity holds under two criteria, joined on entity id.
 
-    entries: tuple[tuple[str, float, float], ...]  # (entity_id, r_x, r_y), by entity id
-    positions: tuple[np.ndarray, np.ndarray]  # of each entity in x, y; not compared
+    ids is a tuple in id order, rx and ry the aligned read-only float64 arrays
+    of each entity's rank in x and in y, and positions where each entity is in
+    x and in y.  Pairs compare and hash by their (entity_id, r_x, r_y) entries,
+    not by positions; from_entries builds pairs from such tuples."""
+
+    ids: tuple[str, ...]
+    rx: np.ndarray
+    ry: np.ndarray
+    positions: tuple[np.ndarray, np.ndarray]
+
+    @classmethod
+    def from_entries(cls, entries, positions) -> RankPairs:
+        ids, rx, ry = tuple(zip(*entries)) or ((), (), ())
+        return cls(ids, np.array(rx, float), np.array(ry, float), positions)
+
+    @property
+    def entries(self) -> tuple[tuple[str, float, float], ...]:
+        return tuple(zip(self.ids, self.rx.tolist(), self.ry.tolist()))
 
     def __eq__(self, other):
         return self.entries == other.entries if isinstance(other, RankPairs) else NotImplemented
 
-    __ne__ = object.__ne__  # the negation of __eq__, not tuple's field by field test
-
     def __hash__(self):
         return hash(self.entries)
 
-    @property
-    def n(self) -> int:
-        return len(self.entries)
 
-    def rank_vectors(self) -> tuple[list[float], list[float]]:
-        return ([rx for _, rx, _ in self.entries],
-                [ry for _, _, ry in self.entries])
-
-
-def rank_desc(values: dict[str, float],
-              rule: TieBreak = TieBreak.LEXICAL_NAME,
-              names: dict[str, str] | None = None) -> RankedSeries:
+def rank_desc(values, rule: TieBreak = TieBreak.LEXICAL_NAME, names=None) -> RankedSeries:
     """Rank entities by decreasing value.
 
-    Ties are broken by display name then entity id (LEXICAL_NAME), by entity
-    id (ENTITY_ID), or shared as the mean rank of the tied span (AVERAGE_RANK,
+    values maps entity id to value, or is a pair of distinct ids and an aligned
+    array; names maps id to display name, or is aligned with the ids.  Ties are
+    broken by display name then entity id (LEXICAL_NAME), by entity id
+    (ENTITY_ID), or shared as the mean rank of the tied span (AVERAGE_RANK,
     which orders tied entries by id for reproducibility).
     """
-    if not values:
+    ids, column = (tuple(values), list(values.values())) if isinstance(values, dict) else values
+    column = np.asarray(column, dtype=float)
+    if isinstance(names, dict):
+        names = list(map(names.get, ids, ids))
+    if not len(ids):
         raise RankingError("cannot rank an empty map")
-    require_finite(list(values.values()), RankingError, list(values))
-    order = sorted(values)
-    ordered = np.fromiter(map(values.__getitem__, order), float, len(order))
-    if rule is TieBreak.LEXICAL_NAME:
-        # stable sorts: by id, then by display name, then by decreasing value
-        keys = list(map((names or {}).get, order, order))
-        by_name = sorted(range(len(order)), key=keys.__getitem__)
-        order, ordered = list(map(order.__getitem__, by_name)), ordered[by_name]
-    by_value = np.argsort(-ordered, kind="stable")
-    order, ordered = tuple(map(order.__getitem__, by_value.tolist())), ordered[by_value]
+    require_finite(column, RankingError, ids)
+    order = np.argsort(-column, kind="stable")
+    ordered = column[order]
     # runs of equal values, as [start, end) positions in rank order
     starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
     ends = np.r_[starts[1:], ordered.size]
     tied = ends - starts > 1
+    if tied.any():
+        # sort the tied entries by key from input order, in which ids often come sorted
+        members = np.sort(order[np.repeat(tied, ends - starts)]).tolist()
+        members.sort(key=ids.__getitem__)
+        if rule is TieBreak.LEXICAL_NAME and names is not None:
+            members.sort(key=names.__getitem__)
+        key = np.zeros(len(ids), dtype=np.intp)
+        key[members] = np.arange(1, len(members) + 1)
+        order = np.lexsort((key, -column))
+        ordered = column[order]
     tie_groups = tuple(zip((starts[tied] + 1).tolist(), ends[tied].tolist()))
     ranks = np.arange(1.0, ordered.size + 1)
     if rule is TieBreak.AVERAGE_RANK:
         ranks = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
-    return RankedSeries(order, ordered, ranks, tie_groups)
+    return RankedSeries(tuple(map(ids.__getitem__, order.tolist())), ordered, ranks, tie_groups)
+
+
+def positions_of(ids, among) -> list[int]:
+    """The position in `among` of each of `ids`, which must hold the same entities."""
+    position = dict(zip(among, range(len(among))))
+    found = list(map(position.get, ids))
+    if len(position) != len(found) or None in found:
+        raise RankingError(f"entity sets differ in {id_sample(position.keys() ^ set(ids))}")
+    return found
 
 
 def pair_ranks(x: RankedSeries, y: RankedSeries) -> RankPairs:
     """Join two ranked series on entity id, keeping where each entry is in x and y."""
-    position = dict(zip(y.ids, range(y.n)))
-    diff = position.keys() ^ x.ids
-    if diff:
-        raise RankingError(f"entity sets differ in {id_sample(diff)}")
     ox = sorted(range(x.n), key=x.ids.__getitem__)
-    ids = list(map(x.ids.__getitem__, ox))
-    ox, oy = np.array(ox, dtype=np.intp), np.fromiter(map(position.__getitem__, ids), np.intp)
-    return RankPairs(tuple(zip(ids, x.ranks[ox].tolist(), y.ranks[oy].tolist())), (ox, oy))
+    ids = tuple(map(x.ids.__getitem__, ox))
+    oy = positions_of(ids, y.ids)
+    return RankPairs(ids, x.ranks[ox], y.ranks[oy], (np.array(ox), np.array(oy)))
 
 
 def rank_diff_series(pairs: RankPairs) -> tuple[list[float], SummaryStats, float]:
     """Per-entity rank difference r_y - r_x, its summary, and fraction(<= 0)."""
     from .stats import describe
-    diffs = [ry - rx for _, rx, ry in pairs.entries]
-    summary = describe(diffs)
-    frac = sum(1 for d in diffs if d <= 0) / len(diffs)
-    return diffs, summary, frac
+    diffs = pairs.ry - pairs.rx
+    return diffs.tolist(), describe(diffs), np.count_nonzero(diffs <= 0) / diffs.size
 
 
 def export_ranked_series(series: RankedSeries) -> str:
     """Delimited text `rank,entity_id,value` for plotting."""
-    out = io.StringIO()
-    out.write("rank,entity_id,value\n")
-    for eid, value, rank in zip(series.ids, series.values.tolist(), series.ranks.tolist()):
-        out.write(f"{format(rank, '.12g')},{eid},{format(value, '.12g')}\n")
-    return out.getvalue()
+    return "rank,entity_id,value\n" + "%.12g,%s,%.12g\n" * series.n % tuple(chain.from_iterable(
+        zip(series.ranks.tolist(), series.ids, series.values.tolist())))

@@ -7,8 +7,8 @@ sum of squared orthogonal distances, found by one scan over point directions.
 
 from __future__ import annotations
 
-import io
 import math
+from itertools import chain, compress
 from typing import NamedTuple
 
 import numpy as np
@@ -18,18 +18,32 @@ from .errors import RegimeError, checked, id_sample
 
 @checked
 class ScatterSet(NamedTuple):
-    points: tuple[tuple[str, float, float], ...]  # (entity_id, x, y)
+    """Points of a scatter: ids with aligned read-only float64 arrays x and y.
+    Sets compare by their (entity_id, x, y) points and are not hashable;
+    from_points builds a set from such tuples."""
+
+    ids: tuple[str, ...]
+    x: np.ndarray
+    y: np.ndarray
 
     def _check(self):
-        if len(self.points) < 2:
+        if len(self.ids) < 2:
             raise RegimeError("scatter set needs at least 2 points")
-        finite = np.isfinite(self.arrays()).all(axis=0)
+        finite = np.isfinite(self.x) & np.isfinite(self.y)
         if not finite.all():
-            raise RegimeError(f"non-finite coordinate for {self.points[np.argmin(finite)][0]!r}")
+            raise RegimeError(f"non-finite coordinate for {self.ids[np.argmin(finite)]!r}")
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        _, x, y = zip(*self.points)
-        return np.array(x), np.array(y)
+    @classmethod
+    def from_points(cls, points) -> ScatterSet:
+        ids, x, y = tuple(zip(*points)) or ((), (), ())
+        return cls(ids, np.array(x, float), np.array(y, float))
+
+    @property
+    def points(self) -> tuple[tuple[str, float, float], ...]:
+        return tuple(zip(self.ids, self.x.tolist(), self.y.tolist()))
+
+    def __eq__(self, other):
+        return self.points == other.points if isinstance(other, ScatterSet) else NotImplemented
 
 
 class RegimeSplit(NamedTuple):
@@ -45,7 +59,7 @@ class RegimeSplit(NamedTuple):
 
 def inertia_axis(points: ScatterSet) -> tuple[float, float, float, float, float]:
     """Ordinary least squares of y on x, as _ols returns it."""
-    return _ols(*points.arrays())
+    return _ols(points.x, points.y)
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float, float]:
@@ -141,15 +155,16 @@ def two_line_split(points: ScatterSet, k: int = 2,
     """
     if k not in (2, 3):
         raise RegimeError("k must be 2 or 3")
-    excluded = set(outlier_ids)
-    unknown = excluded.difference(p[0] for p in points.points)
-    if unknown:
-        raise RegimeError(f"outlier ids not in the scatter: {id_sample(unknown)}")
-    kept = [p for p in points.points if p[0] not in excluded]
-    if len(kept) < k + 2:
+    ids, x, y = points
+    if outlier_ids:
+        excluded = set(outlier_ids)
+        unknown = excluded.difference(ids)
+        if unknown:
+            raise RegimeError(f"outlier ids not in the scatter: {id_sample(unknown)}")
+        kept = [eid not in excluded for eid in ids]
+        ids, x, y = tuple(compress(ids, kept)), x[kept], y[kept]
+    if len(ids) < k + 2:
         raise RegimeError(f"need at least {k + 2} points after outlier exclusion")
-    ids = [p[0] for p in kept]
-    x, y = np.array([p[1] for p in kept]), np.array([p[2] for p in kept])
     overall = _tls_origin_slope(x, y)
 
     # y/x is one value per direction; a point at the origin takes another's
@@ -196,7 +211,7 @@ def loglog_power_fit(points: ScatterSet) -> tuple[float, float, float]:
 
     Returns (c, beta, r_squared on the log scale).
     """
-    x, y = points.arrays()
+    x, y = points.x, points.y
     if np.any(x <= 0) or np.any(y <= 0):
         raise RegimeError("loglog_power_fit needs positive coordinates")
     intercept, slope, r2, _, _ = _ols(np.log(x), np.log(y))
@@ -205,14 +220,13 @@ def loglog_power_fit(points: ScatterSet) -> tuple[float, float, float]:
 
 def export_split(points: ScatterSet, split: RegimeSplit) -> str:
     """Delimited `entity_id,x,y,class` plus a summary block."""
-    out = io.StringIO()
-    out.write("entity_id,x,y,class\n")
-    for eid, x, y in points.points:
-        cls = split.assignments.get(eid, "outlier" if eid in split.outliers else "")
-        out.write(f"{eid},{format(x, '.12g')},{format(y, '.12g')},{cls}\n")
-    out.write("# slopes: " + ",".join(format(s, ".12g") for s in split.slopes) + "\n")
-    out.write(f"# overall_slope: {format(split.overall_slope, '.12g')}\n")
-    out.write(f"# objective: {format(split.objective, '.12g')}\n")
-    out.write(f"# iterations: {split.iterations}\n")
-    out.write(f"# degenerate: {str(split.degenerate).lower()}\n")
-    return out.getvalue()
+    classes = [split.assignments.get(eid, "outlier" if eid in split.outliers else "")
+               for eid in points.ids]
+    rows = "%s,%.12g,%.12g,%s\n" * len(classes) % tuple(chain.from_iterable(
+        zip(points.ids, points.x.tolist(), points.y.tolist(), classes)))
+    return (f"entity_id,x,y,class\n{rows}"
+            f"# slopes: {','.join(format(s, '.12g') for s in split.slopes)}\n"
+            f"# overall_slope: {format(split.overall_slope, '.12g')}\n"
+            f"# objective: {format(split.objective, '.12g')}\n"
+            f"# iterations: {split.iterations}\n"
+            f"# degenerate: {str(split.degenerate).lower()}\n")

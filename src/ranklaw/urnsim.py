@@ -16,8 +16,8 @@ spawned from SeedSequence(seed) so runs reproduce across platforms.
 
 from __future__ import annotations
 
-import io
 import math
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -217,19 +217,13 @@ def generate_ranksize(model: RankSizeModel, noise_sigma: float = 0.0,
 
 def export_outcome(outcome: UrnOutcome) -> str:
     """Delimited text `urn_id,occupancy`."""
-    out = io.StringIO()
-    out.write("urn_id,occupancy\n")
-    for i, k in enumerate(outcome.occupancy):
-        out.write(f"{i},{k}\n")
-    return out.getvalue()
+    return "urn_id,occupancy\n" + "%d,%s\n" * len(outcome.occupancy) % tuple(
+        chain.from_iterable(enumerate(outcome.occupancy)))
 
 
 def export_replicate_summary(rows: np.ndarray) -> str:
     """Mean and std occupancy per sorted position across replicates."""
     mean = rows.mean(axis=0)
     std = rows.std(axis=0, ddof=1) if rows.shape[0] > 1 else np.zeros(rows.shape[1])
-    out = io.StringIO()
-    out.write("position,mean_occupancy,std_occupancy\n")
-    for i, (m, s) in enumerate(zip(mean, std), start=1):
-        out.write(f"{i},{format(m, '.12g')},{format(s, '.12g')}\n")
-    return out.getvalue()
+    return "position,mean_occupancy,std_occupancy\n" + "%d,%.12g,%.12g\n" * mean.size % tuple(
+        chain.from_iterable(zip(range(1, mean.size + 1), mean.tolist(), std.tolist())))

@@ -3,18 +3,25 @@ were moved to bulk numpy and C-level work: one label compare per label
 column, a set of Python-int keys for the filled cells, and a csv read that
 records each row's line as it goes.  Kept verbatim as the reference that
 ranklaw.ingest.parse_panel must agree with, panel for panel and message for
-message; it runs only in the tests."""
+message; it runs only in the tests.
+
+serialize_panel is the panel writer as it stood before it quoted labels
+and wrote whole values itself: every label row goes through csv's writer and
+every value through %.12g.  ranklaw.ingest.serialize_panel must write its
+bytes."""
 
 from __future__ import annotations
 
 import csv
 import math
-from itertools import islice
+import operator
+from itertools import chain, islice
+from types import SimpleNamespace
 
 import numpy as np
 
 from ranklaw.errors import IngestError
-from ranklaw.ingest import ID_COLUMNS, MISSING_MARKERS, Panel
+from ranklaw.ingest import _LINE_BREAKS, ID_COLUMNS, LONG_COLUMNS, MISSING_MARKERS, Panel
 
 _CHUNK_ROWS = 500  # rows parsed at a time
 
@@ -231,3 +238,28 @@ def parse_panel(text: str) -> Panel:
     return Panel(quantity_label, tuple(years), tuple(index), *map(tuple, labels), values,
                  provenance)
 
+
+
+def serialize_panel(panel: Panel) -> str:
+    """Canonical long-form text serialization (stable ordering, round-trips)."""
+    head = f"# quantity_label: {panel.quantity_label}\n"
+    if panel.provenance:
+        head += f"# provenance: {panel.provenance}\n"
+    head += ",".join(LONG_COLUMNS) + "\n"
+    order = sorted(range(len(panel.ids)), key=panel.ids.__getitem__)
+    # each entity's four label fields go through the csv writer once; csv
+    # quotes a field holding any character of its line terminator, so every
+    # line break of str.splitlines, which _body splits at, is one of them
+    labels: list[str] = []
+    csv.writer(SimpleNamespace(write=labels.append), lineterminator=_LINE_BREAKS).writerows(
+        zip(*(map(column.__getitem__, order)
+              for column in (panel.ids, panel.names, panel.regions, panel.provinces))))
+    heads = list(map(operator.itemgetter(slice(None, -len(_LINE_BREAKS))), labels))
+    # the year and value fields never need quoting; a missing value is empty
+    years = [f",{year}," for year in panel.years] * len(order)
+    values = panel.values[order].ravel().tolist()
+    texts = ("%.12g\n" * len(values) % tuple(values)).replace("nan", "")
+    # zip hands out one reused tuple, so no object per entity or cell is made
+    return "".join(chain([head], chain.from_iterable(zip(
+        chain.from_iterable(zip(*[heads] * len(panel.years))), years,
+        texts.splitlines(keepends=True)))))

@@ -161,8 +161,8 @@ def test_criterion_07_spearman_pearson_bridge():
                     zip(rng.permutation(n) + 1, rng.permutation(n) + 1)
                 )
             )
-            pairs = rank.RankPairs(entries, (np.arange(n),) * 2)
-            rx, ry = pairs.rank_vectors()
+            pairs = rank.RankPairs.from_entries(entries, (np.arange(n),) * 2)
+            rx, ry = pairs.rx, pairs.ry
             assert corr.spearman_rho(pairs) == pytest.approx(
                 corr.pearson_pi(rx, ry), abs=1e-12
             )
@@ -237,7 +237,7 @@ def test_criterion_10_two_line_split():
                        "collinear input flagged"):
         xs = [1.0, 2.0, 3.0, 4.0, 5.0] * 2
         ys = [4 * x for x in xs[:5]] + [x for x in xs[5:]]
-        points = regime.ScatterSet(
+        points = regime.ScatterSet.from_points(
             tuple((f"p{i}", x, y) for i, (x, y) in enumerate(zip(xs, ys)))
         )
         split = regime.two_line_split(points)
@@ -250,14 +250,14 @@ def test_criterion_10_two_line_split():
             n = int(rng.integers(8, 60))
             x = rng.random(n) + 0.1
             y = x * rng.choice([1.0, 5.0], size=n) + rng.normal(0, 0.3, n)
-            pts = regime.ScatterSet(
+            pts = regime.ScatterSet.from_points(
                 tuple((f"q{i}", float(a), float(b))
                       for i, (a, b) in enumerate(zip(x, y)))
             )
             trace = regime.two_line_split(pts).objective_trace
             assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
 
-        line = regime.ScatterSet(
+        line = regime.ScatterSet.from_points(
             tuple((f"c{i}", float(i + 1), 2.0 * (i + 1)) for i in range(8))
         )
         assert regime.two_line_split(line).degenerate
@@ -289,7 +289,7 @@ def test_criterion_11_full_dataset_integration():
             ati = ingest.apply_merge_ledger(ati, ledger)
         pop = ingest.parse_panel((root / "population_panel.csv").read_text())
 
-        averages = ingest.average_over_years(ati, list(ati.years))
+        averages = dict(zip(ati.ids, ingest.average_over_years(ati, list(ati.years)).tolist()))
         names = {rec.entity_id: rec.name for rec in ati.records}
         x = rank.rank_desc(averages, names=names)
         pop_values = pop.values_for_year(pop.years[-1])

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ranklaw
@@ -935,3 +936,39 @@ def test_the_console_script_is_the_program_entry():
     tomllib = pytest.importorskip("tomllib")
     pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
     assert pyproject["project"]["scripts"] == {"ranklaw": "ranklaw.cli:run"}
+
+
+@pytest.mark.parametrize("command, scale", [("regime", 1e300), ("regime", 1e80), ("fit", 1e308)])
+def test_a_floating_point_fault_is_one_error_line(tmp_path, capsys, command, scale):
+    # a scatter and a ranking whose second moments overflow a float
+    path = tmp_path / "data.csv"
+    if command == "regime":
+        rows = [f"p{i},{scale * (1 + i % 7)!r},{scale * (1 + i % 7) * (5 if i % 2 else 1)!r}"
+                for i in range(40)]
+        path.write_text("entity_id,x,y\n" + "\n".join(rows) + "\n")
+    else:
+        path.write_text("rank,entity_id,value\n" + "".join(
+            f"{r},e{r},{scale * r ** -0.8!r}\n" for r in range(1, 51)))
+    before = np.geterr()
+    assert cli.main([command, "--input", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ranklaw: {command}: internal error: FloatingPointError: ")
+    assert err.count("\n") == 1
+    assert np.geterr() == before  # main leaves the caller's error state as it was
+    assert not [p for p in (tmp_path / "out").iterdir() if p.suffix in (".csv", ".txt")]
+
+
+def test_a_linear_fit_rejects_a_step_whose_residuals_overflow(tmp_path):
+    # drawn so that the cutoff fit's Levenberg-Marquardt loop tries such a step
+    rng = np.random.default_rng(21)
+    n = int(rng.integers(10, 80))
+    m2, m3 = rng.uniform(0.5, 2.5), rng.uniform(0.5, 2)
+    r = np.arange(1, n + 1)
+    y = np.sort(r ** -m2 * (n - r + 1.0) ** m3 * np.exp(rng.normal(0, 1.0, n)))[::-1]
+    path = tmp_path / "ranking.csv"
+    path.write_text("rank,entity_id,value\n" + "".join(
+        f"{i},e{i},{v!r}\n" for i, v in enumerate(y.tolist(), start=1)))
+    out = tmp_path / "out"
+    assert cli.main(["fit", "--input", str(path), "--model", "cutoff", "--scale", "linear",
+                     "--out", str(out)]) == 0
+    assert "converged: true" in (out / "fit_report.txt").read_text()

@@ -10,24 +10,24 @@ from ranklaw.errors import CorrelationError, IngestError
 
 def _pairs_from_perms(px, py):
     entries = tuple((f"e{i}", float(a), float(b)) for i, (a, b) in enumerate(zip(px, py)))
-    return rank.RankPairs(entries, (np.arange(len(entries)),) * 2)
+    return rank.RankPairs.from_entries(entries, (np.arange(len(entries)),) * 2)
 
 
 def test_counts_identical_rankings():
     pairs = _pairs_from_perms([1, 2, 3, 4], [1, 2, 3, 4])
-    counts = corr.kendall_counts_xy(*pairs.rank_vectors())
+    counts = corr.kendall_counts_xy(pairs.rx, pairs.ry)
     assert (counts.p, counts.q) == (6, 0)
 
 
 def test_counts_reversed_rankings():
     pairs = _pairs_from_perms([1, 2, 3, 4], [4, 3, 2, 1])
-    counts = corr.kendall_counts_xy(*pairs.rank_vectors())
+    counts = corr.kendall_counts_xy(pairs.rx, pairs.ry)
     assert (counts.p, counts.q) == (0, 6)
 
 
 def test_counts_hand_enumerated():
     # pairs (1,2),(2,1),(3,3): one discordant, two concordant
-    counts = corr.kendall_counts_xy(*_pairs_from_perms([1, 2, 3], [2, 1, 3]).rank_vectors())
+    counts = corr.kendall_counts_xy(*_pairs_from_perms([1, 2, 3], [2, 1, 3])[1:3])
     assert (counts.p, counts.q) == (2, 1)
 
 
@@ -115,7 +115,7 @@ def test_spearman_equals_pearson_on_ranks(rng):
     for _ in range(50):
         n = int(rng.integers(2, 60))
         pairs = _pairs_from_perms(rng.permutation(n) + 1, rng.permutation(n) + 1)
-        rx, ry = pairs.rank_vectors()
+        rx, ry = pairs.rx, pairs.ry
         assert corr.spearman_rho(pairs) == pytest.approx(
             corr.pearson_pi(rx, ry), abs=1e-12
         )
@@ -135,7 +135,7 @@ def test_tau_invariant_under_monotone_transform(values, rnd):
 
 def test_correlation_report_fields():
     pairs = _pairs_from_perms([1, 2, 3, 4], [1, 2, 4, 3])
-    report = corr.correlation_report(pairs, *pairs.rank_vectors())
+    report = corr.correlation_report(pairs, pairs.rx, pairs.ry)
     assert report.n == 4
     assert report.p + report.q == 6
     assert -1 <= report.tau_a <= 1
@@ -177,7 +177,7 @@ def test_pairwise_matrix_cells_match_oracle(rng):
         order = sorted(range(len(panel.ids)), key=panel.ids.__getitem__)
         columns = {str(year): panel.values[order, j] for j, year in enumerate(panel.years)}
         average = ingest.average_over_years(panel, list(panel.years))
-        columns[corr.AVERAGE_LABEL] = [average[panel.ids[i]] for i in order]
+        columns[corr.AVERAGE_LABEL] = average[order]
         for (a, b), cell in m.counts.items():
             xa, xb = columns[a], columns[b]
             assert cell == corr.kendall_counts_brute(xa, xb)
@@ -313,7 +313,7 @@ def test_pairwise_matrix_equals_brute_force_on_tied_columns(rng):
                              tuple(f"e{i}" for i in range(n)), ("N",) * n, ("R",) * n,
                              ("P",) * n, values)
         columns = {str(year): panel.column(year) for year in panel.years}
-        columns[corr.AVERAGE_LABEL] = list(ingest.average_over_years(panel).values())
+        columns[corr.AVERAGE_LABEL] = ingest.average_over_years(panel)
         brute = {(a, b): corr.kendall_counts_brute(columns[a], columns[b])
                  for i, a in enumerate(columns) for b in list(columns)[i + 1:]}
         if any(c.p + c.q == 0 for c in brute.values()):
@@ -325,3 +325,61 @@ def test_pairwise_matrix_equals_brute_force_on_tied_columns(rng):
         for pair, counts in brute.items():
             tau = corr.kendall_tau(counts)[0]
             assert (m.tau[pair], m.z[pair]) == (tau, corr.z_score(tau, n)[1])
+
+
+def _pearson(a, b):
+    """Pearson's r written out over Python floats."""
+    ma, mb = sum(a) / len(a), sum(b) / len(b)
+    sab = sum((u - ma) * (v - mb) for u, v in zip(a, b))
+    saa, sbb = sum((u - ma) ** 2 for u in a), sum((v - mb) ** 2 for v in b)
+    if saa == 0 or sbb == 0:
+        raise CorrelationError("zero variance series")
+    return sab / math.sqrt(saa * sbb)
+
+
+def _defined_rank(values, names, rule, eid):
+    """An entity's rank by its definition: entities above it, plus its share of its tie."""
+    v = values[eid]
+    above = sum(w > v for w in values.values())
+    tied = sorted(f for f, w in values.items() if w == v)
+    if rule is rank.TieBreak.AVERAGE_RANK:
+        return above + (len(tied) + 1) / 2
+    if rule is rank.TieBreak.LEXICAL_NAME:
+        tied.sort(key=lambda f: names.get(f, f))  # stable: by id within a name
+    return float(above + tied.index(eid) + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text("ab\x00", min_size=1, max_size=3),
+                       st.tuples(*[st.sampled_from([-0.0, 0.0, 1.0, 2.5, 7.0])] * 2),
+                       min_size=1, max_size=20),
+       st.dictionaries(st.text("ab\x00", min_size=1, max_size=3), st.text("xy", max_size=2)),
+       st.sampled_from(list(rank.TieBreak)))
+def test_array_records_equal_their_per_entity_definitions(values, names, rule):
+    xv, yv = ({eid: pair[k] for eid, pair in values.items()} for k in (0, 1))
+    ids = sorted(values)
+    rx = [_defined_rank(xv, names, rule, eid) for eid in ids]
+    ry = [_defined_rank(yv, names, rule, eid) for eid in ids]
+    # the pair form ranks as the map form does, in any input order
+    order = ids[::-1]
+    y = rank.rank_desc((tuple(order), np.array([yv[e] for e in order])), rule=rule,
+                       names=[names.get(e, e) for e in order])
+    pairs = rank.pair_ranks(rank.rank_desc(xv, rule=rule, names=names), y)
+    assert pairs.entries == tuple(zip(ids, rx, ry))
+    assert pairs == rank.RankPairs.from_entries(zip(ids, rx, ry), pairs.positions)
+
+    brute = corr.kendall_counts_brute(rx, ry)
+    raw_x, raw_y = [xv[e] for e in ids], [yv[e] for e in ids]
+    try:
+        expected = (brute.p, brute.q, brute.ties_x + brute.ties_both,
+                    brute.ties_y + brute.ties_both, _pearson(rx, ry), _pearson(raw_x, raw_y))
+        if brute.p + brute.q == 0 or len(ids) < 3:
+            raise CorrelationError("tau or Z undefined")
+    except CorrelationError:
+        with pytest.raises(CorrelationError):
+            corr.correlation_report(pairs, raw_x, raw_y)
+        return
+    report = corr.correlation_report(pairs, raw_x, raw_y)
+    assert (report.p, report.q, report.ties_x, report.ties_y) == expected[:4]
+    assert report.rho == corr.spearman_rho(pairs) == pytest.approx(expected[4], abs=1e-12)
+    assert report.pi == pytest.approx(expected[5], abs=1e-12)

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ranklaw import ingest
 from ranklaw.errors import IngestError
+from tests import reference_ingest
 
 
 def test_parse_long_form(long_panel_text):
@@ -189,7 +190,7 @@ def test_aggregate_region_sums_reproduce_panel_totals(long_panel_text):
     pop = ingest.parse_panel(long_panel_text)
     aggs = ingest.aggregate_by_region(ati, pop)
     for year in ati.years:
-        total = sum(ingest.average_over_years(ati, [year]).values())
+        total = sum(ingest.average_over_years(ati, [year]))
         assert sum(a.ati_by_year[year] for a in aggs) == pytest.approx(total, rel=1e-9)
     assert sum(a.n_cities for a in aggs) == len(ati.records)
 
@@ -218,11 +219,11 @@ def test_average_over_years_mean():
     panel = ingest.parse_panel(
         "entity_id,name,region,province,2007,2008,2009\na,A,R1,P1,10,20,30\n"
     )
-    assert ingest.average_over_years(panel, [2007, 2008, 2009]) == {"a": 20.0}
-    assert ingest.average_over_years(panel, [2008]) == {"a": 20.0}
+    assert ingest.average_over_years(panel, [2007, 2008, 2009]).tolist() == [20.0]
+    assert ingest.average_over_years(panel, [2008]).tolist() == [20.0]
     # an empty or absent window is every panel year
-    assert ingest.average_over_years(panel, []) == ingest.average_over_years(panel) \
-        == {"a": 20.0}
+    assert ingest.average_over_years(panel, []).tolist() \
+        == ingest.average_over_years(panel).tolist() == [20.0]
 
 
 # finite non-negative cells from 1e-300 to 1e300, so a row mixes magnitudes
@@ -241,7 +242,7 @@ def test_means_equal_statistics_fmean_bit_for_bit(rows):
     panel = ingest.Panel("q", years, ids, ids, tuple(f"R{i % 3}" for i in range(n)),
                          ("P",) * n, np.array(rows))
     averages = ingest.average_over_years(panel, list(years))
-    assert [averages[eid].hex() for eid in ids] == [statistics.fmean(r).hex() for r in rows]
+    assert [v.hex() for v in averages.tolist()] == [statistics.fmean(r).hex() for r in rows]
     for agg in ingest.aggregate_by_region(panel, panel):
         assert agg.ati_mean.hex() == statistics.fmean(agg.ati_by_year.values()).hex()
 
@@ -252,15 +253,14 @@ def test_average_linear_trend():
     header = "entity_id,name,region,province," + ",".join(map(str, years))
     row = "a,A,R1,P1," + ",".join(str(7.0 + t) for t in range(5))
     panel = ingest.parse_panel(header + "\n" + row + "\n")
-    assert ingest.average_over_years(panel, years)["a"] == pytest.approx(9.0)
+    assert ingest.average_over_years(panel, years).tolist() == [pytest.approx(9.0)]
 
 
 def test_average_commutes_with_merge():
     panel, ledger = _merge_fixture()
-    merged_then_avg = ingest.average_over_years(
-        ingest.apply_merge_ledger(panel, ledger), [2007]
-    )
-    avg = ingest.average_over_years(panel, [2007])
+    merged = ingest.apply_merge_ledger(panel, ledger)
+    merged_then_avg = dict(zip(merged.ids, ingest.average_over_years(merged, [2007])))
+    avg = dict(zip(panel.ids, ingest.average_over_years(panel, [2007])))
     assert merged_then_avg["ab"] == pytest.approx(avg["a"] + avg["b"], rel=1e-12)
 
 
@@ -371,3 +371,24 @@ def test_merged_labels_equal_a_per_entity_reference(n, data):
         return
     merged = ingest.apply_merge_ledger(panel, ledger)
     assert (merged.ids, merged.names, merged.regions, merged.provinces) == expected
+
+
+# labels with every character csv's writer quotes here, and some it does not
+LABELS = st.text(st.sampled_from('ab ," \r\n\x0c\x00é'), max_size=4)
+WHOLE = st.one_of(st.sampled_from([0.0, 7.0, 999999999999.0]),
+                  st.integers(0, 10 ** 12 - 1).map(float))
+CELL = st.one_of(WHOLE, st.sampled_from([-0.0, 2.5, 1e-5, 1e12, 1e16, math.nan]),
+                 st.floats(0.0, 1e20, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.lists(st.tuples(LABELS, LABELS, LABELS, LABELS), max_size=8,
+                                   unique_by=lambda labels: labels[0]),
+       st.sampled_from([WHOLE, CELL]), LABELS, st.data())
+def test_serialize_panel_writes_the_bytes_of_the_csv_writer(width, labels, cells, note, data):
+    values = data.draw(st.lists(st.lists(cells, min_size=width, max_size=width),
+                                min_size=len(labels), max_size=len(labels)))
+    panel = ingest.Panel(note or "q", tuple(range(2007, 2007 + width)),
+                         *(tuple(column) for column in zip(*labels)) if labels else ((),) * 4,
+                         np.array(values).reshape(len(labels), width), note)
+    assert ingest.serialize_panel(panel) == reference_ingest.serialize_panel(panel)

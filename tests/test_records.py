@@ -19,7 +19,7 @@ def _one_of_each():
     x = rank.rank_desc({f"e{i}": float(v) for i, v in enumerate(REGION_COUNTS_2011)})
     pairs = rank.pair_ranks(x, x)
     result = fit.fit_model(x)
-    points = regime.ScatterSet(tuple((eid, v, 2.0 * v + i % 3)
+    points = regime.ScatterSet.from_points(tuple((eid, v, 2.0 * v + i % 3)
                                      for i, (eid, v) in enumerate(zip(x.ids, x.values.tolist()))))
     config = urnsim.UrnConfig(3, 10, seed=1)
     return [panel, panel.records[0], entry, ingest.MergeLedger((entry,)),
@@ -60,9 +60,9 @@ def test_records_compare_as_they_did():
     assert x == x and x != y and len({x, y}) == 2  # a series equals only itself
 
     pairs = rank.pair_ranks(x, y)
-    moved = rank.RankPairs(pairs.entries, (np.zeros(3, np.intp), np.ones(3, np.intp)))
+    moved = rank.RankPairs.from_entries(pairs.entries, (np.zeros(3, np.intp), np.ones(3, np.intp)))
     assert pairs == moved and not pairs != moved and hash(pairs) == hash(moved)
-    assert pairs != rank.RankPairs(pairs.entries[::-1], pairs.positions)
+    assert pairs != rank.RankPairs.from_entries(pairs.entries[::-1], pairs.positions)
 
     with pytest.raises(IngestError, match="duplicate entity_id"):
         ingest.Panel("q", (2007,), ("a", "a"), ("A", "A"), ("R", "R"), ("P", "P"),

@@ -3,6 +3,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ranklaw import cli, regime
 from ranklaw.errors import RegimeError
@@ -10,7 +11,7 @@ from ranklaw.regime import ScatterSet
 
 
 def _scatter(xs, ys):
-    return ScatterSet(tuple((f"p{i}", float(x), float(y))
+    return ScatterSet.from_points(tuple((f"p{i}", float(x), float(y))
                             for i, (x, y) in enumerate(zip(xs, ys))))
 
 
@@ -367,3 +368,25 @@ def test_the_split_objective_is_the_least_over_arc_splits(k):
         split = regime.two_line_split(_scatter(x, y), k=k)
         tolerance = 1e-9 * float(np.sum(x * x + y * y))
         assert split.objective == pytest.approx(_arc_optimum(x, y, k), abs=tolerance)
+
+
+def _split_or_error(points, k, exclude):
+    try:
+        return regime.two_line_split(points, k=k, outlier_ids=exclude)
+    except RegimeError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.text("ab,", min_size=1, max_size=3),
+                          *[st.sampled_from([-0.0, 0.0, 1e-5, 1.0, 2.0, 5.0, 1e16])] * 2),
+                min_size=2, max_size=12, unique_by=lambda p: p[0]),
+       st.sampled_from([2, 3]), st.data())
+def test_scatter_sets_from_points_and_from_arrays_agree(points, k, data):
+    exclude = tuple(data.draw(st.sets(st.sampled_from([p[0] for p in points]), max_size=2)))
+    ids, x, y = zip(*points)
+    tuples, arrays = ScatterSet.from_points(points), ScatterSet(ids, np.array(x), np.array(y))
+    assert tuples == arrays
+    assert tuples.points == arrays.points == tuple(points)
+    assert _split_or_error(tuples, k, exclude) == _split_or_error(arrays, k, exclude)
+    assert arrays != ScatterSet(ids, np.array(x) * 2 + 1, np.array(y))
