@@ -133,13 +133,14 @@ def _load_ranked(path: str, window: list[int] | None,
         if reader.is_ranking(text):
             if merges:
                 raise IngestError("--merges needs a panel, not a ranking file")
-            return rank.rank_desc(reader.parse_ranking(text), rule=rank.TieBreak.ENTITY_ID)
+            values = reader.parse_ranking(text)
+            return rank.rank_desc(tuple(values), list(values.values()), rank.TieBreak.ENTITY_ID)
         from . import ingest
         panel = ingest.parse_panel(text)
     panel = _merged(panel, merges)
     with _naming(path):
         averages = ingest.average_over_years(panel, window)
-    return rank.rank_desc((panel.ids, averages), names=panel.names)
+    return rank.rank_desc(panel.ids, averages, names=panel.names)
 
 
 def _load_scatter(path: str) -> regime.ScatterSet:
@@ -207,8 +208,7 @@ def cmd_rank(args, out: OutputDir) -> None:
     panel = _load_panel(args.input)
     with _naming(args.input):
         averages = ingest.average_over_years(panel, args.window)
-    series = rank.rank_desc((panel.ids, averages), rule=rank.TieBreak(args.ties),
-                            names=panel.names)
+    series = rank.rank_desc(panel.ids, averages, rank.TieBreak(args.ties), panel.names)
     out.write("ranked.csv", rank.export_ranked_series(series))
 
 
@@ -316,12 +316,11 @@ def cmd_simulate(args, out: OutputDir) -> None:
 
 def _level_sections(ids, names, x_values, y_values, args) -> list[str]:
     """The report's sections for entities `ids`, with names and both value
-    arrays aligned with them: the summary of x, the correlation of the x and
-    y rankings, the rank-size fit of x and the k-line split of (x, y)."""
-    from . import fit, rank, regime, stats
-    summary = stats.describe(x_values)
-    x = rank.rank_desc((ids, x_values), names=names)
-    y = rank.rank_desc((ids, y_values), names=names)
+    arrays aligned with them: the correlation of the x and y rankings, the
+    rank-size fit of x and the k-line split of (x, y)."""
+    from . import fit, rank, regime
+    x = rank.rank_desc(ids, x_values, names=names)
+    y = rank.rank_desc(ids, y_values, names=names)
     pairs, report = _correlate(x, y)
     result = fit.fit_model(x, kind=fit.ModelKind(args.model), A=args.amplitude,
                            scale=args.scale)
@@ -334,7 +333,6 @@ def _level_sections(ids, names, x_values, y_values, args) -> list[str]:
                    "sigma_tau": _fmt(report.sigma_tau), "Z": _fmt(report.z),
                    "Spearman rho": _fmt(report.rho), "Pearson Pi": _fmt(report.pi)}
     return [
-        stats.format_summary(summary, label="[summary: window-average values]"),
         "[correlation]",
         *(f"{key:<12} {value}" for key, value in correlation.items()),
         "",
@@ -349,10 +347,14 @@ def _level_sections(ids, names, x_values, y_values, args) -> list[str]:
 
 
 def cmd_report(args, out: OutputDir) -> None:
-    from . import ingest, rank
+    from . import ingest, rank, stats
     _check_amplitude(args.amplitude)
     ati = _merged(_load_panel(args.input), args.merges)
     pop = _load_panel(args.population)
+    with _naming(args.input, StatsError):
+        means = ingest.average_over_years(ati, args.window)
+        summary = stats.format_summary(stats.describe(means),
+                                       label="[summary: window-average values]")
     if not pop.years:
         raise IngestError(f"{args.population}: no census year: the panel has no entity rows")
     census = pop.values[:, -1]
@@ -361,11 +363,10 @@ def cmd_report(args, out: OutputDir) -> None:
                           f"{pop.ids[np.argmax(np.isnan(census))]!r} in year {pop.years[-1]}")
     # the city level: every array aligned with the income panel's entities
     with _naming(args.input, CorrelationError, FitError, RegimeError, StatsError):
-        means = ingest.average_over_years(ati, args.window)
         census = census[rank.positions_of(ati.ids, pop.ids)]
         sections = _level_sections(ati.ids, ati.names, means, census, args)
     out.write("report.txt", "\n".join(
-        [f"# ranklaw report (schema_version {SCHEMA_VERSION})", "", *sections]) + "\n")
+        [f"# ranklaw report (schema_version {SCHEMA_VERSION})", "", summary, *sections]) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -506,8 +506,7 @@ def serialize_panel(panel: Panel) -> str:
     """Canonical long-form text serialization (stable ordering, round-trips).
 
     A label is quoted as csv's writer quotes it; a value is written by %.12g,
-    or as an integer where every value is a whole number below 1e12 and not
-    -0.0, which %.12g writes alike; a missing value is empty."""
+    and a missing value is empty."""
     head = f"# quantity_label: {panel.quantity_label}\n"
     if panel.provenance:
         head += f"# provenance: {panel.provenance}\n"
@@ -519,14 +518,10 @@ def serialize_panel(panel: Panel) -> str:
         if _QUOTED.search("".join(fields)):
             fields[:] = ['"%s"' % f.replace('"', '""') if _QUOTED.search(f) else f for f in fields]
     heads = list(map(",".join, zip(*columns)))
-    values = panel.values[order]
-    if ((values == np.floor(values)) & (values < 1e12) & ~np.signbit(values)).all():
-        cell, cells = "%d", values.astype(np.int64).ravel().tolist()
-    else:
-        cell, cells = "%s", values.ravel().tolist()
-        cells = ("%.12g\n" * len(cells) % tuple(cells)).replace("nan", "").splitlines()
+    cells = panel.values[order].ravel().tolist()
+    cells = ("%.12g\n" * len(cells) % tuple(cells)).replace("nan", "").splitlines()
     # one line per entity and year: the entity's labels, the year and the value
     args = [None] * (2 * len(cells))
     args[::2] = chain.from_iterable(zip(*[heads] * len(panel.years)))
     args[1::2] = cells
-    return head + "".join(f"%s,{year},{cell}\n" for year in panel.years) * len(heads) % tuple(args)
+    return head + "".join(f"%s,{year},%s\n" for year in panel.years) * len(heads) % tuple(args)

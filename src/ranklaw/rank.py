@@ -70,20 +70,16 @@ class RankPairs(NamedTuple):
         return hash(self.entries)
 
 
-def rank_desc(values, rule: TieBreak = TieBreak.LEXICAL_NAME, names=None) -> RankedSeries:
+def rank_desc(ids, values, rule: TieBreak = TieBreak.LEXICAL_NAME, names=None) -> RankedSeries:
     """Rank entities by decreasing value.
 
-    values maps entity id to value, or is a pair of distinct ids and an aligned
-    array; names maps id to display name, or is aligned with the ids.  Ties are
-    broken by display name then entity id (LEXICAL_NAME), by entity id
-    (ENTITY_ID), or shared as the mean rank of the tied span (AVERAGE_RANK,
-    which orders tied entries by id for reproducibility).
+    ids is a tuple of distinct entity ids, values and names (display names, or
+    None) are aligned with it.  Ties are broken by display name then entity id
+    (LEXICAL_NAME), by entity id (ENTITY_ID), or shared as the mean rank of the
+    tied span (AVERAGE_RANK, which orders tied entries by id for reproducibility).
     """
-    ids, column = (tuple(values), list(values.values())) if isinstance(values, dict) else values
-    column = np.asarray(column, dtype=float)
-    if isinstance(names, dict):
-        names = list(map(names.get, ids, ids))
-    if not len(ids):
+    column = np.asarray(values, dtype=float)
+    if not ids:
         raise RankingError("cannot rank an empty map")
     require_finite(column, RankingError, ids)
     order = np.argsort(-column, kind="stable")

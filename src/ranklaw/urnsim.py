@@ -211,8 +211,7 @@ def generate_ranksize(model: RankSizeModel, noise_sigma: float = 0.0,
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
         y = y * np.exp(rng.normal(0.0, noise_sigma, size=model.N))
-    values = {f"r{int(ri):06d}": float(v) for ri, v in zip(r, y)}
-    return rank_desc(values, rule=TieBreak.ENTITY_ID)
+    return rank_desc(tuple(f"r{ri:06d}" for ri in range(1, model.N + 1)), y, TieBreak.ENTITY_ID)
 
 
 def export_outcome(outcome: UrnOutcome) -> str:

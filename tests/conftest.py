@@ -14,10 +14,16 @@ REGION_COUNTS_2007 = [
 ]
 
 
+def ranked(values, rule=rank.TieBreak.LEXICAL_NAME, names=None):
+    """rank.rank_desc on an {id: value} map, with names an {id: name} map."""
+    return rank.rank_desc(tuple(values), list(values.values()), rule,
+                          None if names is None else [names.get(e, e) for e in values])
+
+
 @pytest.fixture
 def region_count_series():
     values = {f"reg{i:02d}": float(v) for i, v in enumerate(REGION_COUNTS_2011)}
-    return rank.rank_desc(values, rule=rank.TieBreak.ENTITY_ID)
+    return ranked(values, rule=rank.TieBreak.ENTITY_ID)
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from ranklaw.fit import ModelKind, RankSizeModel
 from ranklaw.urnsim import UrnConfig
 
 from tests import conftest
-from tests.conftest import REGION_COUNTS_2011
+from tests.conftest import REGION_COUNTS_2011, ranked
 
 
 def _emit(line: str) -> None:
@@ -227,7 +227,7 @@ def test_criterion_09_urn_simulator():
         r2s = []
         for row in rows:
             values = {f"u{i:03d}": float(v) for i, v in enumerate(row)}
-            series = rank.rank_desc(values, rule=rank.TieBreak.ENTITY_ID)
+            series = ranked(values, rule=rank.TieBreak.ENTITY_ID)
             r2s.append(fit.fit_model(series).r_squared)
         assert float(np.mean(r2s)) >= 0.9
 
@@ -291,9 +291,9 @@ def test_criterion_11_full_dataset_integration():
 
         averages = dict(zip(ati.ids, ingest.average_over_years(ati, list(ati.years)).tolist()))
         names = {rec.entity_id: rec.name for rec in ati.records}
-        x = rank.rank_desc(averages, names=names)
+        x = ranked(averages, names=names)
         pop_values = pop.values_for_year(pop.years[-1])
-        y = rank.rank_desc(pop_values, names=names)
+        y = ranked(pop_values, names=names)
         pairs = rank.pair_ranks(x, y)
         ids = [eid for eid, _, _ in pairs.entries]
         report = corr.correlation_report(

@@ -12,7 +12,7 @@ import pytest
 import ranklaw
 from ranklaw import cli, fit, rank
 from ranklaw.errors import RanklawError
-from tests.conftest import LONG_PANEL, REGION_COUNTS_2011
+from tests.conftest import LONG_PANEL, REGION_COUNTS_2011, ranked
 
 # a floating-point fault must end a command as an error, never pass as a warning
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -20,7 +20,7 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 def _write_region_ranking(path):
     values = {f"reg{i:02d}": float(v) for i, v in enumerate(REGION_COUNTS_2011)}
-    series = rank.rank_desc(values, rule=rank.TieBreak.ENTITY_ID)
+    series = ranked(values, rule=rank.TieBreak.ENTITY_ID)
     path.write_text(rank.export_ranked_series(series))
     return path
 
@@ -244,6 +244,16 @@ def test_report_missing_population_cell(tmp_path, capsys):
     assert str(pop) in err and "'c3'" in err and "2008" in err
     assert "Traceback" not in err
     assert list(out.iterdir()) == []
+
+
+def test_report_names_a_fault_of_the_income_panel_before_one_of_the_population(tmp_path, capsys):
+    # one entity cannot be summarized, and its census cell is missing
+    ati, pop = tmp_path / "ati.csv", tmp_path / "pop.csv"
+    ati.write_text("entity_id,name,region,province,2007,2008\nc1,Alpha,R1,P1,100,110\n")
+    pop.write_text("entity_id,name,region,province,2007,2008\nc1,Alpha,R1,P1,900,NA\n")
+    assert cli.main(["report", "--input", str(ati), "--population", str(pop),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"ranklaw: report: {ati}: describe needs at least 2 values\n"
 
 
 def _corr_argv(tmp_path, population):
@@ -938,19 +948,25 @@ def test_the_console_script_is_the_program_entry():
     assert pyproject["project"]["scripts"] == {"ranklaw": "ranklaw.cli:run"}
 
 
-@pytest.mark.parametrize("command, scale", [("regime", 1e300), ("regime", 1e80), ("fit", 1e308)])
+@pytest.mark.parametrize("command, scale", [("regime", 1e300), ("regime", 1e80), ("fit", 1e308),
+                                            ("describe", 1e200), ("report", 1e200)])
 def test_a_floating_point_fault_is_one_error_line(tmp_path, capsys, command, scale):
-    # a scatter and a ranking whose second moments overflow a float
+    # a scatter, a ranking and a panel whose second moments overflow a float
     path = tmp_path / "data.csv"
+    argv = [command, "--input", str(path), "--out", str(tmp_path / "out")]
     if command == "regime":
         rows = [f"p{i},{scale * (1 + i % 7)!r},{scale * (1 + i % 7) * (5 if i % 2 else 1)!r}"
                 for i in range(40)]
         path.write_text("entity_id,x,y\n" + "\n".join(rows) + "\n")
-    else:
+    elif command == "fit":
         path.write_text("rank,entity_id,value\n" + "".join(
             f"{r},e{r},{scale * r ** -0.8!r}\n" for r in range(1, 51)))
+    else:  # a legal panel, which is also its own population panel
+        path.write_text("entity_id,name,region,province,2007,2008\n" + "".join(
+            f"c{i},N{i},R1,P1,{scale * (1 + i % 7)!r},{scale * (2 + i % 5)!r}\n" for i in range(40)))
+        argv += ["--population", str(path)] if command == "report" else []
     before = np.geterr()
-    assert cli.main([command, "--input", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"ranklaw: {command}: internal error: FloatingPointError: ")
     assert err.count("\n") == 1

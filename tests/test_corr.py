@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ranklaw import corr, ingest, rank
 from ranklaw.errors import CorrelationError, IngestError
+from tests.conftest import ranked
 
 
 def _pairs_from_perms(px, py):
@@ -235,8 +236,8 @@ def _tied_series_reports(rng):
         y = x + rng.integers(0, 4, n)
         xv = {f"e{i}": v for i, v in enumerate(x.tolist())}
         yv = {f"e{i}": v for i, v in enumerate(y.tolist())}
-        pairs = rank.pair_ranks(rank.rank_desc(xv, rule=rank.TieBreak.AVERAGE_RANK),
-                                rank.rank_desc(yv, rule=rank.TieBreak.AVERAGE_RANK))
+        pairs = rank.pair_ranks(ranked(xv, rule=rank.TieBreak.AVERAGE_RANK),
+                                ranked(yv, rule=rank.TieBreak.AVERAGE_RANK))
         ids = [eid for eid, _, _ in pairs.entries]
         yield x, y, corr.correlation_report(pairs, [xv[i] for i in ids], [yv[i] for i in ids])
 
@@ -360,11 +361,11 @@ def test_array_records_equal_their_per_entity_definitions(values, names, rule):
     ids = sorted(values)
     rx = [_defined_rank(xv, names, rule, eid) for eid in ids]
     ry = [_defined_rank(yv, names, rule, eid) for eid in ids]
-    # the pair form ranks as the map form does, in any input order
+    # the ranks do not depend on the order the entities come in
     order = ids[::-1]
-    y = rank.rank_desc((tuple(order), np.array([yv[e] for e in order])), rule=rule,
+    y = rank.rank_desc(tuple(order), [yv[e] for e in order], rule,
                        names=[names.get(e, e) for e in order])
-    pairs = rank.pair_ranks(rank.rank_desc(xv, rule=rule, names=names), y)
+    pairs = rank.pair_ranks(ranked(xv, rule=rule, names=names), y)
     assert pairs.entries == tuple(zip(ids, rx, ry))
     assert pairs == rank.RankPairs.from_entries(zip(ids, rx, ry), pairs.positions)
 

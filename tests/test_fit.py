@@ -6,6 +6,7 @@ import pytest
 from ranklaw import fit, rank, urnsim
 from ranklaw.errors import FitError
 from ranklaw.fit import ModelKind, RankSizeModel
+from tests.conftest import ranked
 
 
 def _lav3(A, N, m1, m2, m3):
@@ -103,7 +104,7 @@ def test_fit_published_region_counts(region_count_series):
 def test_fit_scale_invariance(region_count_series):
     base = fit.fit_model(region_count_series, A=1e3)
     scaled_values = dict(zip(region_count_series.ids, 100.0 * region_count_series.values))
-    scaled_series = rank.rank_desc(scaled_values, rule=rank.TieBreak.ENTITY_ID)
+    scaled_series = ranked(scaled_values, rule=rank.TieBreak.ENTITY_ID)
     scaled = fit.fit_model(scaled_series, A=1e5)
     for a, b in zip(base.model.params, scaled.model.params):
         assert a == pytest.approx(b, rel=1e-6)
@@ -129,7 +130,7 @@ def test_cutoff_fit_roundtrip():
 
 def test_fit_rejects_nonpositive_values_on_log_scale():
     values = {"a": 3.0, "b": 2.0, "c": 1.0, "d": 0.0}
-    series = rank.rank_desc(values)
+    series = ranked(values)
     for scale in ("log", "linear"):
         with pytest.raises(FitError, match="positive"):
             fit.fit_model(series, scale=scale)
@@ -166,8 +167,8 @@ def test_cutoff_rate_held_at_zero_when_unconstrained_optimum_is_negative():
     # y = 5 r^-0.8 exp(+0.01 r) still decreases on 1..50, but its rate is negative
     r = np.arange(1, 51, dtype=float)
     y = 5.0 * r ** -0.8 * np.exp(0.01 * r)
-    series = rank.rank_desc({f"e{int(ri):02d}": float(v) for ri, v in zip(r, y)},
-                            rule=rank.TieBreak.ENTITY_ID)
+    series = ranked({f"e{int(ri):02d}": float(v) for ri, v in zip(r, y)},
+                    rule=rank.TieBreak.ENTITY_ID)
     cutoff = fit.fit_model(series, kind=ModelKind.POWERLAW_CUTOFF, A=1.0)
     power = fit.fit_model(series, kind=ModelKind.POWERLAW, A=1.0)
     assert cutoff.model.params[2] == 0.0
@@ -176,14 +177,14 @@ def test_cutoff_rate_held_at_zero_when_unconstrained_optimum_is_negative():
 
 def test_log_fit_rejects_ranks_that_cannot_determine_the_parameters():
     # average-rank ties leave two distinct ranks for three parameters
-    series = rank.rank_desc({"a": 2.0, "b": 2.0, "c": 1.0, "d": 1.0},
-                            rule=rank.TieBreak.AVERAGE_RANK)
+    series = ranked({"a": 2.0, "b": 2.0, "c": 1.0, "d": 1.0},
+                    rule=rank.TieBreak.AVERAGE_RANK)
     with pytest.raises(FitError, match="singular"):
         fit.fit_model(series)
 
 
 def test_fit_needs_enough_points():
-    series = rank.rank_desc({"a": 2.0, "b": 1.0})
+    series = ranked({"a": 2.0, "b": 1.0})
     with pytest.raises(FitError, match="at least"):
         fit.fit_model(series)
 
@@ -209,7 +210,7 @@ def test_goodness_hand_computed_chi2():
     shifted_values = fit.model_eval(truth, r) + np.array(
         [1.0, -1.0] + [0.0] * 8
     )
-    shifted = rank.rank_desc(
+    shifted = ranked(
         {f"r{i}": float(v) for i, v in enumerate(shifted_values)},
         rule=rank.TieBreak.ENTITY_ID,
     )
@@ -218,7 +219,7 @@ def test_goodness_hand_computed_chi2():
 
 
 def test_remove_top_outliers():
-    series = rank.rank_desc({"a": 4.0, "b": 3.0, "c": 2.0, "d": 1.0})
+    series = ranked({"a": 4.0, "b": 3.0, "c": 2.0, "d": 1.0})
     assert fit.remove_top_outliers(series, 0) is series
     trimmed = fit.remove_top_outliers(series, 2)
     assert trimmed.ids == ("c", "d")
@@ -239,7 +240,7 @@ def test_detect_outliers_clean_and_contaminated():
     contaminated_values = dict(zip(series.ids, series.values))
     victim = series.ids[24]
     contaminated_values[victim] *= 100.0
-    contaminated = rank.rank_desc(contaminated_values, rule=rank.TieBreak.ENTITY_ID)
+    contaminated = ranked(contaminated_values, rule=rank.TieBreak.ENTITY_ID)
     refit = fit.fit_model(contaminated, A=1e3)
     assert fit.detect_outliers(contaminated, refit) == [victim]
 

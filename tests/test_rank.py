@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ranklaw import rank
 from ranklaw.errors import RankingError
 from ranklaw.rank import TieBreak
+from tests.conftest import ranked
 
 
 def _ranks(series):
@@ -16,7 +17,7 @@ def _ranks(series):
 
 
 def test_rank_desc_strict_ordering():
-    s = rank.rank_desc({"a": 3.0, "b": 1.0, "c": 2.0})
+    s = ranked({"a": 3.0, "b": 1.0, "c": 2.0})
     assert _ranks(s) == {"a": 1.0, "c": 2.0, "b": 3.0}
     values = s.values.tolist()
     assert values == sorted(values, reverse=True)
@@ -24,62 +25,62 @@ def test_rank_desc_strict_ordering():
 
 def test_rank_desc_empty_map():
     with pytest.raises(RankingError):
-        rank.rank_desc({})
+        ranked({})
 
 
 def test_tie_semantics():
-    lex = rank.rank_desc({"a": 5.0, "b": 5.0}, rule=TieBreak.LEXICAL_NAME)
+    lex = ranked({"a": 5.0, "b": 5.0}, rule=TieBreak.LEXICAL_NAME)
     assert _ranks(lex) == {"a": 1.0, "b": 2.0}
-    avg = rank.rank_desc({"a": 5.0, "b": 5.0}, rule=TieBreak.AVERAGE_RANK)
+    avg = ranked({"a": 5.0, "b": 5.0}, rule=TieBreak.AVERAGE_RANK)
     assert _ranks(avg) == {"a": 1.5, "b": 1.5}
 
 
 def test_tie_break_by_name_then_id():
     names = {"x1": "Zed", "x2": "Ann"}
-    s = rank.rank_desc({"x1": 5.0, "x2": 5.0}, names=names)
+    s = ranked({"x1": 5.0, "x2": 5.0}, names=names)
     assert _ranks(s) == {"x2": 1.0, "x1": 2.0}
 
 
 def test_tie_groups_recorded_in_deterministic_mode():
-    s = rank.rank_desc({"a": 5.0, "b": 5.0, "c": 1.0})
+    s = ranked({"a": 5.0, "b": 5.0, "c": 1.0})
     assert s.tie_groups == ((1, 2),)
     assert _ranks(s)["c"] == 3.0
 
 
 def test_monotone_transform_invariance():
     values = {"a": 3.0, "b": 1.5, "c": 2.7, "d": 0.1}
-    base = rank.rank_desc(values)
-    transformed = rank.rank_desc({k: math.exp(v) for k, v in values.items()})
+    base = ranked(values)
+    transformed = ranked({k: math.exp(v) for k, v in values.items()})
     assert _ranks(base) == _ranks(transformed)
 
 
 def test_pair_ranks_identity_and_reversal():
-    x = rank.rank_desc({"a": 3.0, "b": 2.0, "c": 1.0})
+    x = ranked({"a": 3.0, "b": 2.0, "c": 1.0})
     same = rank.pair_ranks(x, x)
     assert all(rx == ry for _, rx, ry in same.entries)
 
-    y = rank.rank_desc({"a": 1.0, "b": 2.0, "c": 3.0})
+    y = ranked({"a": 1.0, "b": 2.0, "c": 3.0})
     rev = rank.pair_ranks(x, y)
     assert {(rx, ry) for _, rx, ry in rev.entries} == {(1, 3), (2, 2), (3, 1)}
 
 
 def test_pair_ranks_set_mismatch_lists_ids():
-    x = rank.rank_desc({"a": 1.0, "b": 2.0})
-    y = rank.rank_desc({"a": 1.0, "z": 2.0})
+    x = ranked({"a": 1.0, "b": 2.0})
+    y = ranked({"a": 1.0, "z": 2.0})
     with pytest.raises(RankingError, match="'b'.*'z'|'z'.*'b'"):
         rank.pair_ranks(x, y)
 
 
 def test_pair_ranks_antisymmetric_under_swap():
-    x = rank.rank_desc({"a": 5.0, "b": 1.0, "c": 3.0})
-    y = rank.rank_desc({"a": 1.0, "b": 4.0, "c": 2.0})
+    x = ranked({"a": 5.0, "b": 1.0, "c": 3.0})
+    y = ranked({"a": 1.0, "b": 4.0, "c": 2.0})
     fwd = {eid: (rx, ry) for eid, rx, ry in rank.pair_ranks(x, y).entries}
     bwd = {eid: (rx, ry) for eid, rx, ry in rank.pair_ranks(y, x).entries}
     assert all(bwd[eid] == (ry, rx) for eid, (rx, ry) in fwd.items())
 
 
 def test_rank_diff_identical_rankings():
-    x = rank.rank_desc({"a": 3.0, "b": 2.0, "c": 1.0})
+    x = ranked({"a": 3.0, "b": 2.0, "c": 1.0})
     diffs, summary, frac = rank.rank_diff_series(rank.pair_ranks(x, x))
     assert diffs == [0.0, 0.0, 0.0]
     assert frac == 1.0
@@ -87,8 +88,8 @@ def test_rank_diff_identical_rankings():
 
 
 def test_rank_diff_reversal():
-    x = rank.rank_desc({"a": 3.0, "b": 2.0, "c": 1.0})
-    y = rank.rank_desc({"a": 1.0, "b": 2.0, "c": 3.0})
+    x = ranked({"a": 3.0, "b": 2.0, "c": 1.0})
+    y = ranked({"a": 1.0, "b": 2.0, "c": 3.0})
     diffs, summary, frac = rank.rank_diff_series(rank.pair_ranks(x, y))
     assert sorted(diffs) == [-2.0, 0.0, 2.0]
     assert summary.skewness == pytest.approx(0.0, abs=1e-12)
@@ -96,7 +97,7 @@ def test_rank_diff_reversal():
 
 
 def test_export_ranked_series():
-    s = rank.rank_desc({"a": 3.0, "b": 1.0})
+    s = ranked({"a": 3.0, "b": 1.0})
     text = rank.export_ranked_series(s)
     assert text.splitlines() == ["rank,entity_id,value", "1,a,3", "2,b,1"]
 
@@ -104,7 +105,7 @@ def test_export_ranked_series():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_rank_desc_rejects_non_finite_values(bad):
     with pytest.raises(RankingError, match="non-finite value .* for 'b'"):
-        rank.rank_desc({"a": 1.0, "b": bad, "c": 3.0})
+        ranked({"a": 1.0, "b": bad, "c": 3.0})
 
 
 def _tied_series(seed):
@@ -152,7 +153,7 @@ def _reference_ranking(values, rule, names):
 def test_tie_rules_match_a_plain_python_reference(rule):
     for seed in range(50):
         values, names = _tied_series(seed)
-        s = rank.rank_desc(values, rule=rule, names=names)
+        s = ranked(values, rule=rule, names=names)
         ids, ordered, ranks, groups = _reference_ranking(values, rule, names)
         assert s.ids == ids, seed
         assert s.values.tolist() == ordered, seed
@@ -164,13 +165,13 @@ def test_average_ranks_match_scipy():
     scipy_stats = pytest.importorskip("scipy.stats")
     for seed in range(50):
         values, _ = _tied_series(seed)
-        s = rank.rank_desc(values, rule=TieBreak.AVERAGE_RANK)
+        s = ranked(values, rule=TieBreak.AVERAGE_RANK)
         expected = scipy_stats.rankdata(-np.array(list(values.values())), method="average")
         assert _ranks(s) == dict(zip(values, expected.tolist())), seed
 
 
 def test_ranked_series_arrays_are_read_only():
-    s = rank.rank_desc({"a": 2.0, "b": 1.0})
+    s = ranked({"a": 2.0, "b": 1.0})
     for array in (s.values, s.ranks):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
@@ -187,7 +188,7 @@ def test_rank_desc_equals_a_sort_by_its_keys(values, data):
     names = data.draw(st.dictionaries(st.sampled_from(sorted(values)),
                                       st.text(st.sampled_from("xY \x00"), max_size=2)))
     for rule in TieBreak:
-        s = rank.rank_desc(values, rule=rule, names=names)
+        s = ranked(values, rule=rule, names=names)
         ids, ordered, ranks, groups = _reference_ranking(values, rule, names)
         assert (s.ids, s.ranks.tolist(), s.tie_groups) == (ids, ranks, groups)
         assert s.values.tobytes() == np.array(ordered).tobytes()  # the sign of a zero too
@@ -197,8 +198,8 @@ def test_rank_desc_equals_a_sort_by_its_keys(values, data):
 @given(st.dictionaries(IDS, st.tuples(VALUES, VALUES), min_size=1, max_size=30),
        st.sampled_from(list(TieBreak)), st.sampled_from(list(TieBreak)))
 def test_pair_ranks_joins_on_id_in_id_order(values, x_rule, y_rule):
-    x = rank.rank_desc({eid: v for eid, (v, _) in values.items()}, rule=x_rule)
-    y = rank.rank_desc({eid: v for eid, (_, v) in values.items()}, rule=y_rule)
+    x = ranked({eid: v for eid, (v, _) in values.items()}, rule=x_rule)
+    y = ranked({eid: v for eid, (_, v) in values.items()}, rule=y_rule)
     pairs = rank.pair_ranks(x, y)
     x_ranks, y_ranks = (dict(zip(s.ids, s.ranks.tolist())) for s in (x, y))
     assert pairs.entries == tuple((eid, x_ranks[eid], y_ranks[eid]) for eid in sorted(x_ranks))

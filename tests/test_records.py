@@ -10,13 +10,13 @@ import pytest
 import ranklaw
 from ranklaw import corr, fit, ingest, rank, regime, stats, urnsim
 from ranklaw.errors import IngestError
-from tests.conftest import LONG_PANEL, REGION_COUNTS_2011
+from tests.conftest import LONG_PANEL, REGION_COUNTS_2011, ranked
 
 
 def _one_of_each():
     panel = ingest.parse_panel(LONG_PANEL)
     entry = ingest.MergeEntry("m", "Merged", ("c1", "c3"), 2008)
-    x = rank.rank_desc({f"e{i}": float(v) for i, v in enumerate(REGION_COUNTS_2011)})
+    x = ranked({f"e{i}": float(v) for i, v in enumerate(REGION_COUNTS_2011)})
     pairs = rank.pair_ranks(x, x)
     result = fit.fit_model(x)
     points = regime.ScatterSet.from_points(tuple((eid, v, 2.0 * v + i % 3)
@@ -56,7 +56,7 @@ def test_records_compare_as_they_did():
         hash(ingest.parse_panel(LONG_PANEL))
 
     values = {"a": 3.0, "b": 2.0, "c": 1.0}
-    x, y = rank.rank_desc(values), rank.rank_desc(values)
+    x, y = ranked(values), ranked(values)
     assert x == x and x != y and len({x, y}) == 2  # a series equals only itself
 
     pairs = rank.pair_ranks(x, y)
