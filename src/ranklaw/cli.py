@@ -7,10 +7,15 @@ byte-identical outputs; floats are formatted at 12 significant digits.
 
 from __future__ import annotations
 
+import gc
+
+if __name__ == "__main__":  # python -m ranklaw.cli: numpy's import collects nothing either
+    gc.disable()
+
 import argparse
+import atexit
 import contextlib
 import fcntl
-import gc
 import os
 import shutil
 import sys
@@ -488,18 +493,21 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    """The program entry: main(), then exit without the interpreter's teardown collections.
+    """The program entry: main() with the collector off, then os._exit().
 
-    At shutdown the interpreter runs full garbage collections over every
-    container object numpy and the standard library hold, which took longer
-    than a small command's own work.  gc.freeze() moves them all into the
-    permanent generation, which no collection visits; atexit handlers, the
-    stdio flushes and module teardown still run.  main() never freezes, so a
-    caller that runs it in-process keeps its collector as it was.
+    When main() returns, its outputs are committed and the lock released; the
+    atexit handlers (weakref.finalize callbacks too) run on a frozen heap and
+    stdout and stderr are flushed, a failed flush silently, before os._exit()
+    skips module teardown.  An exception out of main() exits normally.
     """
+    gc.disable()  # a command keeps what it builds to its end, so collecting frees nothing
     code = main()
     gc.freeze()
-    sys.exit(code)
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        with contextlib.suppress(OSError, ValueError):
+            stream.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -103,10 +103,11 @@ def _pair_counts(cx: np.ndarray, n1: int, cy: np.ndarray, n2: int) -> PairCounts
     """Pair counts of two series of one length from their _ranked codes and tied pairs."""
     n = cx.size
     key = cx * n + cy
-    n3 = _tied_pairs(np.unique(key, return_counts=True)[1])
+    order = np.argsort(key)  # in this order a run of one key is a group tied in both
+    n3 = _tied_pairs(np.diff(np.flatnonzero(np.diff(key[order], prepend=-1, append=n * n))))
     # after sorting by (x, y), strict inversions in y are exactly the
     # discordant pairs: x-tied runs are y-ascending and contribute none
-    q = _inversions(cy[np.argsort(key)])
+    q = _inversions(cy[order])
     p = n * (n - 1) // 2 - n1 - n2 + n3 - q
     return PairCounts(p, q, n1 - n3, n2 - n3, n3)
 

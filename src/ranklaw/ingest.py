@@ -175,7 +175,7 @@ def _metadata(lines: list[str]) -> tuple[str, str]:
 # '#' and blank lines, then a header line of tabs and printable ASCII but '"'
 _HEAD = re.compile(r"(?:#.*\n|[ \t]*\n)*([\t -!#-~]*)\n")
 # beyond ASCII: where str.splitlines breaks, what str.strip strips, lone surrogates
-_UNPLAIN = re.compile(r"[\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000\ud800-\udfff]")
+_UNPLAIN = r"[\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000\ud800-\udfff]"
 # numpy 2.4's bytes-to-float cast was checked to read a plain number as float() does
 _CAST_CHECKED = np.lib.NumpyVersion(np.__version__) >= "2.4.0"
 
@@ -192,7 +192,7 @@ def _plain_panel(text: str) -> Panel | None:
     header = [h.strip() for h in head[1].split(delimiter)]
     tail, long_form = header[4:], header[4:] == ["year", "value"]
     if not (header[:4] == ID_COLUMNS and (long_form or tail and all(map(str.isdigit, tail)))
-            and '"' not in body and (body.isascii() or not _UNPLAIN.search(body))):
+            and '"' not in body and (body.isascii() or not re.search(_UNPLAIN, body))):
         return None
     buf = np.frombuffer((body if body.endswith("\n") else body + "\n").encode(), np.uint8)
     seps = (buf == 10) | (buf == ord(delimiter))
@@ -202,12 +202,13 @@ def _plain_panel(text: str) -> Panel | None:
         return None
     before, ends = bounds[:-1].reshape(-1, len(header)), bounds[1:].reshape(-1, len(header))
     longest = int((ends[:, -1] - before[:, 0]).max())
-    # a field under csv's size limit, and no cut over 4 times the text
+    spaces = np.flatnonzero(buf == 32)  # none at a field's edge; one at 0 follows buf[-1]
+    # under csv's field limit, cuts under 4 times the text, '\n' only at row ends, no '#' line
     if not (longest < min(csv.field_size_limit(), 4 * len(buf) // len(ends) + 1)
             and np.count_nonzero(buf < 32) == (ends.size if delimiter == "\t" else len(ends))
-            and ((buf[ends] == 10) == (np.arange(len(header)) == len(header) - 1)).all()
+            and np.count_nonzero(buf == 10) == len(ends) and (buf[ends[:, -1]] == 10).all()
             and (buf[before[:, 0] + 1] != 35).all()
-            and (buf[before + 1] != 32).all() and (buf[ends - 1] != 32).all()):
+            and not (seps[spaces - 1] | seps[spaces + 1]).any()):
         return None
     buf = np.concatenate([buf, np.zeros(longest, np.uint8)])
 
@@ -233,11 +234,16 @@ def _plain_panel(text: str) -> Panel | None:
     # the id, name, region and province of each entity in turn
     labels = b"\n".join(spans[order].tolist()).decode().replace(delimiter, "\n").split("\n")
     if long_form:
-        # with return_index, np.unique sorts stably, which is faster on bytes
-        raw, _, column = np.unique(cut(4, 4), return_index=True, return_inverse=True)
-        if not all(map(bytes.isdigit, raw.tolist())):
+        # each year cell is 1 to 18 ASCII digits, read as an int64 from its bytes
+        raw, size = cut(4, 4), ends[:, 4] - before[:, 4] - 1
+        if (raw.tobytes().translate(None, b"\x000123456789")
+                or not 0 < size.min() <= size.max() <= 18):
             return None
-        found, columns = list(map(int, raw.tolist())), [column]
+        digits = raw.view(np.uint8).reshape(len(raw), -1) & 15  # a NUL pad reads 0
+        scaled = digits @ 10 ** np.arange(digits.shape[1] - 1, -1, -1)
+        found, column = np.unique(scaled // np.int64(10) ** (digits.shape[1] - size),
+                                  return_inverse=True)
+        found, columns = found.tolist(), [column]
     else:
         found, columns = list(map(int, tail)), range(len(tail))
     years = sorted(set(found))

@@ -934,6 +934,46 @@ def test_the_program_entry_freezes_the_heap_and_runs_atexit_handlers(tmp_path):
     assert (run.returncode, run.stdout, run.stderr) == (0, "True\n", "")
 
 
+def test_the_program_entry_runs_the_command_with_the_collector_off(tmp_path):
+    argv = SIMULATE + ["--out", str(tmp_path / "out")]
+    code = ("import atexit, gc, sys; from ranklaw import cli; "
+            "atexit.register(lambda: print(gc.isenabled())); "
+            f"sys.argv[1:] = {argv!r}; cli.run()")
+    run = _python("-c", code, cwd=tmp_path)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
+
+
+def test_python_m_ranklaw_cli_imports_numpy_with_the_collector_off(tmp_path):
+    argv = SIMULATE + ["--out", str(tmp_path / "out")]
+    # a finder that finds nothing, asked first for every module imported
+    code = ("import gc, runpy, sys\n"
+            "class Probe:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy': print(gc.isenabled())\n"
+            f"sys.meta_path.insert(0, Probe()); sys.argv[1:] = {argv!r}\n"
+            "runpy.run_module('ranklaw.cli', run_name='__main__')")
+    run = _python("-c", code, cwd=tmp_path)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
+
+
+def test_text_left_in_the_stdout_buffer_reaches_the_pipe(tmp_path):
+    argv = SIMULATE + ["--out", str(tmp_path / "out")]
+    code = ("import sys; from ranklaw import cli; sys.stdout.write('left'); "
+            f"sys.argv[1:] = {argv!r}; cli.run()")
+    run = _python("-c", code, cwd=tmp_path)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "left", "")
+
+
+def test_a_failed_flush_at_the_program_entry_prints_nothing(tmp_path):
+    argv = SIMULATE + ["--out", str(tmp_path / "out")]
+    code = ("import io, sys; from ranklaw import cli\n"
+            "class Broken(io.StringIO):\n"
+            "    def flush(self): raise BrokenPipeError(32, 'Broken pipe')\n"
+            f"sys.stdout = Broken(); sys.argv[1:] = {argv!r}; cli.run()")
+    run = _python("-c", code, cwd=tmp_path)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "", "")
+
+
 def test_main_leaves_the_collector_as_it_was(tmp_path):
     before = gc.get_freeze_count(), gc.isenabled()
     assert cli.main(SIMULATE + ["--out", str(tmp_path / "out")]) == 0

@@ -106,6 +106,8 @@ def test_plain_texts_agree_with_the_reference_parser(drawn, order, delimiter, la
                    for eid, marker in zip("abcdef", ["", "NA", "NaN", "nan", "null", "None"])),
     # labels beyond ASCII
     LONG + "fo,Forlì,Emilia-Romagna,FC,2007,1\ncà,Cantù,Lombardia,CO,2007,2\n",
+    # a year cell of 18 digits, the most the plain path reads
+    LONG + "a,A,R1,P1,000000000000002007,1\nb,B,R1,P1,999999999999999999,2\n",
 ])
 @CAST_CHECKED
 def test_plain_texts_take_the_plain_path(text):
@@ -130,12 +132,15 @@ def test_plain_texts_take_the_plain_path(text):
     LONG + "a,A,R1,P1,2007,1\n# a note\nb,B,R1,P1,2007,2\n",  # a comment after the header
     LONG + "a, A,R1,P1,2007,1\n",  # a cell with white space at an edge
     LONG + "a,A,R1,P1 ,2007,1\n",
+    LONG + " a,A,R1,P1,2007,1\n",  # a space at the start of the body
+    LONG.replace(",", "\t") + "a\tA \tR1\tP1\t2007\t1\n",  # a space next to a tab
     LONG + "a,A,R1,P1,2007,1\n#b,B,R1,P1,2007,2\n",  # a '#' line of the header's width
     LONG + "a,A,R1,P1,2007,1e400\n",  # a value that overflows
     LONG + "a,A,R1,P1,2007,-1\n",  # a negative value
     LONG + "a,A,R1,P1,2007,1\na,B,R1,P1,2008,1\n",  # an id given other labels
     LONG + "a,A,R1,P1,2007,1\na,A,R1,P1,2007,2\n",  # a repeated cell
     LONG + "a,A,R1,P1,y2007,1\n",  # a malformed year
+    LONG + "a,A,R1,P1,1234567890123456789,1\n",  # a year of 19 digits
     LONG + ",A,R1,P1,2007,1\n",  # an empty id
     LONG + "a,A,R1,P1,2007\n",  # a short row
     "entity_id,name,region,province,2007,2007\na,A,R1,P1,1,2\n",  # a repeated year column
