@@ -27,7 +27,7 @@ import numpy as np
 # command pays the start-up cost only of the modules it runs
 from . import __version__
 from .errors import (CorrelationError, FitError, IngestError, PanelGapError, RanklawError,
-                     RegimeError, StatsError)
+                     RankingError, RegimeError, StatsError)
 
 SCHEMA_VERSION = 1
 LOCK_NAME = ".ranklaw.lock"
@@ -138,8 +138,7 @@ def _load_ranked(path: str, window: list[int] | None,
         if reader.is_ranking(text):
             if merges:
                 raise IngestError("--merges needs a panel, not a ranking file")
-            values = reader.parse_ranking(text)
-            return rank.rank_desc(tuple(values), list(values.values()), rank.TieBreak.ENTITY_ID)
+            return rank.rank_desc(*reader.parse_ranking(text), rank.TieBreak.ENTITY_ID)
         from . import ingest
         panel = ingest.parse_panel(text)
     panel = _merged(panel, merges)
@@ -217,21 +216,15 @@ def cmd_rank(args, out: OutputDir) -> None:
     out.write("ranked.csv", rank.export_ranked_series(series))
 
 
-def _correlate(x: rank.RankedSeries, y: rank.RankedSeries):
-    """(rank pairs, correlation report) of two ranked series; Pearson pi is
-    taken on their values, in the pairs' order by entity id."""
-    from . import corr, rank
-    pairs = rank.pair_ranks(x, y)
-    ox, oy = pairs.positions
-    return pairs, corr.correlation_report(pairs, x.values[ox], y.values[oy])
-
-
 def cmd_corr(args, out: OutputDir) -> None:
-    from . import rank, stats
+    from . import corr, rank, stats
     x = _load_ranked(args.input, args.window, args.merges)
     y = _load_ranked(args.population, args.window)
+    with _naming(args.population, RankingError):
+        pairs = rank.pair_ranks(x, y)
+    ox, oy = pairs.positions  # Pearson pi is taken on the values, in id order
     with _naming(args.input, CorrelationError):
-        pairs, report = _correlate(x, y)
+        report = corr.correlation_report(pairs, x.values[ox], y.values[oy])
     doc = {
         "n": report.n, "p": report.p, "q": report.q,
         "p_plus_q": report.p + report.q, "p_minus_q": report.p - report.q,
@@ -323,13 +316,14 @@ def _level_sections(ids, names, x_values, y_values, args) -> list[str]:
     """The report's sections for entities `ids`, with names and both value
     arrays aligned with them: the correlation of the x and y rankings, the
     rank-size fit of x and the k-line split of (x, y)."""
-    from . import fit, rank, regime
+    from . import corr, fit, rank, regime
     x = rank.rank_desc(ids, x_values, names=names)
     y = rank.rank_desc(ids, y_values, names=names)
-    pairs, report = _correlate(x, y)
+    pairs = rank.pair_ranks(x, y)
+    ox, oy = pairs.positions
+    report = corr.correlation_report(pairs, x.values[ox], y.values[oy])
     result = fit.fit_model(x, kind=fit.ModelKind(args.model), A=args.amplitude,
                            scale=args.scale)
-    ox, oy = pairs.positions
     exclude = tuple(args.exclude.split(",")) if args.exclude else ()
     split = regime.two_line_split(regime.ScatterSet(pairs.ids, x.values[ox], y.values[oy]),
                                   k=args.k_lines, outlier_ids=exclude)
@@ -367,8 +361,9 @@ def cmd_report(args, out: OutputDir) -> None:
         raise IngestError(f"{args.population}: missing population for "
                           f"{pop.ids[np.argmax(np.isnan(census))]!r} in year {pop.years[-1]}")
     # the city level: every array aligned with the income panel's entities
-    with _naming(args.input, CorrelationError, FitError, RegimeError, StatsError):
+    with _naming(args.population, RankingError):
         census = census[rank.positions_of(ati.ids, pop.ids)]
+    with _naming(args.input, CorrelationError, FitError, RegimeError, StatsError):
         sections = _level_sections(ati.ids, ati.names, means, census, args)
     out.write("report.txt", "\n".join(
         [f"# ranklaw report (schema_version {SCHEMA_VERSION})", "", summary, *sections]) + "\n")

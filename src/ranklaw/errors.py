@@ -12,7 +12,8 @@ class IngestError(RanklawError):
 
 
 class PanelGapError(IngestError):
-    """A missing cell or year, or an overflowing sum, in `panel`, one of several."""
+    """A missing cell or year, an overflowing sum or a differing entity set, in
+    `panel`, one of several."""
 
     def __init__(self, message: str, panel):
         super().__init__(message)

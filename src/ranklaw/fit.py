@@ -71,26 +71,16 @@ class FitResult(NamedTuple):
     r_squared: float                 # on the fitting scale
     r_squared_linear: float
     chi_squared: float               # linear-scale sum of squared residuals
-    residuals: tuple[float, ...]     # per-rank, on the fitting scale
     param_std_err: tuple[float, ...]
     excluded: tuple[str, ...]
     iterations: int
     converged: bool
 
 
-def _log_predict(kind: ModelKind, A: float, N: int, params, r: np.ndarray) -> np.ndarray:
-    if kind is ModelKind.LAVALETTE3:
-        m1, m2, m3 = params
-        return np.log(A * m1) - m2 * np.log(r) + m3 * np.log(N - r + 1)
-    if kind is ModelKind.POWERLAW:
-        c, beta = params
-        return np.log(A * c) - beta * np.log(r)
-    h, alpha, lam = params
-    return np.log(A * h) - alpha * np.log(r) - lam * r
-
-
 def _log_design(kind: ModelKind, N: int, r: np.ndarray) -> np.ndarray:
-    """Columns of log(yhat) as a linear function of (log(A p0), p1, p2)."""
+    """Columns of log(yhat) as a linear function of (log(A p0), p1, p2), the
+    amplitude column then the shape columns: the one place each model's
+    functional form is written."""
     cols = [np.ones(r.size), -np.log(r)]
     if kind is ModelKind.LAVALETTE3:
         cols.append(np.log(N - r + 1))
@@ -99,11 +89,13 @@ def _log_design(kind: ModelKind, N: int, r: np.ndarray) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _log_jacobian(kind: ModelKind, N: int, params, r: np.ndarray) -> np.ndarray:
-    """d log(yhat) / d params, one column per parameter."""
-    jac = _log_design(kind, N, r)
-    jac[:, 0] /= params[0]
-    return jac
+def _log_predict(A: float, params, design: np.ndarray) -> np.ndarray:
+    """log(yhat): log(A p0) plus each further column times its parameter, added
+    in column order, which is bit for bit the model's own expression."""
+    log_yhat = np.full(len(design), np.log(A * params[0]))
+    for p, column in zip(params[1:], design.T[1:]):
+        log_yhat += p * column
+    return log_yhat
 
 
 def model_eval(model: RankSizeModel, r):
@@ -111,15 +103,15 @@ def model_eval(model: RankSizeModel, r):
     arr = np.asarray(r, dtype=float)
     if np.any(arr < 1) or np.any(arr > model.N):
         raise FitError(f"rank out of range [1, {model.N}]")
-    y = np.exp(_log_predict(model.kind, model.A, model.N, model.params, arr))
+    design = _log_design(model.kind, model.N, arr.ravel())
+    y = np.exp(_log_predict(model.A, model.params, design)).reshape(arr.shape)
     return float(y) if np.isscalar(r) or arr.ndim == 0 else y
 
 
 def model_jacobian(model: RankSizeModel, r) -> np.ndarray:
     """Analytic d y / d params at rank(s) r."""
-    arr = np.atleast_1d(np.asarray(r, dtype=float))
-    y = np.exp(_log_predict(model.kind, model.A, model.N, model.params, arr))
-    return y[:, None] * _log_jacobian(model.kind, model.N, model.params, arr)
+    design = _log_design(model.kind, model.N, np.atleast_1d(np.asarray(r, dtype=float)))
+    return _jacobian(model.A, model.params, design, "linear")
 
 
 def default_amplitude(values) -> float:
@@ -137,11 +129,9 @@ def _lstsq(design: np.ndarray, target: np.ndarray) -> np.ndarray:
     return coef
 
 
-def _log_optimum(kind: ModelKind, A: float, N: int,
-                 r: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _log_optimum(kind: ModelKind, A: float, design: np.ndarray,
+                 logy: np.ndarray) -> np.ndarray:
     """Exact log-scale least-squares parameters, with lambda >= 0 for the cutoff."""
-    design = _log_design(kind, N, r)
-    logy = np.log(y)
     coef = _lstsq(design, logy)
     if kind is ModelKind.POWERLAW_CUTOFF and coef[2] < 0:
         # a convex objective with one bound: the optimum lies on lambda = 0
@@ -149,19 +139,19 @@ def _log_optimum(kind: ModelKind, A: float, N: int,
     return np.array([math.exp(coef[0]) / A, *coef[1:]])
 
 
-def _residuals(kind, A, N, params, r, y, scale) -> np.ndarray:
-    log_yhat = _log_predict(kind, A, N, params, r)
-    if scale == "log":
-        return np.log(y) - log_yhat
-    return y - np.exp(log_yhat)
+def _residuals(A, params, design, obs, scale) -> np.ndarray:
+    """obs minus the model on `scale`; obs is log(y) on the log scale, else y."""
+    log_yhat = _log_predict(A, params, design)
+    return obs - (log_yhat if scale == "log" else np.exp(log_yhat))
 
 
-def _jacobian(kind, A, N, params, r, scale) -> np.ndarray:
-    jl = _log_jacobian(kind, N, params, r)
+def _jacobian(A, params, design, scale) -> np.ndarray:
+    """d log(yhat) / d params on the log scale, d yhat / d params on the linear one."""
+    jac = design.copy()
+    jac[:, 0] /= params[0]
     if scale == "log":
-        return jl
-    yhat = np.exp(_log_predict(kind, A, N, params, r))
-    return yhat[:, None] * jl
+        return jac
+    return np.exp(_log_predict(A, params, design))[:, None] * jac
 
 
 def _clamp(kind: ModelKind, params: np.ndarray) -> np.ndarray:
@@ -200,15 +190,17 @@ def fit_model(series: RankedSeries, kind: ModelKind = ModelKind.LAVALETTE3,
     elif not (math.isfinite(A) and A > 0):
         raise FitError(f"amplitude A must be positive and finite; got {A}")
 
-    params = _log_optimum(kind, A, N, r, y)
-    res = _residuals(kind, A, N, params, r, y, scale)
+    design, logy = _log_design(kind, N, r), np.log(y)
+    obs = logy if scale == "log" else y
+    params = _log_optimum(kind, A, design, logy)
+    res = _residuals(A, params, design, obs, scale)
     ssr = float(res @ res)
     damping = 1e-3
     converged = scale == "log"  # the log-scale optimum needs no iteration
     iterations = 0
     while iterations < MAX_ITER and not converged:
         iterations += 1
-        jac = _jacobian(kind, A, N, params, r, scale)
+        jac = _jacobian(A, params, design, scale)
         jtj = jac.T @ jac
         jtr = jac.T @ res
         diag = np.diag(jtj).copy()
@@ -222,7 +214,7 @@ def fit_model(series: RankedSeries, kind: ModelKind = ModelKind.LAVALETTE3,
         step = np.linalg.solve(normal, jtr)
         trial = _clamp(kind, params + step)
         with np.errstate(over="ignore", invalid="ignore"):  # a step that overflows is rejected
-            trial_res = _residuals(kind, A, N, trial, r, y, scale)
+            trial_res = _residuals(A, trial, design, obs, scale)
             trial_ssr = float(trial_res @ trial_res)
         if np.isfinite(trial_ssr) and trial_ssr <= ssr:
             rel_step = np.max(np.abs(trial - params) / (np.abs(params) + 1e-300))
@@ -240,7 +232,7 @@ def fit_model(series: RankedSeries, kind: ModelKind = ModelKind.LAVALETTE3,
     r2_lin = goodness(series, model, "linear")[0] if scale == "log" else r2
 
     # per-parameter standard errors from the final unregularized normal matrix
-    jac = _jacobian(kind, A, N, params, r, scale)
+    jac = _jacobian(A, params, design, scale)
     dof = max(r.size - n_params, 1)
     s2 = ssr / dof
     try:
@@ -252,7 +244,6 @@ def fit_model(series: RankedSeries, kind: ModelKind = ModelKind.LAVALETTE3,
     return FitResult(
         model=model, scale=scale,
         r_squared=r2, r_squared_linear=r2_lin, chi_squared=chi2,
-        residuals=tuple(res.tolist()),
         param_std_err=std_err, excluded=tuple(excluded),
         iterations=iterations, converged=converged,
     )
@@ -282,11 +273,9 @@ def remove_top_outliers(series: RankedSeries, k: int) -> RankedSeries:
         raise FitError(f"k must be in [0, {series.n - 1}]")
     if k == 0:
         return series
-    tie_groups = tuple(
-        (lo - k, hi - k) for lo, hi in series.tie_groups if lo > k
-    )
+    groups = series.tie_groups
     return RankedSeries(series.ids[k:], series.values[k:],
-                        np.arange(1.0, series.n - k + 1), tie_groups)
+                        np.arange(1.0, series.n - k + 1), groups[groups[:, 0] > k] - k)
 
 
 def detect_outliers(series: RankedSeries, fit: FitResult,

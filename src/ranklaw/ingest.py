@@ -219,7 +219,21 @@ def _plain_panel(text: str) -> Panel | None:
         cells *= np.arange(cells.shape[1], dtype=np.int32) < size[:, None]
         return cells.view(f"S{cells.shape[1]}").ravel()
 
-    # the value cells first: missing markers (NaN), or plain numbers >= 0 (NUL pads a cut)
+    if long_form:
+        # each year cell is 1 to 18 ASCII digits, read as an int64 from its bytes;
+        # its width comes from the bounds, before any cell is cut
+        size = ends[:, 4] - before[:, 4] - 1
+        if (not 0 < size.min() <= size.max() <= 18
+                or (raw := cut(4, 4)).tobytes().translate(None, b"\x000123456789")):
+            return None
+        digits = raw.view(np.uint8).reshape(len(raw), -1) & 15  # a NUL pad reads 0
+        scaled = digits @ 10 ** np.arange(digits.shape[1] - 1, -1, -1)
+        found, column = np.unique(scaled // np.int64(10) ** (digits.shape[1] - size),
+                                  return_inverse=True)
+        found, columns = found.tolist(), [column]
+    else:
+        found, columns = list(map(int, tail)), range(len(tail))
+    # then the value cells: missing markers (NaN), or plain numbers >= 0 (NUL pads a cut)
     cells = np.concatenate([cut(j, j) for j in range(5 if long_form else 4, len(header))])
     missing = np.isin(cells, [marker.encode() for marker in MISSING_MARKERS])
     with np.errstate(over="ignore"):
@@ -233,19 +247,6 @@ def _plain_panel(text: str) -> Panel | None:
     entity = np.argsort(order)[entity]  # numbered in the order first seen
     # the id, name, region and province of each entity in turn
     labels = b"\n".join(spans[order].tolist()).decode().replace(delimiter, "\n").split("\n")
-    if long_form:
-        # each year cell is 1 to 18 ASCII digits, read as an int64 from its bytes
-        raw, size = cut(4, 4), ends[:, 4] - before[:, 4] - 1
-        if (raw.tobytes().translate(None, b"\x000123456789")
-                or not 0 < size.min() <= size.max() <= 18):
-            return None
-        digits = raw.view(np.uint8).reshape(len(raw), -1) & 15  # a NUL pad reads 0
-        scaled = digits @ 10 ** np.arange(digits.shape[1] - 1, -1, -1)
-        found, column = np.unique(scaled // np.int64(10) ** (digits.shape[1] - size),
-                                  return_inverse=True)
-        found, columns = found.tolist(), [column]
-    else:
-        found, columns = list(map(int, tail)), range(len(tail))
     years = sorted(set(found))
     position = np.searchsorted(years, found)  # the column of each year found
     at = np.concatenate([entity * len(years) + position[j] for j in columns])
@@ -442,11 +443,12 @@ def aggregate_by_region(ati_panel: Panel, pop_panel: Panel) -> list[RegionAggreg
     n_inhabitants sums the population panel's last year; ati_by_year sums the
     member-city values per year and ati_mean averages those yearly totals.
     Sums add the cities in panel order.  A missing cell, or a total that
-    overflows, raises PanelGapError naming the panel that has it.
+    overflows, raises PanelGapError naming the panel that has it; an entity
+    set that differs from the income panel's names the population panel.
     """
     if set(ati_panel.ids) != set(pop_panel.ids):
         diff = id_sample(set(ati_panel.ids) ^ set(pop_panel.ids))
-        raise IngestError(f"entity sets differ between panels in {diff}")
+        raise PanelGapError(f"entity sets differ in {diff}", pop_panel)
     if not pop_panel.years:
         raise PanelGapError("no census year: the panel has no entity rows", pop_panel)
     pop_index = {eid: i for i, eid in enumerate(pop_panel.ids)}

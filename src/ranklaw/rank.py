@@ -24,15 +24,15 @@ class RankedSeries(NamedTuple):
     ids is a tuple in rank order; values and ranks are aligned read-only
     float64 arrays.  Under a deterministic tie-break ranks are the integers
     1..n; under AVERAGE_RANK every tied entry carries the mean rank of its
-    span.  tie_groups records (first_position, last_position) of each run of
-    equal values (1-based, runs of length >= 2), in both modes.  A series
-    equals only itself.
+    span.  tie_groups is a read-only (runs, 2) integer array of the
+    (first_position, last_position) of each run of equal values (1-based, runs
+    of length >= 2), in both modes.  A series equals only itself.
     """
 
     ids: tuple[str, ...]
     values: np.ndarray
     ranks: np.ndarray
-    tie_groups: tuple[tuple[int, int], ...]
+    tie_groups: np.ndarray
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     @property
@@ -98,7 +98,7 @@ def rank_desc(ids, values, rule: TieBreak = TieBreak.LEXICAL_NAME, names=None) -
         key[members] = np.arange(1, len(members) + 1)
         order = np.lexsort((key, -column))
         ordered = column[order]
-    tie_groups = tuple(zip((starts[tied] + 1).tolist(), ends[tied].tolist()))
+    tie_groups = np.column_stack((starts[tied] + 1, ends[tied]))
     ranks = np.arange(1.0, ordered.size + 1)
     if rule is TieBreak.AVERAGE_RANK:
         ranks = np.repeat((starts + 1 + ends) / 2.0, ends - starts)

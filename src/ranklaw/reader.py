@@ -151,8 +151,9 @@ def is_ranking(text: str) -> bool:
     return next(kept, [""])[0].replace("\t", ",").startswith("rank,")
 
 
-def parse_ranking(text: str) -> dict[str, float]:
-    """Values by entity id from a `rank,entity_id,value` file; ranks are not read."""
+def parse_ranking(text: str) -> tuple[tuple[str, ...], np.ndarray]:
+    """(entity ids, their values as a float64 array), in file order, from a
+    `rank,entity_id,value` file; ranks are not read."""
     values: dict[str, float] = {}
     for row_nums, table in _table(text, RANKING_COLUMNS)[3]:
         for row_num, eid, raw in zip(row_nums, *table.T[1:3].tolist()):
@@ -160,7 +161,7 @@ def parse_ranking(text: str) -> dict[str, float]:
             if eid in values:
                 raise IngestError(f"duplicate entity_id {eid!r} at row {row_num}")
             values[eid] = _number(raw, row_num)
-    return values
+    return tuple(values), np.fromiter(values.values(), float, len(values))
 
 
 def parse_scatter(text: str) -> list[tuple[str, float, float]]:

@@ -469,6 +469,21 @@ def test_entity_set_mismatch_lists_at_most_ten_ids(tmp_path, capsys):
     assert err.endswith(" and 30 more\n")
 
 
+MISMATCH_PANEL = "entity_id,name,region,province,2007,2011\n" + "".join(
+    f"{eid},N{eid},R{i % 2},P1,{10 * i + 5},{7 * i + 3}\n" for i, eid in enumerate("abc"))
+
+
+@pytest.mark.parametrize("command", ["report", "corr", "ingest"])
+def test_an_entity_set_mismatch_names_the_population_panel_alike(tmp_path, capsys, command):
+    income, pop = tmp_path / "income.csv", tmp_path / "pop.csv"
+    income.write_text(MISMATCH_PANEL + "d,Nd,R1,P1,40,20\n")
+    pop.write_text(MISMATCH_PANEL + "e,Ne,R1,P1,40,20\n")
+    assert cli.main([command, "--input", str(income), "--population", str(pop),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"ranklaw: {command}: {pop}: entity sets differ in 2 ids: 'd', 'e'\n")
+
+
 @pytest.mark.parametrize("amplitude", ["0", "-5", "nan", "inf"])
 def test_fit_rejects_a_bad_amplitude(tmp_path, capsys, amplitude):
     ranking = _write_region_ranking(tmp_path / "ranked.csv")

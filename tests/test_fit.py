@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ranklaw import fit, rank, urnsim
 from ranklaw.errors import FitError
@@ -46,6 +48,29 @@ def test_form_reflection_product_invariant():
     r = np.arange(1, 31)
     y = fit.model_eval(model, r)
     assert np.allclose(y * y[::-1], (2.0 * 1.3) ** 2, rtol=1e-12)
+
+
+def _explicit_log_predict(kind, A, N, params, r):
+    """Each model's log form, written out as its own expression."""
+    if kind is ModelKind.LAVALETTE3:
+        m1, m2, m3 = params
+        return np.log(A * m1) - m2 * np.log(r) + m3 * np.log(N - r + 1)
+    if kind is ModelKind.POWERLAW:
+        c, beta = params
+        return np.log(A * c) - beta * np.log(r)
+    h, alpha, lam = params
+    return np.log(A * h) - alpha * np.log(r) - lam * r
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(ModelKind)), st.floats(1e-3, 1e12), st.integers(2, 3000),
+       st.floats(1e-6, 1e6), st.lists(st.floats(-50.0, 50.0), min_size=2, max_size=2))
+def test_the_design_evaluates_each_model_bit_for_bit(kind, A, N, p0, shape):
+    params = (p0, *shape[:len(fit.PARAM_NAMES[kind]) - 1])
+    r = np.arange(1.0, N + 1)
+    got = fit._log_predict(A, params, fit._log_design(kind, N, r))
+    want = _explicit_log_predict(kind, A, N, params, r)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
 
 
 def _jacobian_fd(model, r, rel_step=1e-6):

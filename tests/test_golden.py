@@ -120,6 +120,7 @@ def _cases(f: dict[str, str]) -> dict[str, list[str]]:
         "fit_lavalette3_log": ["fit", "--input", f["ranking"]],
         "fit_powerlaw_linear": ["fit", "--input", f["ranking"], "--model", "powerlaw",
                                 "--scale", "linear"],
+        "fit_lavalette3_drop_top": ["fit", "--input", f["ranking"], "--drop-top", "3"],
         "regime_k2": ["regime", "--input", f["scatter"]],
         "regime_k3": ["regime", "--input", f["scatter"], "--k-lines", "3",
                       "--exclude", "s00,t11"],
@@ -128,6 +129,10 @@ def _cases(f: dict[str, str]) -> dict[str, list[str]]:
         "simulate_capped": ["simulate", "--urns", "12", "--balls", "300", "--seed", "5",
                             "--capacity", "40", "--replicates", "4"],
     }
+    for model, scale in (("powerlaw", "log"), ("cutoff", "log"), ("cutoff", "linear"),
+                         ("lavalette3", "linear")):
+        cases[f"fit_{model}_{scale}"] = ["fit", "--input", f["ranking"], "--model", model,
+                                         "--scale", scale]
     for ties in ("lexical", "id", "average"):
         cases[f"rank_{ties}"] = ["rank", "--input", f["income"], "--ties", ties]
     return cases

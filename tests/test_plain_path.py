@@ -188,8 +188,9 @@ def test_parse_ranking_equals_a_per_row_float_reading(rows, delimiter):
     if expected is None:
         assert isinstance(result, IngestError)
     else:
-        assert list(result) == list(expected)
-        assert [v.hex() for v in result.values()] == [v.hex() for v in expected.values()]
+        ids, values = result
+        assert ids == tuple(expected)
+        assert [v.hex() for v in values.tolist()] == [v.hex() for v in expected.values()]
 
 
 def _without_the_chunked_reader():
