@@ -76,7 +76,7 @@ class OutputDir:
             raise
 
     def write(self, name: str, text: str) -> None:
-        (self.stage / name).write_text(text)
+        (self.stage / name).write_text(text, encoding="utf-8")
         self.staged.append(name)
 
     def commit(self) -> None:
@@ -116,7 +116,7 @@ def _naming(path: str, *errors: type[RanklawError]):
 def _load_panel(path: str) -> ingest.Panel:
     from . import ingest
     with _naming(path):
-        return ingest.parse_panel(Path(path).read_text())
+        return ingest.parse_panel(Path(path).read_text(encoding="utf-8"))
 
 
 def _merged(panel: ingest.Panel, merges: str | None) -> ingest.Panel:
@@ -125,7 +125,7 @@ def _merged(panel: ingest.Panel, merges: str | None) -> ingest.Panel:
         return panel
     from . import ingest
     with _naming(merges):
-        ledger = ingest.parse_merge_ledger(Path(merges).read_text())
+        ledger = ingest.parse_merge_ledger(Path(merges).read_text(encoding="utf-8"))
         return ingest.apply_merge_ledger(panel, ledger)
 
 
@@ -134,7 +134,7 @@ def _load_ranked(path: str, window: list[int] | None,
     """Load a ranked series from either an exported ranking file or a panel."""
     from . import rank, reader
     with _naming(path):
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
         if reader.is_ranking(text):
             if merges:
                 raise IngestError("--merges needs a panel, not a ranking file")
@@ -150,7 +150,8 @@ def _load_ranked(path: str, window: list[int] | None,
 def _load_scatter(path: str) -> regime.ScatterSet:
     from . import reader, regime
     with _naming(path):
-        return regime.ScatterSet.from_points(reader.parse_scatter(Path(path).read_text()))
+        text = Path(path).read_text(encoding="utf-8")
+        return regime.ScatterSet.from_points(reader.parse_scatter(text))
 
 
 def _check_amplitude(amplitude: float | None) -> None:

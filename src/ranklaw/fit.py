@@ -9,8 +9,8 @@ Three model shapes are fitted:
 A is a fixed order-of-magnitude amplitude chosen up front, never fitted.
 Fitting defaults to log-scale residuals, where every model is linear in
 (log(A p0), p1, p2) and the optimum has a closed form.  Head-dominated linear
-residuals are available as an option, fitted by a damped (Levenberg-Marquardt)
-loop started from the log-scale optimum; both R^2 values are always reported.
+residuals are an option, fitted from the log-scale optimum by variable projection
+(see fit_model); both R^2 values are always reported.
 """
 
 from __future__ import annotations
@@ -56,9 +56,7 @@ class RankSizeModel(NamedTuple):
             raise FitError("A must be positive")
         expected = len(PARAM_NAMES[self.kind])
         if len(self.params) != expected:
-            raise FitError(
-                f"{self.kind.value} takes {expected} parameters, got {len(self.params)}"
-            )
+            raise FitError(f"{self.kind.value} takes {expected} parameters, got {len(self.params)}")
 
     @property
     def param_names(self) -> tuple[str, ...]:
@@ -139,12 +137,6 @@ def _log_optimum(kind: ModelKind, A: float, design: np.ndarray,
     return np.array([math.exp(coef[0]) / A, *coef[1:]])
 
 
-def _residuals(A, params, design, obs, scale) -> np.ndarray:
-    """obs minus the model on `scale`; obs is log(y) on the log scale, else y."""
-    log_yhat = _log_predict(A, params, design)
-    return obs - (log_yhat if scale == "log" else np.exp(log_yhat))
-
-
 def _jacobian(A, params, design, scale) -> np.ndarray:
     """d log(yhat) / d params on the log scale, d yhat / d params on the linear one."""
     jac = design.copy()
@@ -154,12 +146,16 @@ def _jacobian(A, params, design, scale) -> np.ndarray:
     return np.exp(_log_predict(A, params, design))[:, None] * jac
 
 
-def _clamp(kind: ModelKind, params: np.ndarray) -> np.ndarray:
-    params = params.copy()
-    params[0] = max(params[0], 1e-300)  # amplitude factor must stay positive
-    if kind is ModelKind.POWERLAW_CUTOFF:
-        params[2] = max(params[2], 0.0)
-    return params
+def _projection(A: float, design: np.ndarray, shape: np.ndarray, y: np.ndarray):
+    """(params, g, amp, residual, ssr) of the model amp g for one shape: g is exp of the
+    shape columns times `shape` less its largest exponent, so that no moment of g
+    overflows or underflows, and amp = <g, y> / <g, g> is the exact linear-scale optimum."""
+    log_g = design[:, 1:] @ shape
+    top = log_g.max()
+    g = np.exp(log_g - top)
+    amp = (g @ y) / (g @ g)
+    res = y - amp * g
+    return np.array([amp * np.exp(-top) / A, *shape]), g, amp, res, float(res @ res)
 
 
 def fit_model(series: RankedSeries, kind: ModelKind = ModelKind.LAVALETTE3,
@@ -167,14 +163,13 @@ def fit_model(series: RankedSeries, kind: ModelKind = ModelKind.LAVALETTE3,
               excluded: tuple[str, ...] = ()) -> FitResult:
     """Least-squares fit of a rank-size model to a ranked series.
 
-    On the log scale the optimum comes from one linear least-squares solve,
-    reported as converged after 0 iterations.  On the linear scale a damped
-    Levenberg-Marquardt loop starts from that log-scale optimum.  Damping is
-    multiplicative: divided by 10 after an accepted step, multiplied by 10
-    after a rejected one.  Convergence is declared when the relative parameter
-    step of an accepted iteration falls below TOL; the loop gives up after
-    MAX_ITER iterations.  `excluded` lists entity ids removed before fitting,
-    for the report.
+    The log-scale optimum is one linear least-squares solve (converged after 0
+    iterations).  On the linear scale, variable projection makes the amplitude factor
+    exact for each shape, and damped Levenberg-Marquardt steps on the shape parameters
+    start from the log-scale optimum: damping is multiplied by 10 after a rejected step
+    and divided by 10 after an accepted one, which converges when its relative shape
+    step is below TOL; the loop gives up above 1e15 damping or after MAX_ITER
+    iterations.  `excluded` lists entity ids removed before fitting, for the report.
     """
     if scale not in ("log", "linear"):
         raise FitError(f"unknown scale {scale!r}")
@@ -191,54 +186,47 @@ def fit_model(series: RankedSeries, kind: ModelKind = ModelKind.LAVALETTE3,
         raise FitError(f"amplitude A must be positive and finite; got {A}")
 
     design, logy = _log_design(kind, N, r), np.log(y)
-    obs = logy if scale == "log" else y
     params = _log_optimum(kind, A, design, logy)
-    res = _residuals(A, params, design, obs, scale)
+    res = logy - _log_predict(A, params, design)
     ssr = float(res @ res)
-    damping = 1e-3
     converged = scale == "log"  # the log-scale optimum needs no iteration
-    iterations = 0
-    while iterations < MAX_ITER and not converged:
+    if not converged:
+        params, g, amp, res, ssr = _projection(A, design, params[1:], y)
+    damping, iterations = 1e-3, 0
+    while iterations < MAX_ITER and not converged and damping <= 1e15:
         iterations += 1
-        jac = _jacobian(A, params, design, scale)
+        # Kaufman's Jacobian, d(amp g) / d shape off g, over amp: no amp^2 moment forms
+        jac = g[:, None] * (design[:, 1:] - (g * g) @ design[:, 1:] / (g @ g))
         jtj = jac.T @ jac
-        jtr = jac.T @ res
         diag = np.diag(jtj).copy()
         diag[diag == 0] = 1.0
-        normal = jtj + damping * np.diag(diag)
-        cond = np.linalg.cond(normal)
-        if not np.isfinite(cond) or cond > 1e15:
-            raise FitError(
-                f"singular normal equations (condition number {cond:.3g})"
-            )
-        step = np.linalg.solve(normal, jtr)
-        trial = _clamp(kind, params + step)
+        normal, rhs = jtj + damping * np.diag(diag), jac.T @ res / amp
+        step = _lstsq(normal, rhs)
+        if kind is ModelKind.POWERLAW_CUTOFF and params[2] + step[1] < 0:
+            # lambda moves to its bound 0, and alpha takes the best step given that move
+            step = np.array([(rhs[0] + normal[0, 1] * params[2]) / normal[0, 0], -params[2]])
         with np.errstate(over="ignore", invalid="ignore"):  # a step that overflows is rejected
-            trial_res = _residuals(A, trial, design, obs, scale)
-            trial_ssr = float(trial_res @ trial_res)
-        if np.isfinite(trial_ssr) and trial_ssr <= ssr:
-            rel_step = np.max(np.abs(trial - params) / (np.abs(params) + 1e-300))
-            params, res, ssr = trial, trial_res, trial_ssr
+            trial = _projection(A, design, params[1:] + step, y)
+        if np.isfinite(trial[-1]) and trial[-1] <= ssr:
+            converged = bool(np.all(np.abs(step) <= TOL * np.abs(params[1:])))
+            params, g, amp, res, ssr = trial
             damping = max(damping / 10.0, 1e-15)
-            if rel_step < TOL:
-                converged = True
         else:
             damping *= 10.0
-            if damping > 1e15:
-                break
 
+    if not np.finfo(float).tiny <= min(params[0], A * params[0]) < np.inf:
+        raise FitError(f"the fitted amplitude factor {params[0]:.3g} is out of the float range")
     model = RankSizeModel(kind, A, N, tuple(float(v) for v in params))
     r2, chi2 = goodness(series, model, scale)
     r2_lin = goodness(series, model, "linear")[0] if scale == "log" else r2
 
-    # per-parameter standard errors from the final unregularized normal matrix
-    jac = _jacobian(A, params, design, scale)
-    dof = max(r.size - n_params, 1)
-    s2 = ssr / dof
+    # standard errors from the final unregularized normal matrix; NaN if singular or overflowing
     try:
-        cov = s2 * np.linalg.inv(jac.T @ jac)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            jac = _jacobian(A, params, design, scale)
+            cov = ssr / (r.size - n_params) * np.linalg.inv(jac.T @ jac)
         std_err = tuple(float(v) for v in np.sqrt(np.maximum(np.diag(cov), 0.0)))
-    except np.linalg.LinAlgError:
+    except (np.linalg.LinAlgError, FloatingPointError):
         std_err = tuple(math.nan for _ in range(n_params))
 
     return FitResult(
@@ -284,7 +272,8 @@ def detect_outliers(series: RankedSeries, fit: FitResult,
 
     Reported in rank order (head of the ranking first).
     """
-    res = np.log(series.values) - np.log(model_eval(fit.model, series.ranks))
+    m, r = fit.model, series.ranks  # log(yhat) from the design: yhat may underflow to 0
+    res = np.log(series.values) - _log_predict(m.A, m.params, _log_design(m.kind, m.N, r))
     std = res.std(ddof=1)
     if std == 0:
         return []

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,16 @@ def ranked(values, rule=rank.TieBreak.LEXICAL_NAME, names=None):
     """rank.rank_desc on an {id: value} map, with names an {id: name} map."""
     return rank.rank_desc(tuple(values), list(values.values()), rule,
                           None if names is None else [names.get(e, e) for e in values])
+
+
+def benchmark_inputs():
+    """perfbench/inputs.py, loaded as a module: generate(out_dir, seed) writes the
+    benchmark's input files for that seed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

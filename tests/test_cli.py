@@ -913,10 +913,11 @@ def test_ranking_and_scatter_ids_are_stripped_as_panel_ids_are(tmp_path):
 SIMULATE = ["simulate", "--urns", "20", "--balls", "1000", "--seed", "11", "--replicates", "5"]
 
 
-def _python(*args, cwd):
-    """Run the interpreter with this checkout's sources first on its path."""
+def _python(*args, cwd, **env):
+    """Run the interpreter with this checkout's sources first on its path, and
+    `env` added to the environment."""
     path = [str(Path(ranklaw.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
                           cwd=cwd)
 
@@ -930,6 +931,21 @@ def test_the_program_entry_writes_what_main_writes(tmp_path):
     assert sorted(p.name for p in (tmp_path / "entry").iterdir()) == names
     for name in names:
         assert (tmp_path / "entry" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
+
+
+def test_inputs_are_read_and_outputs_written_as_utf8_whatever_the_locale(tmp_path):
+    panel = tmp_path / "acc.csv"
+    panel.write_text("entity_id,name,region,province,2007,2008\n"
+                     "è1,Forlì,R1,P1,10,12\na2,Cesena,R1,P1,20,18\n", encoding="utf-8")
+    written = {}
+    for locale, utf8 in (("C", "0"), ("C.UTF-8", "1")):
+        out = tmp_path / locale
+        run = _python("-X", f"utf8={utf8}", "-m", "ranklaw.cli", "rank", "--input", str(panel),
+                      "--out", str(out), cwd=tmp_path, LC_ALL=locale, PYTHONCOERCECLOCALE="0")
+        assert (run.returncode, run.stdout, run.stderr) == (0, "", "")
+        written[locale] = (out / "ranked.csv").read_bytes()
+    assert written["C"] == written["C.UTF-8"]
+    assert "\n2,è1,11\n".encode() in written["C"]
 
 
 def test_a_failing_program_entry_prints_the_line_main_prints(tmp_path, capsys):
@@ -1029,17 +1045,45 @@ def test_a_floating_point_fault_is_one_error_line(tmp_path, capsys, command, sca
     assert not [p for p in (tmp_path / "out").iterdir() if p.suffix in (".csv", ".txt")]
 
 
-def test_a_linear_fit_rejects_a_step_whose_residuals_overflow(tmp_path):
-    # drawn so that the cutoff fit's Levenberg-Marquardt loop tries such a step
-    rng = np.random.default_rng(21)
-    n = int(rng.integers(10, 80))
-    m2, m3 = rng.uniform(0.5, 2.5), rng.uniform(0.5, 2)
+def test_a_linear_fit_whose_amplitude_factor_underflows_is_one_error_line(tmp_path, capsys):
+    # drawn so that the linear-scale lavalette3 optimum has m3 near 213, where m1 is
+    # below the smallest double
+    rng = np.random.default_rng(323)
+    n = int(rng.integers(10, 60))
+    m2, m3 = rng.uniform(0.0, 3), rng.uniform(0.0, 3)
     r = np.arange(1, n + 1)
-    y = np.sort(r ** -m2 * (n - r + 1.0) ** m3 * np.exp(rng.normal(0, 1.0, n)))[::-1]
+    y = np.sort(r ** -m2 * (n - r + 1.0) ** m3 * np.exp(rng.normal(0, rng.uniform(0.05, 2), n)))
+    path = tmp_path / "ranking.csv"
+    path.write_text("rank,entity_id,value\n" + "".join(
+        f"{i},e{i},{v!r}\n" for i, v in enumerate(y[::-1].tolist(), start=1)))
+    assert cli.main(["fit", "--input", str(path), "--scale", "linear",
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (f"ranklaw: fit: {path}: the fitted amplitude factor 0 "
+                                       "is out of the float range\n")
+
+
+def test_a_linear_fit_rejects_a_step_whose_residuals_overflow(tmp_path, monkeypatch):
+    # drawn so that, with values near 1e154, the power-law fit's loop tries such a step
+    rng = np.random.default_rng(113)
+    n = int(rng.integers(5, 40))
+    m2, m3 = rng.uniform(0.0, 3), rng.uniform(0.0, 3)
+    r = np.arange(1, n + 1)
+    sigma = rng.uniform(0.1, 3)
+    y = np.sort(r ** -m2 * (n - r + 1.0) ** m3 * np.exp(rng.normal(0, sigma, n)))[::-1]
+    y = y / y.max() * 10.0 ** rng.uniform(152.5, 154.2)
     path = tmp_path / "ranking.csv"
     path.write_text("rank,entity_id,value\n" + "".join(
         f"{i},e{i},{v!r}\n" for i, v in enumerate(y.tolist(), start=1)))
+    projection, overflowed = fit._projection, []
+
+    def spy(*args):
+        trial = projection(*args)
+        overflowed.append(not np.isfinite(trial[-1]))
+        return trial
+
+    monkeypatch.setattr(fit, "_projection", spy)
     out = tmp_path / "out"
-    assert cli.main(["fit", "--input", str(path), "--model", "cutoff", "--scale", "linear",
+    assert cli.main(["fit", "--input", str(path), "--model", "powerlaw", "--scale", "linear",
                      "--out", str(out)]) == 0
+    assert any(overflowed)
     assert "converged: true" in (out / "fit_report.txt").read_text()

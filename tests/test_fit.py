@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ranklaw import fit, rank, urnsim
+from ranklaw import fit, rank, reader, urnsim
 from ranklaw.errors import FitError
 from ranklaw.fit import ModelKind, RankSizeModel
-from tests.conftest import ranked
+from tests.conftest import benchmark_inputs, ranked
 
 
 def _lav3(A, N, m1, m2, m3):
@@ -188,6 +188,54 @@ def test_log_fit_is_the_exact_least_squares_optimum(kind):
         assert result.model.params[2] > 0
 
 
+def _benchmark_ranking(tmp_path, seed):
+    """The benchmark's ranking file for `seed`, ranked as `fit --input` ranks it."""
+    benchmark_inputs().generate(tmp_path, seed)
+    ids, values = reader.parse_ranking((tmp_path / "ranking.csv").read_text())
+    return rank.rank_desc(ids, values, rank.TieBreak.ENTITY_ID)
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_every_fit_path_converges_on_the_benchmark_rankings(tmp_path, seed):
+    series = _benchmark_ranking(tmp_path, seed)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):  # as the CLI runs a fit
+        for kind in ModelKind:
+            for scale in ("log", "linear"):
+                result = fit.fit_model(series, kind, scale=scale)
+                assert result.converged, (kind, scale)
+                if seed != 5 or scale == "log":
+                    continue
+                for factor in (1e100, 1e-100):
+                    scaled = rank.RankedSeries(series.ids, series.values * factor, series.ranks,
+                                               series.tie_groups)
+                    shape = fit.fit_model(scaled, kind, scale="linear").model.params[1:]
+                    assert shape == pytest.approx(result.model.params[1:], rel=1e-6)
+
+
+@pytest.mark.parametrize("seed", [2, 3, 5])
+def test_linear_fit_is_no_worse_than_scipy_least_squares(tmp_path, seed):
+    optimize = pytest.importorskip("scipy.optimize")
+    series = _benchmark_ranking(tmp_path, seed)
+    r, y = series.ranks, series.values
+    for kind in ModelKind:
+        result = fit.fit_model(series, kind, scale="linear")
+        start = fit.fit_model(series, kind).model  # the log-scale optimum
+        A, N = start.A, start.N
+
+        def residuals(p):
+            return fit.model_eval(RankSizeModel(kind, A, N, tuple(p)), r) - y
+
+        def jacobian(p):
+            return fit.model_jacobian(RankSizeModel(kind, A, N, tuple(p)), r)
+
+        # the amplitude factor and the cutoff rate lambda are bounded below by 0
+        lower = [0.0, -np.inf, 0.0 if kind is ModelKind.POWERLAW_CUTOFF else -np.inf]
+        oracle = optimize.least_squares(residuals, start.params, jac=jacobian,
+                                        bounds=(lower[:len(start.params)], np.inf),
+                                        ftol=1e-15, xtol=1e-15, gtol=1e-15)
+        assert result.chi_squared <= 2 * oracle.cost * (1 + 1e-9), kind
+
+
 def test_cutoff_rate_held_at_zero_when_unconstrained_optimum_is_negative():
     # y = 5 r^-0.8 exp(+0.01 r) still decreases on 1..50, but its rate is negative
     r = np.arange(1, 51, dtype=float)
@@ -268,6 +316,18 @@ def test_detect_outliers_clean_and_contaminated():
     contaminated = ranked(contaminated_values, rule=rank.TieBreak.ENTITY_ID)
     refit = fit.fit_model(contaminated, A=1e3)
     assert fit.detect_outliers(contaminated, refit) == [victim]
+
+
+def test_detect_outliers_where_the_model_underflows():
+    # the model exp(-8 r) is below the smallest double from rank 94 on; its log is not
+    r = np.arange(1, 101)
+    series = ranked({f"e{k:03d}": math.exp(-5.0 * k) for k in r}, rule=rank.TieBreak.ENTITY_ID)
+    model = RankSizeModel(ModelKind.POWERLAW_CUTOFF, 1.0, 100, (1.0, 0.0, 8.0))
+    result = fit.FitResult(model, "linear", 0.0, 0.0, 0.0, (0.0,) * 3, (), 0, True)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        flagged = fit.detect_outliers(series, result)
+    # the log residuals are 3 r, whose standardized size is r / std(r)
+    assert flagged == [f"e{k:03d}" for k in r if k / r.std(ddof=1) > 3.0]
 
 
 def test_fit_report_and_table(region_count_series):

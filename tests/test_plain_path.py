@@ -2,8 +2,6 @@
 is read as byte columns and gives the panel that the chunked reader gives; any
 other text goes to the chunked reader unchanged."""
 
-import importlib.util
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,6 +12,7 @@ from hypothesis import strategies as st
 from ranklaw import ingest, reader
 from ranklaw.errors import IngestError
 from tests import reference_ingest
+from tests.conftest import benchmark_inputs
 
 LONG = "entity_id,name,region,province,year,value\n"
 # numpy's bytes-to-float cast is trusted only where it was checked
@@ -199,18 +198,10 @@ def _without_the_chunked_reader():
     return mock.patch.object(reader, "_read", side_effect=AssertionError("chunked read"))
 
 
-def _benchmark_inputs():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @CAST_CHECKED
 @pytest.mark.parametrize("seed", range(1, 9))
 def test_the_benchmark_inputs_take_the_plain_path(tmp_path, seed):
-    _benchmark_inputs().generate(tmp_path, seed)
+    benchmark_inputs().generate(tmp_path, seed)
     income, population = ((tmp_path / name).read_text()
                           for name in ("income.csv", "population.csv"))
     with _without_the_chunked_reader():
