@@ -130,21 +130,22 @@ def _merged(panel: ingest.Panel, merges: str | None) -> ingest.Panel:
 
 
 def _load_ranked(path: str, window: list[int] | None,
-                 merges: str | None = None) -> rank.RankedSeries:
-    """Load a ranked series from either an exported ranking file or a panel."""
+                 merges: str | None = None) -> tuple[rank.RankedSeries, bool]:
+    """Load a ranked series from either an exported ranking file or a panel, and
+    say whether it was a panel, the only input a --window applies to."""
     from . import rank, reader
     with _naming(path):
         text = Path(path).read_text(encoding="utf-8")
         if reader.is_ranking(text):
             if merges:
                 raise IngestError("--merges needs a panel, not a ranking file")
-            return rank.rank_desc(*reader.parse_ranking(text), rank.TieBreak.ENTITY_ID)
+            return rank.rank_desc(*reader.parse_ranking(text), rank.TieBreak.ENTITY_ID), False
         from . import ingest
         panel = ingest.parse_panel(text)
     panel = _merged(panel, merges)
     with _naming(path):
         averages = ingest.average_over_years(panel, window)
-    return rank.rank_desc(panel.ids, averages, names=panel.names)
+    return rank.rank_desc(panel.ids, averages, names=panel.names), True
 
 
 def _load_scatter(path: str) -> regime.ScatterSet:
@@ -219,8 +220,10 @@ def cmd_rank(args, out: OutputDir) -> None:
 
 def cmd_corr(args, out: OutputDir) -> None:
     from . import corr, rank, stats
-    x = _load_ranked(args.input, args.window, args.merges)
-    y = _load_ranked(args.population, args.window)
+    x, x_panel = _load_ranked(args.input, args.window, args.merges)
+    y, y_panel = _load_ranked(args.population, args.window)
+    if args.window and not (x_panel or y_panel):
+        raise IngestError(f"{args.input}, {args.population}: --window needs a panel")
     with _naming(args.population, RankingError):
         pairs = rank.pair_ranks(x, y)
     ox, oy = pairs.positions  # Pearson pi is taken on the values, in id order
@@ -263,7 +266,11 @@ def cmd_fit(args, out: OutputDir) -> None:
     if not 0 < args.threshold < float("inf"):
         raise RanklawError(f"--threshold must be positive and finite; got {args.threshold}")
     _check_amplitude(args.amplitude)
-    ranked = _load_ranked(args.input, args.window)
+    ranked, panel = _load_ranked(args.input, args.window)
+    if args.window and not panel:
+        raise IngestError(f"{args.input}: --window needs a panel, not a ranking file")
+    if not 0 <= args.drop_top < ranked.n:
+        raise RanklawError(f"--drop-top must be in [0, {ranked.n - 1}] for --input {args.input}")
     series = fit.remove_top_outliers(ranked, args.drop_top)
     kind = fit.ModelKind(args.model)
     with _naming(args.input, FitError):  # every option is checked by now

@@ -63,6 +63,7 @@ class RankSizeModel(NamedTuple):
         return PARAM_NAMES[self.kind]
 
 
+@checked
 class FitResult(NamedTuple):
     model: RankSizeModel
     scale: str                       # "log" or "linear" (fitting scale)
@@ -73,6 +74,7 @@ class FitResult(NamedTuple):
     excluded: tuple[str, ...]
     iterations: int
     converged: bool
+    log_fitted: np.ndarray           # log(yhat) at each rank, read-only
 
 
 def _log_design(kind: ModelKind, N: int, r: np.ndarray) -> np.ndarray:
@@ -187,13 +189,12 @@ def fit_model(series: RankedSeries, kind: ModelKind = ModelKind.LAVALETTE3,
 
     design, logy = _log_design(kind, N, r), np.log(y)
     params = _log_optimum(kind, A, design, logy)
-    res = logy - _log_predict(A, params, design)
-    ssr = float(res @ res)
     converged = scale == "log"  # the log-scale optimum needs no iteration
     if not converged:
-        params, g, amp, res, ssr = _projection(A, design, params[1:], y)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            params, g, amp, res, ssr = _projection(A, design, params[1:], y)
     damping, iterations = 1e-3, 0
-    while iterations < MAX_ITER and not converged and damping <= 1e15:
+    while iterations < MAX_ITER and not converged and damping <= 1e15 and ssr < math.inf:
         iterations += 1
         # Kaufman's Jacobian, d(amp g) / d shape off g, over amp: no amp^2 moment forms
         jac = g[:, None] * (design[:, 1:] - (g * g) @ design[:, 1:] / (g @ g))
@@ -216,9 +217,17 @@ def fit_model(series: RankedSeries, kind: ModelKind = ModelKind.LAVALETTE3,
 
     if not np.finfo(float).tiny <= min(params[0], A * params[0]) < np.inf:
         raise FitError(f"the fitted amplitude factor {params[0]:.3g} is out of the float range")
-    model = RankSizeModel(kind, A, N, tuple(float(v) for v in params))
-    r2, chi2 = goodness(series, model, scale)
-    r2_lin = goodness(series, model, "linear")[0] if scale == "log" else r2
+    log_fitted = _log_predict(A, params, design)
+    if scale == "log":  # the linear path keeps its projection's ssr
+        res = logy - log_fitted
+        ssr = float(res @ res)
+    yhat, top = np.exp(log_fitted), math.frexp(y.max())[1]
+    with np.errstate(over="ignore"):  # chi^2 of y and yhat scaled by 2^-top (exact), scaled back
+        chi2 = float(np.ldexp(np.sum(np.ldexp(y - yhat, -top) ** 2), 2 * top))
+    if not (ssr < math.inf and chi2 < math.inf):
+        raise FitError("the sum of squared residuals is past the float range")
+    r2_lin = _r_squared(y, yhat)
+    r2 = _r_squared(logy, log_fitted) if scale == "log" else r2_lin
 
     # standard errors from the final unregularized normal matrix; NaN if singular or overflowing
     try:
@@ -229,30 +238,19 @@ def fit_model(series: RankedSeries, kind: ModelKind = ModelKind.LAVALETTE3,
     except (np.linalg.LinAlgError, FloatingPointError):
         std_err = tuple(math.nan for _ in range(n_params))
 
-    return FitResult(
-        model=model, scale=scale,
-        r_squared=r2, r_squared_linear=r2_lin, chi_squared=chi2,
-        param_std_err=std_err, excluded=tuple(excluded),
-        iterations=iterations, converged=converged,
-    )
+    return FitResult(RankSizeModel(kind, A, N, tuple(float(v) for v in params)), scale, r2,
+                     r2_lin, chi2, std_err, tuple(excluded), iterations, converged, log_fitted)
 
 
-def goodness(series: RankedSeries, model: RankSizeModel, scale: str = "log") -> tuple[float, float]:
-    """(R^2 on `scale`, chi^2 = linear-scale sum of squared residuals)."""
-    r, y = series.ranks, series.values
-    yhat = model_eval(model, r)
-    chi2 = float(np.sum((y - yhat) ** 2))
-    if scale == "log":
-        if np.any(y <= 0):
-            raise FitError("log-scale goodness needs positive values")
-        obs, pred = np.log(y), np.log(yhat)
-    else:
-        obs, pred = y, yhat
+def _r_squared(obs: np.ndarray, pred: np.ndarray) -> float:
+    """1 - SS_res / SS_tot, with obs and pred first scaled by the power of two of
+    max |obs|: exact, and then no square overflows or underflows."""
+    shift = -math.frexp(np.abs(obs).max())[1]
+    obs, pred = np.ldexp(obs, shift), np.ldexp(pred, shift)
     ss_tot = float(np.sum((obs - obs.mean()) ** 2))
     if ss_tot == 0:
         raise FitError("zero total sum of squares")
-    r2 = 1.0 - float(np.sum((obs - pred) ** 2)) / ss_tot
-    return r2, chi2
+    return 1.0 - float(np.sum((obs - pred) ** 2)) / ss_tot
 
 
 def remove_top_outliers(series: RankedSeries, k: int) -> RankedSeries:
@@ -272,8 +270,7 @@ def detect_outliers(series: RankedSeries, fit: FitResult,
 
     Reported in rank order (head of the ranking first).
     """
-    m, r = fit.model, series.ranks  # log(yhat) from the design: yhat may underflow to 0
-    res = np.log(series.values) - _log_predict(m.A, m.params, _log_design(m.kind, m.N, r))
+    res = np.log(series.values) - fit.log_fitted  # not log(yhat): yhat may underflow to 0
     std = res.std(ddof=1)
     if std == 0:
         return []
@@ -307,7 +304,7 @@ def format_fit_report(fit: FitResult) -> str:
 
 def fit_table(series: RankedSeries, fit: FitResult) -> str:
     """Per-rank delimited table (rank, value, predicted, residual) for plotting."""
-    yhat = model_eval(fit.model, series.ranks)
+    yhat = np.exp(fit.log_fitted)
     cells = np.column_stack((series.ranks, series.values, yhat, series.values - yhat))
     return ("rank,value,predicted,residual\n"
             + ("%.12g,%.12g,%.12g,%.12g\n" * len(cells)) % tuple(cells.ravel().tolist()))

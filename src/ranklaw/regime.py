@@ -54,7 +54,6 @@ class RegimeSplit(NamedTuple):
     objective: float                   # sum of squared orthogonal residuals
     iterations: int                    # always 0: the split is not iterative
     degenerate: bool = False
-    objective_trace: tuple[float, ...] = ()  # always empty
 
 
 def inertia_axis(points: ScatterSet) -> tuple[float, float, float, float, float]:

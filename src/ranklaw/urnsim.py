@@ -32,27 +32,9 @@ def beta_fn(x: float, y: float) -> float:
     return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
 
 
-_TOL = 1e-10  # absolute error of incomplete_beta
-# halvings of [0, eps]: at most _MAX_DEPTH, and at least _MIN_DEPTH before the
-# error test may stop, so two coarse estimates that agree by chance cannot end it
-_MIN_DEPTH, _MAX_DEPTH = 6, 60
-
-
-def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth >= _MAX_DEPTH or (depth >= _MIN_DEPTH and abs(left + right - whole) <= 15.0 * tol):
-        return left + right + (left + right - whole) / 15.0
-    return (_adaptive_simpson(f, a, m, fa, flm, fm, left, tol / 2.0, depth + 1)
-            + _adaptive_simpson(f, m, b, fm, frm, fb, right, tol / 2.0, depth + 1))
-
-
 def incomplete_beta(a: float, b: float, eps: float) -> float:
-    """Lower incomplete integral of x^a (1-x)^b over [0, eps], to an absolute
-    error of 1e-10 by adaptive Simpson.
+    """Lower incomplete integral of x^a (1-x)^b over [0, eps], summed from the
+    exact positive series of DLMF 8.17.8 to a relative error near 1e-14.
 
     Note the exponents are (a, b) directly, not the conventional shifted
     (a-1, b-1); at eps = 1 this equals beta_fn(a + 1, b + 1).
@@ -61,18 +43,16 @@ def incomplete_beta(a: float, b: float, eps: float) -> float:
         raise SimulationError("incomplete_beta needs a, b >= 0")
     if not 0.0 <= eps <= 1.0:
         raise SimulationError(f"eps must be in [0, 1]; got {eps}")
-    if eps == 0.0:
-        return 0.0
-
-    def f(x):
-        return x ** a * (1.0 - x) ** b
-
-    lo, hi = 0.0, eps
-    fa, fb = f(lo), f(hi)
-    m = 0.5 * (lo + hi)
-    fm = f(m)
-    whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adaptive_simpson(f, lo, hi, fa, fm, fb, whole, _TOL, depth=0)
+    p, q, x, whole = a + 1.0, b + 1.0, eps, 0.0
+    if eps > p / (p + q):  # past the mean of Beta(p, q), sum the mirrored integral
+        p, q, x, whole = q, p, 1.0 - eps, beta_fn(p, q)
+    total, term, n = 0.0, 1.0, 0
+    while total + term != total:
+        total += term
+        term *= x * (p + q + n) / (p + 1.0 + n)
+        n += 1
+    part = x ** p * (1.0 - x) ** q / p * total
+    return whole - part if whole else part
 
 
 def yule_simon_pmf(k: int, a: float, b: float, k0: int = 1) -> float:

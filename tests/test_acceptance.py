@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from ranklaw import corr, fit, ingest, rank, regime, stats, urnsim
+from ranklaw.errors import RegimeError
 from ranklaw.fit import ModelKind, RankSizeModel
 from ranklaw.urnsim import UrnConfig
 
@@ -246,6 +247,7 @@ def test_criterion_10_two_line_split():
         assert [split.assignments[f"p{i}"] for i in range(10)] == [1] * 5 + [2] * 5
 
         rng = np.random.default_rng(10)
+        defined = 0
         for _ in range(100):
             n = int(rng.integers(8, 60))
             x = rng.random(n) + 0.1
@@ -254,8 +256,18 @@ def test_criterion_10_two_line_split():
                 tuple((f"q{i}", float(a), float(b))
                       for i, (a, b) in enumerate(zip(x, y)))
             )
-            trace = regime.two_line_split(pts).objective_trace
-            assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
+            # the objective does not grow with the number of lines: one, two, then three
+            two = regime.two_line_split(pts)
+            one = float(np.sum(regime._orthogonal_sq_dist(x, y, two.overall_slope)))
+            assert two.objective <= one * (1 + 1e-9)
+            try:
+                three = regime.two_line_split(pts, k=3)
+            except RegimeError as exc:  # the 3-line split needs directions within a right angle
+                assert "within a right angle" in str(exc)
+                continue
+            defined += 1
+            assert three.objective <= two.objective * (1 + 1e-9)
+        assert defined > 0
 
         line = regime.ScatterSet.from_points(
             tuple((f"c{i}", float(i + 1), 2.0 * (i + 1)) for i in range(8))

@@ -12,7 +12,7 @@ import pytest
 import ranklaw
 from ranklaw import cli, fit, rank
 from ranklaw.errors import RanklawError
-from tests.conftest import LONG_PANEL, REGION_COUNTS_2011, ranked
+from tests.conftest import LONG_PANEL, REGION_COUNTS_2011, benchmark_inputs, ranked
 
 # a floating-point fault must end a command as an error, never pass as a warning
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -411,6 +411,81 @@ def test_fit_drop_top_lists_the_dropped_ids(tmp_path):
     report = (out / "fit_report.txt").read_text()
     assert "excluded: reg00,reg01\n" in report
     assert "N: 18\n" in report
+
+
+@pytest.mark.parametrize("k", [20, -1])
+def test_an_out_of_range_drop_top_names_the_option_and_the_input(tmp_path, capsys, k):
+    ranking = _write_region_ranking(tmp_path / "ranked.csv")  # 20 ranks
+    out = tmp_path / "out"
+    assert cli.main(["fit", "--input", str(ranking), "--drop-top", str(k), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"ranklaw: fit: --drop-top must be in [0, 19] "
+                                       f"for --input {ranking}\n")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["fit", "corr"])
+def test_a_window_that_applies_to_no_panel_is_refused(tmp_path, capsys, command):
+    ranking = _write_region_ranking(tmp_path / "ranked.csv")
+    argv = [command, "--input", str(ranking), "--out", str(tmp_path / "out")]
+    argv += ["--population", str(ranking)] if command == "corr" else []
+    assert cli.main(argv + ["--window", "1999"]) == 1
+    assert capsys.readouterr().err == f"ranklaw: {command}: " + (
+        f"{ranking}: --window needs a panel, not a ranking file\n" if command == "fit" else
+        f"{ranking}, {ranking}: --window needs a panel\n")
+    assert list((tmp_path / "out").iterdir()) == []
+    assert cli.main(argv + ["--window"]) == 0  # an empty window is every year
+
+
+def test_corr_applies_a_window_to_its_one_panel(tmp_path):
+    panel, ranking = tmp_path / "panel.csv", tmp_path / "ranked.csv"
+    panel.write_text(LONG_PANEL)
+    ranking.write_text("rank,entity_id,value\n1,c2,210\n2,c1,110\n3,c3,55\n")
+    for x, y in ((panel, ranking), (ranking, panel)):
+        assert cli.main(["corr", "--input", str(x), "--population", str(y), "--window", "2008",
+                         "--out", str(tmp_path / "out")]) == 0
+
+
+def test_corr_refuses_merges_with_a_ranking_input(tmp_path, capsys):
+    ranking = _write_region_ranking(tmp_path / "ranked.csv")
+    ledger = tmp_path / "merges.csv"
+    ledger.write_text("target_id,target_name,component_ids,effective_year\n")
+    assert cli.main(["corr", "--input", str(ranking), "--population", str(ranking),
+                     "--merges", str(ledger), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (f"ranklaw: corr: {ranking}: --merges needs a panel, "
+                                       "not a ranking file\n")
+
+
+@pytest.fixture(scope="module")
+def seed5_ranking(tmp_path_factory):
+    root = tmp_path_factory.mktemp("benchmark")
+    benchmark_inputs().generate(root, 5)
+    return (root / "ranking.csv").read_text().splitlines()
+
+
+@pytest.mark.parametrize("scale", ["log", "linear"])
+@pytest.mark.parametrize("factor", [1e-200, 1e150])
+def test_a_fit_of_a_scaled_ranking(tmp_path, capsys, seed5_ranking, scale, factor):
+    def fit_of(name, times):
+        path = tmp_path / name
+        path.write_text(seed5_ranking[0] + "\n" + "".join(
+            f"{rank},{eid},{float(value) * times!r}\n"
+            for rank, eid, value in (line.split(",") for line in seed5_ranking[1:])))
+        out = tmp_path / f"out_{name}"
+        code = cli.main(["fit", "--input", str(path), "--scale", scale, "--out", str(out)])
+        report = (out / "fit_report.txt").read_text().splitlines() if code == 0 else []
+        return path, code, {line.split(": ")[0]: line.split(": ")[1] for line in report}
+
+    _, _, plain = fit_of("plain.csv", 1.0)
+    path, code, scaled = fit_of("scaled.csv", factor)
+    if factor > 1:  # values near 6e159: chi^2 is past the float range
+        assert code == 1
+        assert capsys.readouterr().err == (f"ranklaw: fit: {path}: the sum of squared "
+                                           "residuals is past the float range\n")
+    else:  # values near 6e-191: the unscaled R^2, and chi^2 (about 1e-378) is below every double
+        assert code == 0
+        for key in (f"r_squared_{scale}", "r_squared_linear", "converged"):
+            assert scaled[key] == plain[key]
+        assert scaled["chi_squared"] == "0"
 
 
 def test_linear_scale_fit_report_keys_are_unique(tmp_path):
@@ -1039,7 +1114,10 @@ def test_a_floating_point_fault_is_one_error_line(tmp_path, capsys, command, sca
     before = np.geterr()
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"ranklaw: {command}: internal error: FloatingPointError: ")
+    # a ranking whose sum of squared residuals is past the float range is refused by name
+    assert err.startswith(f"ranklaw: fit: {path}: the sum of squared residuals is past the "
+                          "float range" if command == "fit" else
+                          f"ranklaw: {command}: internal error: FloatingPointError: ")
     assert err.count("\n") == 1
     assert np.geterr() == before  # main leaves the caller's error state as it was
     assert not [p for p in (tmp_path / "out").iterdir() if p.suffix in (".csv", ".txt")]

@@ -236,6 +236,32 @@ def test_linear_fit_is_no_worse_than_scipy_least_squares(tmp_path, seed):
         assert result.chi_squared <= 2 * oracle.cost * (1 + 1e-9), kind
 
 
+def test_a_linear_cutoff_fit_whose_rate_moves_to_its_bound_is_no_worse_than_scipy():
+    # noisy cutoff rankings with small rates: on 40 of these draws a step would take lambda
+    # below 0 and moves it to 0 instead (with a plain clamp there, 33 end worse than scipy)
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        n = int(rng.integers(10, 201))
+        alpha, lam, sigma = rng.uniform(0.3, 1.5), rng.uniform(0.0, 0.02), rng.uniform(0.0, 0.5)
+        r = np.arange(1.0, n + 1)
+        y = r ** -alpha * np.exp(-lam * r) * rng.lognormal(0.0, sigma, n)
+        series = rank.rank_desc(tuple(f"e{i:03d}" for i in range(n)), y, rank.TieBreak.ENTITY_ID)
+        result = fit.fit_model(series, ModelKind.POWERLAW_CUTOFF, scale="linear")
+        start = fit.fit_model(series, ModelKind.POWERLAW_CUTOFF).model  # the log-scale optimum
+
+        def residuals(p):
+            return fit.model_eval(start._replace(params=tuple(p)), series.ranks) - series.values
+
+        def jacobian(p):
+            return fit.model_jacobian(start._replace(params=tuple(p)), series.ranks)
+
+        oracle = optimize.least_squares(residuals, start.params, jac=jacobian,
+                                        bounds=([0.0, -np.inf, 0.0], np.inf),
+                                        ftol=1e-15, xtol=1e-15, gtol=1e-15)
+        assert result.chi_squared <= 2 * oracle.cost * (1 + 1e-9)
+
+
 def test_cutoff_rate_held_at_zero_when_unconstrained_optimum_is_negative():
     # y = 5 r^-0.8 exp(+0.01 r) still decreases on 1..50, but its rate is negative
     r = np.arange(1, 51, dtype=float)
@@ -262,23 +288,27 @@ def test_fit_needs_enough_points():
         fit.fit_model(series)
 
 
-def test_goodness_perfect_and_constant():
+def _fit_at(monkeypatch, series, model):
+    """fit_model's log-scale result when its solve returns the parameters of `model`."""
+    monkeypatch.setattr(fit, "_log_optimum", lambda *args: np.array(model.params))
+    return fit.fit_model(series, model.kind, A=model.A)
+
+
+def test_goodness_perfect_and_constant(monkeypatch):
     truth = _lav3(1.0, 10, 2.0, 0.5, 0.1)
     series = urnsim.generate_ranksize(truth)
-    r2, chi2 = fit.goodness(series, truth, "log")
-    assert r2 == pytest.approx(1.0, abs=1e-12)
-    assert chi2 == pytest.approx(0.0, abs=1e-12)
+    result = fit.fit_model(series, A=1.0)
+    assert result.r_squared == pytest.approx(1.0, abs=1e-12)
+    assert result.chi_squared == pytest.approx(0.0, abs=1e-12)
 
     # a flat model equal to the observed mean has R^2 = 0 on the linear scale
     flat = _lav3(float(series.values.mean()), 10, 1.0, 0.0, 0.0)
-    r2, _ = fit.goodness(series, flat, "linear")
-    assert r2 == pytest.approx(0.0, abs=1e-9)
+    assert _fit_at(monkeypatch, series, flat).r_squared_linear == pytest.approx(0.0, abs=1e-9)
 
 
-def test_goodness_hand_computed_chi2():
+def test_goodness_hand_computed_chi2(monkeypatch):
     # the +/-1 shifts are small against the value scale, so ranks are unchanged
     truth = _lav3(1e3, 10, 2.0, 0.5, 0.1)
-    series = urnsim.generate_ranksize(truth)
     r = np.arange(1, 11, dtype=float)
     shifted_values = fit.model_eval(truth, r) + np.array(
         [1.0, -1.0] + [0.0] * 8
@@ -287,8 +317,7 @@ def test_goodness_hand_computed_chi2():
         {f"r{i}": float(v) for i, v in enumerate(shifted_values)},
         rule=rank.TieBreak.ENTITY_ID,
     )
-    _, chi2 = fit.goodness(shifted, truth, "linear")
-    assert chi2 == pytest.approx(2.0, rel=1e-9)
+    assert _fit_at(monkeypatch, shifted, truth).chi_squared == pytest.approx(2.0, rel=1e-9)
 
 
 def test_remove_top_outliers():
@@ -323,7 +352,7 @@ def test_detect_outliers_where_the_model_underflows():
     r = np.arange(1, 101)
     series = ranked({f"e{k:03d}": math.exp(-5.0 * k) for k in r}, rule=rank.TieBreak.ENTITY_ID)
     model = RankSizeModel(ModelKind.POWERLAW_CUTOFF, 1.0, 100, (1.0, 0.0, 8.0))
-    result = fit.FitResult(model, "linear", 0.0, 0.0, 0.0, (0.0,) * 3, (), 0, True)
+    result = fit.FitResult(model, "linear", 0.0, 0.0, 0.0, (0.0,) * 3, (), 0, True, -8.0 * r)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         flagged = fit.detect_outliers(series, result)
     # the log residuals are 3 r, whose standardized size is r / std(r)

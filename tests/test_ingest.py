@@ -168,6 +168,16 @@ def test_ledger_row_errors_name_the_first_row_at_fault():
         ingest.parse_merge_ledger(head + "t1,T,a;b,x\n" + big)
 
 
+def test_a_ledger_row_without_four_fields_is_refused_by_row():
+    head = "target_id,target_name,component_ids,effective_year\n"
+    with pytest.raises(IngestError, match="^malformed ledger row 3: expected 4 fields$"):
+        ingest.parse_merge_ledger(head + "t1,T,a;b,2008\nt2,T2,c\n")
+
+
+def test_a_ledger_of_comments_only_is_empty():
+    assert ingest.parse_merge_ledger("# merges\n# none this year\n") == ingest.MergeLedger(())
+
+
 def test_aggregate_by_region_uniform():
     ati = ingest.parse_panel(
         "entity_id,name,region,province,2007\n"

@@ -123,7 +123,7 @@ def test_two_line_split_equals_exhaustive_search(k, kind):
         tolerance = 1e-9 * float(np.sum(x * x + y * y))
         assert split.objective == pytest.approx(_exhaustive(x, y, k), abs=tolerance)
         assert split.objective == pytest.approx(_own_line_objective(x, y, split), abs=tolerance)
-        assert split.iterations == 0 and split.objective_trace == ()
+        assert split.iterations == 0
 
 
 def _full_two_cut_scan(x, y):
@@ -358,8 +358,8 @@ def _arc_optimum(x, y, k):
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_the_split_objective_is_the_least_over_arc_splits(k):
-    # criterion 10's monotone-objective check reads objective_trace, which the
-    # exact split leaves empty; this checks the objective itself
+    # criterion 10 bounds the objective by the one-line and two-line costs; this
+    # checks the objective itself against the best split over arcs
     rng = np.random.default_rng(10 + k)
     for _ in range(40):
         n = int(rng.integers(k + 2, 11))

@@ -54,8 +54,17 @@ def test_incomplete_beta_matches_scipy_for_non_integer_exponents(rng):
         a, b = rng.random(2) * 5
         eps = float(rng.random())
         expected = special.betainc(a + 1, b + 1, eps) * special.beta(a + 1, b + 1)
-        # the absolute error incomplete_beta documents
         assert urnsim.incomplete_beta(a, b, eps) == pytest.approx(expected, abs=1e-10)
+
+
+def test_incomplete_beta_has_a_small_relative_error():
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(825)
+    for _ in range(1000):
+        a, b = rng.random(2) * 5
+        eps = float(rng.random())
+        expected = special.betainc(a + 1, b + 1, eps) * special.beta(a + 1, b + 1)
+        assert urnsim.incomplete_beta(a, b, eps) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_incomplete_beta_half_interval_value():
