@@ -148,13 +148,6 @@ def _load_ranked(path: str, window: list[int] | None,
     return rank.rank_desc(panel.ids, averages, names=panel.names), True
 
 
-def _load_scatter(path: str) -> regime.ScatterSet:
-    from . import reader, regime
-    with _naming(path):
-        text = Path(path).read_text(encoding="utf-8")
-        return regime.ScatterSet.from_points(reader.parse_scatter(text))
-
-
 def _check_amplitude(amplitude: float | None) -> None:
     """Refuse a bad --A before any input is read, so that its message names no file."""
     if amplitude is not None and not 0 < amplitude < float("inf"):
@@ -189,24 +182,18 @@ def cmd_ingest(args, out: OutputDir) -> None:
 def cmd_describe(args, out: OutputDir) -> None:
     from . import ingest, stats
     panel = _load_panel(args.input)
-    with _naming(args.input):  # checks every window year and cell first
-        averages = ingest.average_over_years(panel, args.window)
-    sections = []
-    machine: dict = {}
     with _naming(args.input, StatsError):
-        for year in args.window or panel.years:
-            summary = stats.describe(panel.column(year))
-            sections.append(stats.format_summary(summary, label=f"[{year}]"))
-            for key, value in stats.summary_key_values(summary).items():
-                machine[f"{year}.{key}"] = value
-        summary = stats.describe(averages)
-    sections.append(stats.format_summary(summary, label="[window average]"))
-    for key, value in stats.summary_key_values(summary).items():
-        machine[f"avg.{key}"] = value
-    if args.format == "machine":
-        out.write("describe.txt", _machine_doc("describe", machine))
+        averages = ingest.average_over_years(panel, args.window)  # checks every year and cell first
+        sections = [(f"[{year}]", year, stats.describe(panel.column(year)))
+                    for year in args.window or panel.years]
+        sections.append(("[window average]", "avg", stats.describe(averages)))
+    if args.format == "machine":  # a repeated window year is one block here
+        out.write("describe.txt", _machine_doc("describe", {
+            f"{key}.{field}": value for _, key, summary in sections
+            for field, value in stats.summary_key_values(summary).items()}))
     else:
-        out.write("describe.txt", "\n".join(sections))
+        out.write("describe.txt", "\n".join(stats.format_summary(summary, label)
+                                            for label, _, summary in sections))
 
 
 def cmd_rank(args, out: OutputDir) -> None:
@@ -237,15 +224,8 @@ def cmd_corr(args, out: OutputDir) -> None:
         "sigma_tau": report.sigma_tau, "z": report.z,
         "spearman_rho": report.rho, "pearson_pi": report.pi,
     }
-    if args.format == "machine":
-        out.write("corr.txt", _machine_doc("corr", doc))
-    else:
-        width = max(len(k) for k in doc)
-        body = "\n".join(
-            f"{k:<{width}}  {_fmt(v) if isinstance(v, float) else v}"
-            for k, v in doc.items()
-        )
-        out.write("corr.txt", body + "\n")
+    out.write("corr.txt", _machine_doc("corr", doc) if args.format == "machine"
+              else stats.format_table(doc))
     diffs, summary, frac = rank.rank_diff_series(pairs)
     diff_doc = stats.format_summary(summary, label="[rank difference r_y - r_x]")
     diff_doc += f"fraction(<=0)  {_fmt(frac)}\n"
@@ -283,12 +263,13 @@ def cmd_fit(args, out: OutputDir) -> None:
 
 
 def cmd_regime(args, out: OutputDir) -> None:
-    from . import regime
-    points = _load_scatter(args.input)
-    exclude = tuple(args.exclude.split(",")) if args.exclude else ()
+    from . import reader, regime
+    with _naming(args.input):
+        text = Path(args.input).read_text(encoding="utf-8")
+        points = regime.ScatterSet.from_points(reader.parse_scatter(text))
     with _naming(args.input, RegimeError):
-        split = regime.two_line_split(points, k=args.k_lines, outlier_ids=exclude)
-        intercept, slope, r2, int_se, slope_se = regime.inertia_axis(points)
+        split = regime.two_line_split(points, k=args.k_lines, outlier_ids=args.exclude)
+        intercept, slope, r2, int_se, slope_se = regime.inertia_axis(points.x, points.y)
         lines = [
             f"intercept: {_fmt(intercept)} +/- {_fmt(int_se)}",
             f"slope: {_fmt(slope)} +/- {_fmt(slope_se)}",
@@ -332,9 +313,8 @@ def _level_sections(ids, names, x_values, y_values, args) -> list[str]:
     report = corr.correlation_report(pairs, x.values[ox], y.values[oy])
     result = fit.fit_model(x, kind=fit.ModelKind(args.model), A=args.amplitude,
                            scale=args.scale)
-    exclude = tuple(args.exclude.split(",")) if args.exclude else ()
     split = regime.two_line_split(regime.ScatterSet(pairs.ids, x.values[ox], y.values[oy]),
-                                  k=args.k_lines, outlier_ids=exclude)
+                                  k=args.k_lines, outlier_ids=args.exclude)
     correlation = {"p+q": report.p + report.q, "p-q": report.p - report.q, "p": report.p,
                    "q": report.q, "Kendall tau": _fmt(report.tau_a),
                    "sigma_tau": _fmt(report.sigma_tau), "Z": _fmt(report.z),
@@ -385,66 +365,63 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True, window=True):
+    def command(name, func, help, needs_input=True, window=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         if needs_input:
             p.add_argument("--input", required=True, help="input data file")
-        p.add_argument("--out", default=None,
-                       help="output directory (default $RANKLAW_OUT_DIR or .)")
+        p.add_argument("--out", help="output directory (default $RANKLAW_OUT_DIR or .)")
         if window:
             p.add_argument("--window", type=int, nargs="*", default=None,
                            help="year window (default: all panel years)")
+        return p
 
-    p = sub.add_parser("ingest", help="parse, merge and serialize a panel")
-    common(p, window=False)
+    def two_inputs(p):  # corr, report
+        p.add_argument("--population", required=True,
+                       help="population panel (or, in corr, a ranking file)")
+        p.add_argument("--merges", help="merge ledger applied to the --input panel")
+
+    # the choices of --model and --ties are the values of fit.ModelKind and
+    # rank.TieBreak, spelled out so that building the parser imports neither module
+    def model(p):  # fit, report
+        p.add_argument("--model", choices=("lavalette3", "powerlaw", "cutoff"),
+                       default="lavalette3")
+        p.add_argument("--A", dest="amplitude", type=float, default=None,
+                       help="fixed amplitude scale (default: order of magnitude of max)")
+        p.add_argument("--scale", choices=["log", "linear"], default="log")
+
+    def split(p):  # regime, report
+        p.add_argument("--k-lines", dest="k_lines", type=int, choices=[2, 3], default=2)
+        p.add_argument("--exclude", type=lambda s: tuple(s.split(",")) if s else (), default="",
+                       help="comma-joined outlier entity ids")
+
+    p = command("ingest", cmd_ingest, "parse, merge and serialize a panel", window=False)
     p.add_argument("--merges", help="merge ledger file")
     p.add_argument("--population", help="population panel for regional aggregation")
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("describe", help="summary statistics per year column")
-    common(p)
+    p = command("describe", cmd_describe, "summary statistics per year column")
     p.add_argument("--format", choices=["text", "machine"], default="text")
-    p.set_defaults(func=cmd_describe)
 
-    p = sub.add_parser("rank", help="rank entities by window-average value")
-    common(p)
-    # the values of rank.TieBreak and fit.ModelKind, spelled out so that
-    # building the parser imports neither module
+    p = command("rank", cmd_rank, "rank entities by window-average value")
     p.add_argument("--ties", choices=("lexical", "id", "average"), default="lexical")
-    p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser("corr", help="rank correlation between two inputs")
-    common(p)
+    p = command("corr", cmd_corr, "rank correlation between two inputs")
     p.add_argument("--format", choices=["text", "machine"], default="text")
-    p.add_argument("--population", required=True,
-                   help="second input (ranking file or panel)")
-    p.add_argument("--merges", help="merge ledger applied to the --input panel")
-    p.set_defaults(func=cmd_corr)
+    two_inputs(p)
 
-    p = sub.add_parser("pairwise", help="year-pair Kendall matrices for one panel")
-    common(p)
-    p.set_defaults(func=cmd_pairwise)
+    command("pairwise", cmd_pairwise, "year-pair Kendall matrices for one panel")
 
-    p = sub.add_parser("fit", help="fit a rank-size model")
-    common(p)
-    p.add_argument("--model", choices=("lavalette3", "powerlaw", "cutoff"),
-                   default="lavalette3")
-    p.add_argument("--A", dest="amplitude", type=float, default=None,
-                   help="fixed amplitude scale (default: order of magnitude of max)")
-    p.add_argument("--scale", choices=["log", "linear"], default="log")
+    p = command("fit", cmd_fit, "fit a rank-size model")
+    model(p)
     p.add_argument("--drop-top", dest="drop_top", type=int, default=0,
                    help="remove the top K ranks before fitting")
     p.add_argument("--threshold", type=float, default=3.0,
                    help="outlier detection threshold in residual sigmas")
-    p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("regime", help="two-regime split of a scatter file")
-    common(p, window=False)
-    p.add_argument("--k-lines", dest="k_lines", type=int, choices=[2, 3], default=2)
-    p.add_argument("--exclude", default="", help="comma-joined outlier entity ids")
-    p.set_defaults(func=cmd_regime)
+    split(command("regime", cmd_regime, "two-regime split of a scatter file", window=False))
 
-    p = sub.add_parser("simulate", help="preferential-attachment urn simulation")
-    common(p, needs_input=False, window=False)
+    p = command("simulate", cmd_simulate, "preferential-attachment urn simulation",
+                needs_input=False, window=False)
     p.add_argument("--urns", type=int, required=True)
     p.add_argument("--balls", type=int, required=True)
     p.add_argument("--a", dest="offset", type=float, default=1.0,
@@ -453,20 +430,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--capacity", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--replicates", type=int, default=1)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("report", help="full pipeline report")
-    common(p)
-    p.add_argument("--population", required=True)
-    p.add_argument("--merges", default=None)
-    p.add_argument("--model", choices=("lavalette3", "powerlaw", "cutoff"),
-                   default="lavalette3")
-    p.add_argument("--A", dest="amplitude", type=float, default=None)
-    p.add_argument("--scale", choices=["log", "linear"], default="log")
-    p.add_argument("--k-lines", dest="k_lines", type=int, choices=[2, 3], default=2)
-    p.add_argument("--exclude", default="")
-    p.set_defaults(func=cmd_report)
-
+    p = command("report", cmd_report, "full pipeline report")
+    two_inputs(p)
+    model(p)
+    split(p)
     return parser
 
 

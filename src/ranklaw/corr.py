@@ -201,7 +201,7 @@ def correlation_report(pairs: RankPairs, x_values, y_values) -> CorrelationRepor
         ties_x=counts.ties_x + counts.ties_both,
         ties_y=counts.ties_y + counts.ties_both,
         tau_a=tau_a, tau_b=tau_b, sigma_tau=sigma_tau, z=z,
-        rho=pearson_pi(pairs.rx, pairs.ry), pi=pearson_pi(x_values, y_values),
+        rho=spearman_rho(pairs), pi=pearson_pi(x_values, y_values),
     )
 
 

@@ -58,10 +58,6 @@ class RankSizeModel(NamedTuple):
         if len(self.params) != expected:
             raise FitError(f"{self.kind.value} takes {expected} parameters, got {len(self.params)}")
 
-    @property
-    def param_names(self) -> tuple[str, ...]:
-        return PARAM_NAMES[self.kind]
-
 
 @checked
 class FitResult(NamedTuple):
@@ -136,7 +132,8 @@ def _log_optimum(kind: ModelKind, A: float, design: np.ndarray,
     if kind is ModelKind.POWERLAW_CUTOFF and coef[2] < 0:
         # a convex objective with one bound: the optimum lies on lambda = 0
         coef = np.append(_lstsq(design[:, :2], logy), 0.0)
-    return np.array([math.exp(coef[0]) / A, *coef[1:]])
+    with np.errstate(over="ignore"):  # an m1 past the float range is refused by fit_model
+        return np.array([np.exp(coef[0] - math.log(A)), *coef[1:]])
 
 
 def _jacobian(A, params, design, scale) -> np.ndarray:
@@ -215,8 +212,11 @@ def fit_model(series: RankedSeries, kind: ModelKind = ModelKind.LAVALETTE3,
         else:
             damping *= 10.0
 
-    if not np.finfo(float).tiny <= min(params[0], A * params[0]) < np.inf:
-        raise FitError(f"the fitted amplitude factor {params[0]:.3g} is out of the float range")
+    m1 = float(params[0])
+    for what, value in (("", m1), ("A times ", A * m1)):  # Python floats: no FloatingPointError
+        if not np.finfo(float).tiny <= value < math.inf:
+            raise FitError(f"{what}the fitted amplitude factor {value:.3g} is out of the "
+                           "float range")
     log_fitted = _log_predict(A, params, design)
     if scale == "log":  # the linear path keeps its projection's ssr
         res = logy - log_fitted
@@ -285,7 +285,7 @@ def format_fit_report(fit: FitResult) -> str:
         f"A: {format(m.A, '.12g')}",
         f"N: {m.N}",
     ]
-    for name, value, err in zip(m.param_names, m.params, fit.param_std_err):
+    for name, value, err in zip(PARAM_NAMES[m.kind], m.params, fit.param_std_err):
         lines.append(f"{name}: {format(value, '.12g')} +/- {format(err, '.6g')}")
     lines += [
         f"scale: {fit.scale}",

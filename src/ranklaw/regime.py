@@ -56,12 +56,7 @@ class RegimeSplit(NamedTuple):
     degenerate: bool = False
 
 
-def inertia_axis(points: ScatterSet) -> tuple[float, float, float, float, float]:
-    """Ordinary least squares of y on x, as _ols returns it."""
-    return _ols(points.x, points.y)
-
-
-def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float, float]:
+def inertia_axis(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float, float]:
     """Ordinary least squares of y on x.
 
     Returns (intercept, slope, r_squared, intercept_std_err, slope_std_err).
@@ -213,7 +208,7 @@ def loglog_power_fit(points: ScatterSet) -> tuple[float, float, float]:
     x, y = points.x, points.y
     if np.any(x <= 0) or np.any(y <= 0):
         raise RegimeError("loglog_power_fit needs positive coordinates")
-    intercept, slope, r2, _, _ = _ols(np.log(x), np.log(y))
+    intercept, slope, r2, _, _ = inertia_axis(np.log(x), np.log(y))
     return math.exp(intercept), slope, r2
 
 

@@ -108,13 +108,19 @@ _SUMMARY_FIELDS = (
 )
 
 
+def format_table(pairs: dict, label: str = "") -> str:
+    """Key/value text table: an optional label line, then each key padded to the
+    longest key, two spaces and its value, a float at 12 significant digits."""
+    width = max(map(len, pairs))
+    lines = [label] if label else []
+    lines += [f"{key:<{width}}  {format(value, '.12g') if isinstance(value, float) else value}"
+              for key, value in pairs.items()]
+    return "\n".join(lines) + "\n"
+
+
 def format_summary(stats: SummaryStats, label: str = "") -> str:
     """One-column text table mirroring the summary layout."""
-    width = max(len(text) for text, _, _ in _SUMMARY_FIELDS)
-    lines = [label] if label else []
-    lines += [f"{text:<{width}}  {format(getattr(stats, attr), '.12g')}"
-              for text, _, attr in _SUMMARY_FIELDS]
-    return "\n".join(lines) + "\n"
+    return format_table({text: getattr(stats, attr) for text, _, attr in _SUMMARY_FIELDS}, label)
 
 
 def summary_key_values(stats: SummaryStats) -> dict[str, float]:

@@ -608,10 +608,14 @@ def test_regime_rejects_an_unknown_exclude_id(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
-def test_report_rejects_an_unknown_exclude_id(tmp_path, capsys):
-    ati = tmp_path / "ati.csv"
-    ati.write_text("entity_id,name,region,province,2007,2008\n" + "".join(
+def _eight_city_panel(path):
+    path.write_text("entity_id,name,region,province,2007,2008\n" + "".join(
         f"c{i},N{i},R{i % 2},P1,{100 * i + 7 * (i % 3)},{110 * i}\n" for i in range(1, 9)))
+    return path
+
+
+def test_report_rejects_an_unknown_exclude_id(tmp_path, capsys):
+    ati = _eight_city_panel(tmp_path / "ati.csv")
     out = tmp_path / "out"
     assert cli.main(["report", "--input", str(ati), "--population", str(ati),
                      "--out", str(out)]) == 0
@@ -620,6 +624,21 @@ def test_report_rejects_an_unknown_exclude_id(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"ranklaw: report: {ati}: outlier ids not in the scatter: 1 ids: 'zz'\n"
     assert list((out / "x").iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["regime", "report"])
+def test_an_empty_exclude_excludes_nothing(tmp_path, command):
+    if command == "regime":
+        argv = ["regime", "--input", str(_two_slope_scatter(tmp_path / "scatter.csv"))]
+    else:
+        panel = _eight_city_panel(tmp_path / "ati.csv")
+        argv = ["report", "--input", str(panel), "--population", str(panel)]
+    assert cli.main(argv + ["--out", str(tmp_path / "none")]) == 0
+    assert cli.main(argv + ["--exclude", "", "--out", str(tmp_path / "empty")]) == 0
+    written = sorted((tmp_path / "none").iterdir())
+    assert [p.name for p in written] == sorted(p.name for p in (tmp_path / "empty").iterdir())
+    for path in written:
+        assert (tmp_path / "empty" / path.name).read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("command", ["regime", "report"])
@@ -767,6 +786,21 @@ def test_describe_window_outside_the_panel_names_the_file(tmp_path, capsys):
                      "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == (
         f"ranklaw: describe: {panel}: year 1999 not in panel years [2007, 2008]\n")
+
+
+def test_describe_keeps_a_repeated_window_year(tmp_path):
+    panel = tmp_path / "panel.csv"
+    panel.write_text(LONG_PANEL)
+    argv = ["describe", "--input", str(panel), "--window", "2008", "2008"]
+    assert cli.main(argv + ["--out", str(tmp_path / "text")]) == 0
+    assert cli.main(argv + ["--format", "machine", "--out", str(tmp_path / "machine")]) == 0
+    # the year's text section twice, and its machine block once
+    first, second, average = (tmp_path / "text" / "describe.txt").read_text().split("\n\n")
+    assert first == second and first.startswith("[2008]\nn ")
+    assert average.startswith("[window average]\nn ")
+    machine = (tmp_path / "machine" / "describe.txt").read_text().splitlines()
+    assert machine[:2] == ["schema_version: 1", "section: describe"]
+    assert [line.split(".")[0] for line in machine[2:]] == ["2008"] * 15 + ["avg"] * 15
 
 
 OPTIONS = {
@@ -1088,10 +1122,20 @@ def test_main_leaves_the_collector_as_it_was(tmp_path):
     assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
-def test_the_console_script_is_the_program_entry():
+def test_the_console_script_is_the_program_entry(tmp_path):
     tomllib = pytest.importorskip("tomllib")
     pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
-    assert pyproject["project"]["scripts"] == {"ranklaw": "ranklaw.cli:run"}
+    module, func = pyproject["project"]["scripts"]["ranklaw"].split(":")
+    argv = SIMULATE + ["--out", str(tmp_path / "out")]
+    # neither the entry's import, numpy's with it, nor its command runs a collection
+    code = ("import atexit, gc, sys; runs = []\n"
+            "gc.callbacks.append(lambda phase, info: runs.append(phase))\n"
+            "atexit.register(lambda: print(runs.count('start')))\n"
+            f"from {module} import {func}; sys.argv[1:] = {argv!r}; {func}()")
+    run = _python("-c", code, cwd=tmp_path)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "0\n", "")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "occupancy.csv", "simulate_summary.csv"]
 
 
 @pytest.mark.parametrize("command, scale", [("regime", 1e300), ("regime", 1e80), ("fit", 1e308),
@@ -1138,6 +1182,25 @@ def test_a_linear_fit_whose_amplitude_factor_underflows_is_one_error_line(tmp_pa
                      "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == (f"ranklaw: fit: {path}: the fitted amplitude factor 0 "
                                        "is out of the float range\n")
+
+
+@pytest.mark.parametrize("options", [
+    *(["--model", model, "--scale", scale] for model in ("lavalette3", "powerlaw", "cutoff")
+      for scale in ("log", "linear")),
+    ["--A", "1e-300"],
+], ids=lambda options: "-".join(o.lstrip("-") for o in options))
+def test_a_fit_whose_amplitude_is_past_the_float_range_is_one_error_line(tmp_path, capsys,
+                                                                          options):
+    # every value is finite, but the fitted curve's A m1 (m1 with --A 1e-300) is not
+    path = tmp_path / "ranking.csv"
+    path.write_text("rank,entity_id,value\n" + "".join(
+        f"{r},e{r},{1.79e308 * min(1.0, (r / 2) ** -2)!r}\n" for r in range(1, 51)))
+    out = tmp_path / "out"
+    assert cli.main(["fit", "--input", str(path), *options, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ranklaw: fit: {path}: ")
+    assert err.endswith(" is out of the float range\n") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
 
 
 def test_a_linear_fit_rejects_a_step_whose_residuals_overflow(tmp_path, monkeypatch):

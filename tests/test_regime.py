@@ -16,25 +16,23 @@ def _scatter(xs, ys):
 
 
 def test_inertia_axis_exact_line():
-    x = [0.0, 1.0, 2.0, 3.0]
-    points = _scatter(x, [2 * v + 1 for v in x])
-    intercept, slope, r2, _, _ = regime.inertia_axis(points)
+    x = np.array([0.0, 1.0, 2.0, 3.0])
+    intercept, slope, r2, _, _ = regime.inertia_axis(x, 2 * x + 1)
     assert intercept == pytest.approx(1.0, abs=1e-12)
     assert slope == pytest.approx(2.0, abs=1e-12)
     assert r2 == pytest.approx(1.0)
 
 
 def test_inertia_axis_hand_ols():
-    points = _scatter([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
-    intercept, slope, r2, _, _ = regime.inertia_axis(points)
+    x = np.array([0.0, 1.0, 2.0])
+    intercept, slope, r2, _, _ = regime.inertia_axis(x, x)
     assert (intercept, slope) == (pytest.approx(0.0, abs=1e-12), pytest.approx(1.0))
     assert r2 == pytest.approx(1.0)
 
 
 def test_inertia_axis_identity_rank_pairs():
-    n = 25
-    ranks = list(range(1, n + 1))
-    intercept, slope, _, _, _ = regime.inertia_axis(_scatter(ranks, ranks))
+    ranks = np.arange(1.0, 26.0)
+    intercept, slope, _, _, _ = regime.inertia_axis(ranks, ranks)
     assert slope == pytest.approx(1.0, abs=1e-12)
     assert intercept == pytest.approx(0.0, abs=1e-9)
 
@@ -43,13 +41,13 @@ def test_inertia_axis_standard_errors_positive():
     rng = np.random.default_rng(2)
     x = rng.random(100)
     y = 3 * x + rng.normal(0, 0.1, 100)
-    _, _, _, int_se, slope_se = regime.inertia_axis(_scatter(x, y))
+    _, _, _, int_se, slope_se = regime.inertia_axis(x, y)
     assert int_se > 0 and slope_se > 0
 
 
 def test_inertia_axis_degenerate_x():
     with pytest.raises(RegimeError, match="degenerate"):
-        regime.inertia_axis(_scatter([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
+        regime.inertia_axis(np.ones(3), np.array([1.0, 2.0, 3.0]))
 
 
 def test_two_line_split_separable_bundles():
