@@ -3,8 +3,9 @@
 Concordant/discordant pair counting is implemented twice: a brute-force
 O(n^2) enumerator kept as a testing oracle, and an O(n log n) counter used
 everywhere else, which counts inversions inside small blocks and then merges
-sorted runs bottom-up.  Counts are exact integers so tables built from them
-reproduce bit-for-bit.
+sorted runs bottom-up by one sort of side-tagged keys a level.  Counts are exact
+integers so tables built from them reproduce bit-for-bit.  Pearson's moments are
+taken on series scaled by a power of two, so no finite value is out of their range.
 """
 
 from __future__ import annotations
@@ -60,35 +61,41 @@ def _tied_pairs(sizes: np.ndarray) -> int:
     return int((sizes * (sizes - 1)).sum()) // 2
 
 
-_BLOCK = 32
+_BLOCK = 16
 _UPPER = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), k=1)  # the pairs i < j of a block
+_STABLE = 1024  # equal keys are of one side, so any sort merges; stable is fastest from this width
+
+
+def _key_dtype(n: int) -> type:
+    return np.int32 if 2 * n + 1 < 2 ** 31 else np.int64  # holds every key 2 code + 1 of n codes
 
 
 def _inversions(codes: np.ndarray) -> int:
     """The number of pairs i < j with codes[i] > codes[j], for integer codes in
-    [0, n): Knight's merge count, bottom-up.  One masked broadcast compare
-    counts the inversions inside each block of _BLOCK; then at each doubling
-    level one searchsorted counts, for every sorted run, the elements of its
-    right neighbour below each of its own, and one sort merges the two."""
+    [0, n): Knight's merge count, bottom-up.  A masked broadcast compare counts
+    inside each block of _BLOCK.  Each doubling level sorts each pair of runs as
+    one row of keys, 2 code on the left and 2 code + 1 on the right, so a left key
+    sits just after the right keys below it: the level counts the even keys'
+    positions less the w(w - 1)/2 that a row's w left keys fill among themselves."""
     n = codes.size
     size = _BLOCK
     while size < n:
         size *= 2
-    runs = np.full(size, n, dtype=np.int64)  # padded at the end above every code
-    runs[:n] = codes
-    blocks = runs.reshape(-1, _BLOCK)
+    keys = np.full(size, 2 * n, dtype=_key_dtype(n))  # padded at the end above every key
+    keys[:n] = 2 * codes
+    blocks = keys.reshape(-1, _BLOCK)
     count = int(np.count_nonzero((blocks[:, :, None] > blocks[:, None, :]) & _UPPER))
-    runs = np.sort(blocks, axis=1)
+    keys = np.sort(blocks, axis=1)
     width = _BLOCK
     while width < size:
-        halves = runs.reshape(-1, 2, width)
-        m = len(halves)
-        # offsetting each pair of runs by n + 1 sorts all right runs as one array
-        offset = np.arange(0, m * (n + 1), n + 1)[:, None]
-        below = np.searchsorted((halves[:, 1] + offset).ravel(), halves[:, 0] + offset)
-        count += int(below.sum()) - width * width * m * (m - 1) // 2
+        keys.reshape(-1, 2, width)[:, 1] += 1
+        rows = size // width // 2
+        count -= rows * width * (width - 1) // 2
         width *= 2
-        runs = np.sort(runs.reshape(-1, width), axis=1)
+        keys = np.sort(keys.reshape(-1, width), axis=1, kind="stable" if width >= _STABLE else None)
+        tags = keys & 1
+        keys -= tags  # the merged run's untagged keys
+        count += int((rows - tags.sum(axis=0)) @ np.arange(width))  # sum of even-key positions
     return count
 
 
@@ -168,14 +175,15 @@ def z_score(tau: float, n: int) -> tuple[float, float]:
 
 def pearson_pi(x, y) -> float:
     """Pearson correlation: covariance over the product of standard deviations."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.size != y.size:
         raise CorrelationError(f"length mismatch: {x.size} vs {y.size}")
     if x.size < 2:
         raise CorrelationError("pearson_pi needs n >= 2")
     require_finite(x, CorrelationError)
     require_finite(y, CorrelationError)
+    # dividing by the power of two of the largest |value| is exact and keeps the moments in range
+    x, y = (np.ldexp(v, -math.frexp(float(np.abs(v).max()))[1]) for v in (x, y))
     dx = x - x.mean()
     dy = y - y.mean()
     sx = float(np.sqrt(np.sum(dx * dx)))

@@ -1,5 +1,6 @@
 import fcntl
 import gc
+import math
 import os
 import pkgutil
 import subprocess
@@ -1165,6 +1166,30 @@ def test_a_floating_point_fault_is_one_error_line(tmp_path, capsys, command, sca
     assert err.count("\n") == 1
     assert np.geterr() == before  # main leaves the caller's error state as it was
     assert not [p for p in (tmp_path / "out").iterdir() if p.suffix in (".csv", ".txt")]
+
+
+@pytest.mark.parametrize("exponent", [660, -1000])
+def test_corr_of_panels_scaled_by_a_power_of_two_writes_the_unscaled_outputs(tmp_path,
+                                                                             exponent):
+    # Pearson's moments of the raw values would overflow near 2^660 and vanish
+    # near 2^-1000; scaled by a power of two, every statistic is as unscaled
+    x = [1000.0 + 40 * i + 90 * (i % 4) for i in range(30)]
+    y = [v * (1 + 0.05 * ((i * 7) % 5 - 2)) for i, v in enumerate(x)]
+
+    def corr_of(e):
+        paths = [tmp_path / f"{name}{e}.csv" for name in "xy"]
+        for path, values in zip(paths, (x, y)):
+            path.write_text("entity_id,name,region,province,2007\n" + "".join(
+                f"c{i:02d},N{i},R{i % 3},P{i % 5},{math.ldexp(v, e)!r}\n"
+                for i, v in enumerate(values)))
+        out = tmp_path / f"out{e}"
+        assert cli.main(["corr", "--input", str(paths[0]), "--population", str(paths[1]),
+                         "--out", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    unscaled = corr_of(0)
+    assert b"pearson_pi     0.951583815585\n" in unscaled["corr.txt"]
+    assert corr_of(exponent) == unscaled
 
 
 def test_a_linear_fit_whose_amplitude_factor_underflows_is_one_error_line(tmp_path, capsys):

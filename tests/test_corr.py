@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ranklaw import corr, ingest, rank
 from ranklaw.errors import CorrelationError, IngestError
@@ -110,6 +110,25 @@ def test_pearson_exact_relations():
     assert corr.pearson_pi([1, 2, 3], [1, 3, 2]) == pytest.approx(0.5)
     with pytest.raises(CorrelationError):
         corr.pearson_pi([1, 1, 1], [1, 2, 3])
+
+
+def _clipped_exponent(values, exponent):
+    """exponent, clipped so that 2^exponent times every nonzero value stays normal."""
+    exps = [math.frexp(v)[1] for v in values if v != 0.0]
+    return min(max(exponent, -1021 - min(exps)), 1024 - max(exps))
+
+
+_finite = st.floats(-1e6, 1e6, allow_subnormal=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_finite, _finite), min_size=2, max_size=40),
+       st.integers(-600, 600), st.integers(-600, 600))
+def test_pearson_is_unmoved_by_powers_of_two(xy, j, k):
+    x, y = (np.array(v) for v in zip(*xy))
+    assume(np.ptp(x) > 0 and np.ptp(y) > 0)
+    j, k = _clipped_exponent(x, j), _clipped_exponent(y, k)
+    assert corr.pearson_pi(np.ldexp(x, j), np.ldexp(y, k)) == corr.pearson_pi(x, y)
 
 
 def test_spearman_equals_pearson_on_ranks(rng):
@@ -288,21 +307,43 @@ def test_tau_b_matches_scipy_at_city_count(rng):
     assert tau_b == pytest.approx(scipy_stats.kendalltau(x, y).statistic, abs=1e-12)
 
 
-# lengths around the 32-element blocks and the doubling levels, and any other
-# up to 300; codes repeat whenever fewer distinct ones than the length are drawn
+# lengths around the 16-element blocks and the first doubling levels, and any
+# other up to 300; codes repeat whenever fewer distinct ones than the length are drawn
 @st.composite
 def _codes_with_repeats(draw):
-    n = draw(st.sampled_from([0, 1, 31, 32, 33, 64, 65, 257, 300]) | st.integers(0, 300))
+    n = draw(st.sampled_from([0, 1, 15, 16, 17, 31, 32, 33, 64, 65, 257, 300])
+             | st.integers(0, 300))
     distinct = draw(st.integers(1, max(n, 1)))
     return np.array(draw(st.lists(st.integers(0, distinct - 1), min_size=n, max_size=n)),
                     dtype=np.int64)
 
 
+def _brute_inversions(codes):
+    """The pairs i < j with codes[i] > codes[j], from the whole n x n compare."""
+    return int(np.count_nonzero(np.triu(codes[:, None] > codes[None, :], 1)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(_codes_with_repeats())
 def test_inversions_equal_a_brute_force_count(codes):
-    brute = sum(int(np.count_nonzero(codes[i] > codes[i + 1:])) for i in range(codes.size))
-    assert corr._inversions(codes) == brute
+    assert corr._inversions(codes) == _brute_inversions(codes)
+
+
+# lengths around the blocks, the level that first sorts stably and 3 000 (eight levels)
+@pytest.mark.parametrize("n", [15, 16, 17, 511, 512, 513, 1023, 1024, 1025, 3000])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_inversions_at_every_level_equal_a_brute_force_count(monkeypatch, rng, n, dtype):
+    monkeypatch.setattr(corr, "_key_dtype", lambda n: dtype)
+    for distinct in (2, 7, n // 3, n):
+        codes = rng.integers(0, distinct, n)
+        assert corr._inversions(codes) == _brute_inversions(codes)
+    assert corr._inversions(np.arange(n)[::-1]) == n * (n - 1) // 2
+    assert corr._inversions(np.full(n, n // 2)) == 0
+
+
+def test_the_key_dtype_holds_every_key():
+    assert corr._key_dtype(2 ** 30 - 1) is np.int32  # largest key 2^31 - 1
+    assert corr._key_dtype(2 ** 30) is np.int64
 
 
 def test_pairwise_matrix_equals_brute_force_on_tied_columns(rng):

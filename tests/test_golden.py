@@ -3,7 +3,8 @@
 The inputs are built here from closed-form rules (no random draws): a long-form
 income panel of 26 entities over 2007-2009 with ties, quoted names and a
 three-entry merge ledger, a wide population panel keyed by the post-merge ids,
-a 30-rank ranking file and a two-slope scatter file.  The expected files live
+a 40-entity wide panel whose years disagree and tie, a 30-rank ranking file and
+a two-slope scatter file.  The expected files live
 in tests/golden/<case>/.  A change that alters an output on purpose rewrites
 them with
 
@@ -64,6 +65,17 @@ def _gaps() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _disagree() -> str:
+    """40 entities over four years whose orders disagree (q > 0 in every year pair)
+    and tie (13 to 26 distinct values a year), long enough for the Kendall count
+    to merge more than one level of runs."""
+    lines = ["entity_id,name,region,province,2007,2008,2009,2010"]
+    for i in range(40):
+        values = [100 + 10 * ((i * (3 + 2 * t) + 5 * t) % 13) + (i < 20) * 7 * t for t in range(4)]
+        lines.append(f"d{i:02d},D{i},R{i % 3},P{i % 5}," + ",".join(map(str, values)))
+    return "\n".join(lines) + "\n"
+
+
 def _merges() -> str:
     lines = ["target_id,target_name,component_ids,effective_year"]
     lines += [f"{t},Merged {t},{';'.join(c)},2010" for t, c in MERGES.items()]
@@ -94,7 +106,7 @@ def _write_inputs(root: Path) -> dict[str, str]:
     files = {"income.csv": _income(), "population.csv": _population(),
              "merges.csv": _merges(), "ranking.csv": _ranking(),
              "pop_ranking.csv": _ranking(pop_ids), "scatter.csv": _scatter(),
-             "gaps.csv": _gaps()}
+             "gaps.csv": _gaps(), "disagree.csv": _disagree()}
     root.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
         (root / name).write_text(text)
@@ -108,6 +120,7 @@ def _cases(f: dict[str, str]) -> dict[str, list[str]]:
         "report_log": report,
         "report_linear": report + ["--scale", "linear"],
         "pairwise": ["pairwise", "--input", f["income"]],
+        "pairwise_disagree": ["pairwise", "--input", f["disagree"]],
         "ingest": ["ingest", "--input", f["income"], "--merges", f["merges"],
                    "--population", f["population"]],
         "ingest_gaps": ["ingest", "--input", f["gaps"]],
@@ -139,7 +152,8 @@ def _cases(f: dict[str, str]) -> dict[str, list[str]]:
 
 
 CASE_NAMES = sorted(_cases({k: k for k in ("income", "population", "merges", "ranking",
-                                            "pop_ranking", "scatter", "gaps")}))
+                                            "pop_ranking", "scatter", "gaps",
+                                            "disagree")}))
 
 
 def _run(case: str, root: Path) -> dict[str, bytes]:
