@@ -3,8 +3,9 @@
 The inputs are built here from closed-form rules (no random draws): a long-form
 income panel of 26 entities over 2007-2009 with ties, quoted names and a
 three-entry merge ledger, a wide population panel keyed by the post-merge ids,
-a 40-entity wide panel whose years disagree and tie, a 30-rank ranking file and
-a two-slope scatter file.  The expected files live
+a 40-entity wide panel whose years disagree and tie, a 30-rank ranking file,
+a two-slope scatter file and a one-direction scatter file with a point below
+the origin.  The expected files live
 in tests/golden/<case>/.  A change that alters an output on purpose rewrites
 them with
 
@@ -101,11 +102,18 @@ def _scatter() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _one_direction() -> str:
+    """Six points on y = 2x, one of them below the origin: a degenerate split
+    with a single slope, and no log-log fit."""
+    return "entity_id,x,y\na,1,2\nb,2,4\nc,3,6\nd,-1,-2\ne,4,8\nf,0.5,1\n"
+
+
 def _write_inputs(root: Path) -> dict[str, str]:
     pop_ids = [line.split(",")[0] for line in _population().splitlines()[2:]]
     files = {"income.csv": _income(), "population.csv": _population(),
              "merges.csv": _merges(), "ranking.csv": _ranking(),
              "pop_ranking.csv": _ranking(pop_ids), "scatter.csv": _scatter(),
+             "one_direction.csv": _one_direction(),
              "gaps.csv": _gaps(), "disagree.csv": _disagree()}
     root.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
@@ -137,6 +145,7 @@ def _cases(f: dict[str, str]) -> dict[str, list[str]]:
         "regime_k2": ["regime", "--input", f["scatter"]],
         "regime_k3": ["regime", "--input", f["scatter"], "--k-lines", "3",
                       "--exclude", "s00,t11"],
+        "regime_degenerate": ["regime", "--input", f["one_direction"]],
         "simulate_uncapped": ["simulate", "--urns", "12", "--balls", "300", "--seed", "5",
                               "--replicates", "4"],
         "simulate_capped": ["simulate", "--urns", "12", "--balls", "300", "--seed", "5",
@@ -152,8 +161,8 @@ def _cases(f: dict[str, str]) -> dict[str, list[str]]:
 
 
 CASE_NAMES = sorted(_cases({k: k for k in ("income", "population", "merges", "ranking",
-                                            "pop_ranking", "scatter", "gaps",
-                                            "disagree")}))
+                                            "pop_ranking", "scatter", "one_direction",
+                                            "gaps", "disagree")}))
 
 
 def _run(case: str, root: Path) -> dict[str, bytes]:
