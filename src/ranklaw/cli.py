@@ -28,14 +28,11 @@ import numpy as np
 from . import __version__
 from .errors import (CorrelationError, FitError, IngestError, PanelGapError, RanklawError,
                      RankingError, RegimeError, StatsError)
+from .text import fmt, format_table, key_lines
 
 SCHEMA_VERSION = 1
 LOCK_NAME = ".ranklaw.lock"
 STAGE_NAME = ".ranklaw.stage"
-
-
-def _fmt(v: float) -> str:
-    return format(v, ".12g")
 
 
 class OutputDir:
@@ -155,12 +152,7 @@ def _check_amplitude(amplitude: float | None) -> None:
 
 
 def _machine_doc(section: str, pairs: dict) -> str:
-    lines = [f"schema_version: {SCHEMA_VERSION}", f"section: {section}"]
-    for key, value in pairs.items():
-        if isinstance(value, float):
-            value = _fmt(value)
-        lines.append(f"{key}: {value}")
-    return "\n".join(lines) + "\n"
+    return key_lines({"schema_version": SCHEMA_VERSION, "section": section, **pairs})
 
 
 def cmd_ingest(args, out: OutputDir) -> None:
@@ -175,7 +167,7 @@ def cmd_ingest(args, out: OutputDir) -> None:
             path = args.population if exc.panel is pop else args.input
             raise IngestError(f"{path}: {exc}") from None
         out.write("regions.csv", "region,n_cities,n_inhabitants,ati_mean\n" + "".join(
-            f"{a.region},{a.n_cities},{_fmt(a.n_inhabitants)},{_fmt(a.ati_mean)}\n"
+            f"{a.region},{a.n_cities},{fmt(a.n_inhabitants)},{fmt(a.ati_mean)}\n"
             for a in aggregates))
 
 
@@ -225,11 +217,10 @@ def cmd_corr(args, out: OutputDir) -> None:
         "spearman_rho": report.rho, "pearson_pi": report.pi,
     }
     out.write("corr.txt", _machine_doc("corr", doc) if args.format == "machine"
-              else stats.format_table(doc))
-    diffs, summary, frac = rank.rank_diff_series(pairs)
-    diff_doc = stats.format_summary(summary, label="[rank difference r_y - r_x]")
-    diff_doc += f"fraction(<=0)  {_fmt(frac)}\n"
-    out.write("rank_diff.txt", diff_doc)
+              else format_table(doc))
+    _, summary, frac = rank.rank_diff_series(pairs)
+    out.write("rank_diff.txt", stats.format_summary(summary, label="[rank difference r_y - r_x]")
+              + f"fraction(<=0)  {fmt(frac)}\n")
 
 
 def cmd_pairwise(args, out: OutputDir) -> None:
@@ -270,20 +261,13 @@ def cmd_regime(args, out: OutputDir) -> None:
     with _naming(args.input, RegimeError):
         split = regime.two_line_split(points, k=args.k_lines, outlier_ids=args.exclude)
         intercept, slope, r2, int_se, slope_se = regime.inertia_axis(points.x, points.y)
-        lines = [
-            f"intercept: {_fmt(intercept)} +/- {_fmt(int_se)}",
-            f"slope: {_fmt(slope)} +/- {_fmt(slope_se)}",
-            f"r_squared: {_fmt(r2)}",
-        ]
+        axis = {"intercept": f"{fmt(intercept)} +/- {fmt(int_se)}",
+                "slope": f"{fmt(slope)} +/- {fmt(slope_se)}", "r_squared": r2}
         if points.x.min() > 0 and points.y.min() > 0:
-            c, beta, r2log = regime.loglog_power_fit(points)
-            lines += [
-                f"loglog_c: {_fmt(c)}",
-                f"loglog_beta: {_fmt(beta)}",
-                f"loglog_r_squared: {_fmt(r2log)}",
-            ]
+            axis["loglog_c"], axis["loglog_beta"], axis["loglog_r_squared"] = \
+                regime.loglog_power_fit(points)
     out.write("regime_split.csv", regime.export_split(points, split))
-    out.write("regime_axis.txt", "\n".join(lines) + "\n")
+    out.write("regime_axis.txt", key_lines(axis))
 
 
 def cmd_simulate(args, out: OutputDir) -> None:
@@ -302,9 +286,9 @@ def cmd_simulate(args, out: OutputDir) -> None:
 
 
 def _level_sections(ids, names, x_values, y_values, args) -> list[str]:
-    """The report's sections for entities `ids`, with names and both value
-    arrays aligned with them: the correlation of the x and y rankings, the
-    rank-size fit of x and the k-line split of (x, y)."""
+    """The report's sections, each ending in a line break, for entities `ids`, with
+    names and both value arrays aligned with them: the correlation of the x and y
+    rankings, the rank-size fit of x and the k-line split of (x, y)."""
     from . import corr, fit, rank, regime
     x = rank.rank_desc(ids, x_values, names=names)
     y = rank.rank_desc(ids, y_values, names=names)
@@ -316,20 +300,15 @@ def _level_sections(ids, names, x_values, y_values, args) -> list[str]:
     split = regime.two_line_split(regime.ScatterSet(pairs.ids, x.values[ox], y.values[oy]),
                                   k=args.k_lines, outlier_ids=args.exclude)
     correlation = {"p+q": report.p + report.q, "p-q": report.p - report.q, "p": report.p,
-                   "q": report.q, "Kendall tau": _fmt(report.tau_a),
-                   "sigma_tau": _fmt(report.sigma_tau), "Z": _fmt(report.z),
-                   "Spearman rho": _fmt(report.rho), "Pearson Pi": _fmt(report.pi)}
+                   "q": report.q, "Kendall tau": report.tau_a, "sigma_tau": report.sigma_tau,
+                   "Z": report.z, "Spearman rho": report.rho, "Pearson Pi": report.pi}
     return [
-        "[correlation]",
-        *(f"{key:<12} {value}" for key, value in correlation.items()),
-        "",
-        "[rank-size fit]",
-        fit.format_fit_report(result),
-        "[two-regime split]",
-        "slopes: " + ",".join(_fmt(s) for s in split.slopes),
-        f"overall_slope: {_fmt(split.overall_slope)}",
-        f"objective: {_fmt(split.objective)}",
-        f"degenerate: {str(split.degenerate).lower()}",
+        "[correlation]\n" + "".join(f"{key:<12} {fmt(value)}\n"
+                                    for key, value in correlation.items()),
+        "[rank-size fit]\n" + fit.format_fit_report(result),
+        "[two-regime split]\n" + key_lines({
+            "slopes": ",".join(map(fmt, split.slopes)), "overall_slope": split.overall_slope,
+            "objective": split.objective, "degenerate": split.degenerate}),
     ]
 
 
@@ -354,7 +333,7 @@ def cmd_report(args, out: OutputDir) -> None:
     with _naming(args.input, CorrelationError, FitError, RegimeError, StatsError):
         sections = _level_sections(ati.ids, ati.names, means, census, args)
     out.write("report.txt", "\n".join(
-        [f"# ranklaw report (schema_version {SCHEMA_VERSION})", "", summary, *sections]) + "\n")
+        [f"# ranklaw report (schema_version {SCHEMA_VERSION})\n", summary, *sections]))
 
 
 def build_parser() -> argparse.ArgumentParser:

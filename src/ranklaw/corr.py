@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CorrelationError, require_finite
+from .text import fmt
 
 
 class PairCounts(NamedTuple):
@@ -275,5 +276,4 @@ def format_pq_matrix(matrix: PairwiseMatrix) -> str:
 
 def format_tau_z_matrix(matrix: PairwiseMatrix) -> str:
     """tau above the diagonal, Z below."""
-    return _format_matrix(matrix.labels, matrix.tau, matrix.z,
-                          lambda v: format(v, ".12g"))
+    return _format_matrix(matrix.labels, matrix.tau, matrix.z, fmt)

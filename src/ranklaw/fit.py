@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import FitError, checked
 from .rank import RankedSeries
+from .text import fmt, key_lines
 
 
 MAX_ITER = 500   # linear-scale Levenberg-Marquardt iterations
@@ -145,16 +146,19 @@ def _jacobian(A, params, design, scale) -> np.ndarray:
     return np.exp(_log_predict(A, params, design))[:, None] * jac
 
 
-def _projection(A: float, design: np.ndarray, shape: np.ndarray, y: np.ndarray):
-    """(params, g, amp, residual, ssr) of the model amp g for one shape: g is exp of the
-    shape columns times `shape` less its largest exponent, so that no moment of g
-    overflows or underflows, and amp = <g, y> / <g, g> is the exact linear-scale optimum."""
+def _projection(A: float, design: np.ndarray, shape: np.ndarray, y: np.ndarray, e: int):
+    """(params, g, amp, residual, ssr) of the model amp g for one shape, on values y divided
+    by 2^e: g is exp of the shape columns times `shape` less its largest exponent, so that no
+    moment of g overflows or underflows, and amp = <g, y> / <g, g> is the exact linear-scale
+    optimum.  The factor amp e^-top 2^e / A is scaled by its powers of two last (exact)."""
     log_g = design[:, 1:] @ shape
     top = log_g.max()
     g = np.exp(log_g - top)
     amp = (g @ y) / (g @ g)
     res = y - amp * g
-    return np.array([amp * np.exp(-top) / A, *shape]), g, amp, res, float(res @ res)
+    frac, exp = math.frexp(A)
+    factor = np.ldexp(amp * np.exp(-top) / frac, e - exp)
+    return np.array([factor, *shape]), g, amp, res, float(res @ res)
 
 
 def fit_model(series: RankedSeries, kind: ModelKind = ModelKind.LAVALETTE3,
@@ -187,9 +191,11 @@ def fit_model(series: RankedSeries, kind: ModelKind = ModelKind.LAVALETTE3,
     design, logy = _log_design(kind, N, r), np.log(y)
     params = _log_optimum(kind, A, design, logy)
     converged = scale == "log"  # the log-scale optimum needs no iteration
+    top = math.frexp(y.max())[1]  # y / 2^top is exact and below 1, so no sum of it overflows
     if not converged:
+        y_scaled = np.ldexp(y, -top)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-            params, g, amp, res, ssr = _projection(A, design, params[1:], y)
+            params, g, amp, res, ssr = _projection(A, design, params[1:], y_scaled, top)
     damping, iterations = 1e-3, 0
     while iterations < MAX_ITER and not converged and damping <= 1e15 and ssr < math.inf:
         iterations += 1
@@ -204,8 +210,8 @@ def fit_model(series: RankedSeries, kind: ModelKind = ModelKind.LAVALETTE3,
             # lambda moves to its bound 0, and alpha takes the best step given that move
             step = np.array([(rhs[0] + normal[0, 1] * params[2]) / normal[0, 0], -params[2]])
         with np.errstate(over="ignore", invalid="ignore"):  # a step that overflows is rejected
-            trial = _projection(A, design, params[1:] + step, y)
-        if np.isfinite(trial[-1]) and trial[-1] <= ssr:
+            trial = _projection(A, design, params[1:] + step, y_scaled, top)
+        if trial[-1] <= ssr:  # False for an inf or NaN ssr too
             converged = bool(np.all(np.abs(step) <= TOL * np.abs(params[1:])))
             params, g, amp, res, ssr = trial
             damping = max(damping / 10.0, 1e-15)
@@ -218,12 +224,12 @@ def fit_model(series: RankedSeries, kind: ModelKind = ModelKind.LAVALETTE3,
             raise FitError(f"{what}the fitted amplitude factor {value:.3g} is out of the "
                            "float range")
     log_fitted = _log_predict(A, params, design)
-    if scale == "log":  # the linear path keeps its projection's ssr
-        res = logy - log_fitted
-        ssr = float(res @ res)
-    yhat, top = np.exp(log_fitted), math.frexp(y.max())[1]
-    with np.errstate(over="ignore"):  # chi^2 of y and yhat scaled by 2^-top (exact), scaled back
+    res = logy - log_fitted  # the log path's residual (the linear ssr is its projection's)
+    with np.errstate(over="ignore"):  # a yhat or sum past the float range is refused below
+        yhat = np.exp(log_fitted)
+        # chi^2, and the projection's ssr, of y and yhat scaled by 2^-top (exact), scaled back
         chi2 = float(np.ldexp(np.sum(np.ldexp(y - yhat, -top) ** 2), 2 * top))
+        ssr = float(res @ res) if scale == "log" else float(np.ldexp(ssr, 2 * top))
     if not (ssr < math.inf and chi2 < math.inf):
         raise FitError("the sum of squared residuals is past the float range")
     r2_lin = _r_squared(y, yhat)
@@ -280,26 +286,15 @@ def detect_outliers(series: RankedSeries, fit: FitResult,
 
 def format_fit_report(fit: FitResult) -> str:
     m = fit.model
-    lines = [
-        f"model: {m.kind.value}",
-        f"A: {format(m.A, '.12g')}",
-        f"N: {m.N}",
-    ]
-    for name, value, err in zip(PARAM_NAMES[m.kind], m.params, fit.param_std_err):
-        lines.append(f"{name}: {format(value, '.12g')} +/- {format(err, '.6g')}")
-    lines += [
-        f"scale: {fit.scale}",
-        f"r_squared_{fit.scale}: {format(fit.r_squared, '.12g')}",
-    ]
-    if fit.scale == "log":  # on the linear scale the line above is this one
-        lines.append(f"r_squared_linear: {format(fit.r_squared_linear, '.12g')}")
-    lines += [
-        f"chi_squared: {format(fit.chi_squared, '.12g')}",
-        f"excluded: {','.join(fit.excluded) if fit.excluded else '(none)'}",
-        f"iterations: {fit.iterations}",
-        f"converged: {str(fit.converged).lower()}",
-    ]
-    return "\n".join(lines) + "\n"
+    return key_lines({
+        "model": m.kind.value, "A": m.A, "N": m.N,
+        **{name: f"{fmt(value)} +/- {format(err, '.6g')}"
+           for name, value, err in zip(PARAM_NAMES[m.kind], m.params, fit.param_std_err)},
+        # on the linear scale these two keys are one, with one value
+        "scale": fit.scale, f"r_squared_{fit.scale}": fit.r_squared,
+        "r_squared_linear": fit.r_squared_linear, "chi_squared": fit.chi_squared,
+        "excluded": ",".join(fit.excluded) or "(none)", "iterations": fit.iterations,
+        "converged": fit.converged})
 
 
 def fit_table(series: RankedSeries, fit: FitResult) -> str:

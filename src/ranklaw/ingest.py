@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import IngestError, PanelGapError, checked, id_sample
 from .reader import _body, _or_none, _read, _table
+from .text import key_lines
 
 MISSING_MARKERS = {"", "NA", "NaN", "nan", "null", "None"}
 
@@ -515,10 +516,10 @@ def serialize_panel(panel: Panel) -> str:
 
     A label is quoted as csv's writer quotes it; a value is written by %.12g,
     and a missing value is empty."""
-    head = f"# quantity_label: {panel.quantity_label}\n"
+    head = {"quantity_label": panel.quantity_label}
     if panel.provenance:
-        head += f"# provenance: {panel.provenance}\n"
-    head += ",".join(LONG_COLUMNS) + "\n"
+        head["provenance"] = panel.provenance
+    head = key_lines(head, prefix="# ") + ",".join(LONG_COLUMNS) + "\n"
     order = sorted(range(len(panel.ids)), key=panel.ids.__getitem__)
     columns = [list(map(column.__getitem__, order))
                for column in (panel.ids, panel.names, panel.regions, panel.provinces)]

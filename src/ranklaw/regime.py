@@ -14,6 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import RegimeError, checked, id_sample
+from .text import fmt, key_lines
 
 
 @checked
@@ -218,9 +219,7 @@ def export_split(points: ScatterSet, split: RegimeSplit) -> str:
                for eid in points.ids]
     rows = "%s,%.12g,%.12g,%s\n" * len(classes) % tuple(chain.from_iterable(
         zip(points.ids, points.x.tolist(), points.y.tolist(), classes)))
-    return (f"entity_id,x,y,class\n{rows}"
-            f"# slopes: {','.join(format(s, '.12g') for s in split.slopes)}\n"
-            f"# overall_slope: {format(split.overall_slope, '.12g')}\n"
-            f"# objective: {format(split.objective, '.12g')}\n"
-            f"# iterations: {split.iterations}\n"
-            f"# degenerate: {str(split.degenerate).lower()}\n")
+    return "entity_id,x,y,class\n" + rows + key_lines({
+        "slopes": ",".join(map(fmt, split.slopes)), "overall_slope": split.overall_slope,
+        "objective": split.objective, "iterations": split.iterations,
+        "degenerate": split.degenerate}, prefix="# ")

@@ -8,6 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import StatsError
+from .text import format_table
 
 
 class SummaryStats(NamedTuple):
@@ -106,16 +107,6 @@ _SUMMARY_FIELDS = (
     ("mu/sigma", "mu_over_sigma", "mu_over_sigma"),
     ("3(mu-m)/sigma", "nonparam_skew", "nonparam_skew"),
 )
-
-
-def format_table(pairs: dict, label: str = "") -> str:
-    """Key/value text table: an optional label line, then each key padded to the
-    longest key, two spaces and its value, a float at 12 significant digits."""
-    width = max(map(len, pairs))
-    lines = [label] if label else []
-    lines += [f"{key:<{width}}  {format(value, '.12g') if isinstance(value, float) else value}"
-              for key, value in pairs.items()]
-    return "\n".join(lines) + "\n"
 
 
 def format_summary(stats: SummaryStats, label: str = "") -> str:

@@ -160,9 +160,9 @@ def _cases(f: dict[str, str]) -> dict[str, list[str]]:
     return cases
 
 
-CASE_NAMES = sorted(_cases({k: k for k in ("income", "population", "merges", "ranking",
-                                            "pop_ranking", "scatter", "one_direction",
-                                            "gaps", "disagree")}))
+CASES = _cases({k: k for k in ("income", "population", "merges", "ranking", "pop_ranking",
+                               "scatter", "one_direction", "gaps", "disagree")})
+CASE_NAMES = sorted(CASES)
 
 
 def _run(case: str, root: Path) -> dict[str, bytes]:
@@ -179,6 +179,11 @@ def test_golden_output(case, tmp_path):
     assert sorted(got) == sorted(expected)
     for name in expected:
         assert got[name] == expected[name], f"{case}/{name} differs from the golden file"
+
+
+def test_every_subcommand_has_a_golden_case():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    assert set(sub.choices) - {argv[0] for argv in CASES.values()} == set()
 
 
 def _regenerate(workdir: Path) -> None:

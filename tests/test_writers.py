@@ -1,13 +1,13 @@
-"""Each one-call writer against its per-row definition: one formatted line
-per row, on values that test the formatting (NaN, -0.0, 1e16, 1e-5) and ids
-holding commas."""
+"""Each one-call writer, and the key/value writers of ranklaw.text, against its
+per-row definition: one formatted line per row, on values that test the
+formatting (NaN, -0.0, 1e16, 1e-5) and ids holding commas."""
 
 import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from ranklaw import rank, regime, urnsim
+from ranklaw import rank, regime, text, urnsim
 
 IDS = st.text("a,\"é ", min_size=1, max_size=4)
 FLOATS = st.one_of(st.sampled_from([math.nan, -0.0, 0.0, 1e16, 1e-5, 2.5, math.inf]),
@@ -71,3 +71,37 @@ def test_export_replicate_summary_writes_one_line_per_position(rows):
         f"{i},{format(m, '.12g')},{format(s, '.12g')}\n"
         for i, (m, s) in enumerate(zip(mean, std), start=1))
     assert text == expected
+
+
+VALUES = st.one_of(FLOATS, st.integers(), st.text(max_size=4), st.booleans())
+KEYS = st.text("ab_ .#:", min_size=1, max_size=6)
+
+
+def _value(v) -> str:
+    """A value as every text report writes it."""
+    if v is True or v is False:
+        return "true" if v else "false"
+    return format(v, ".12g") if isinstance(v, float) else str(v)
+
+
+def test_fmt_writes_a_bool_in_lower_case_and_a_float_at_12_digits():
+    assert (text.fmt(True), text.fmt(False)) == ("true", "false")
+    assert [text.fmt(v) for v in (1, 1.0, -0.0, math.nan, -math.inf, 1e16, 1e-5, 10 ** 20)] \
+        == ["1", "1", "-0", "nan", "-inf", "1e+16", "1e-05", "100000000000000000000"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(KEYS, VALUES, max_size=8), st.sampled_from(["", "# "]))
+def test_key_lines_writes_one_line_per_pair(pairs, prefix):
+    expected = "".join(f"{prefix}{key}: {_value(v)}\n" for key, v in pairs.items())
+    assert text.key_lines(pairs, prefix) == expected
+    if not prefix:
+        assert text.key_lines(pairs) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(KEYS, VALUES, min_size=1, max_size=8), st.sampled_from(["", "[x]"]))
+def test_format_table_pads_each_key_to_the_longest(pairs, label):
+    width = max(len(key) for key in pairs)
+    rows = [key + " " * (width - len(key)) + "  " + _value(v) for key, v in pairs.items()]
+    assert text.format_table(pairs, label) == "\n".join([label] * bool(label) + rows) + "\n"
