@@ -516,10 +516,10 @@ def serialize_panel(panel: Panel) -> str:
 
     A label is quoted as csv's writer quotes it; a value is written by %.12g,
     and a missing value is empty."""
-    head = {"quantity_label": panel.quantity_label}
+    labels = {"quantity_label": panel.quantity_label}
     if panel.provenance:
-        head["provenance"] = panel.provenance
-    head = key_lines(head, prefix="# ") + ",".join(LONG_COLUMNS) + "\n"
+        labels["provenance"] = panel.provenance
+    head = key_lines(labels, prefix="# ") + ",".join(LONG_COLUMNS) + "\n"
     order = sorted(range(len(panel.ids)), key=panel.ids.__getitem__)
     columns = [list(map(column.__getitem__, order))
                for column in (panel.ids, panel.names, panel.regions, panel.provinces)]
