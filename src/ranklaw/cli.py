@@ -26,8 +26,7 @@ import numpy as np
 # every layer module is imported inside the functions that use it, so that a
 # command pays the start-up cost only of the modules it runs
 from . import __version__
-from .errors import (CorrelationError, FitError, IngestError, PanelGapError, RanklawError,
-                     RankingError, RegimeError, StatsError)
+from .errors import IngestError, PanelGapError, RanklawError
 from .text import fmt, format_table, key_lines
 
 SCHEMA_VERSION = 1
@@ -96,15 +95,13 @@ class OutputDir:
 
 
 @contextlib.contextmanager
-def _naming(path: str, *errors: type[RanklawError]):
-    """Prefix an IngestError, or one of `errors`, raised in the block with the file it concerns.
-
-    Every input file is read in such a block, so a file that cannot be read
-    or decoded raises one IngestError naming it, as a fault in its rows does.
-    """
+def _naming(path: str):
+    """Turn any RanklawError raised in the block, or a failure to read or decode,
+    into one IngestError naming `path`.  A block holds only work on that file's
+    data: every option is checked before it, so that no option's message names a file."""
     try:
         yield
-    except (IngestError, *errors) as exc:
+    except RanklawError as exc:
         raise IngestError(f"{path}: {exc}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise IngestError(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from None
@@ -174,7 +171,7 @@ def cmd_ingest(args, out: OutputDir) -> None:
 def cmd_describe(args, out: OutputDir) -> None:
     from . import ingest, stats
     panel = _load_panel(args.input)
-    with _naming(args.input, StatsError):
+    with _naming(args.input):
         averages = ingest.average_over_years(panel, args.window)  # checks every year and cell first
         sections = [(f"[{year}]", year, stats.describe(panel.column(year)))
                     for year in args.window or panel.years]
@@ -203,10 +200,10 @@ def cmd_corr(args, out: OutputDir) -> None:
     y, y_panel = _load_ranked(args.population, args.window)
     if args.window and not (x_panel or y_panel):
         raise IngestError(f"{args.input}, {args.population}: --window needs a panel")
-    with _naming(args.population, RankingError):
+    with _naming(args.population):
         pairs = rank.pair_ranks(x, y)
     ox, oy = pairs.positions  # Pearson pi is taken on the values, in id order
-    with _naming(args.input, CorrelationError):
+    with _naming(args.input):
         report = corr.correlation_report(pairs, x.values[ox], y.values[oy])
     doc = {
         "n": report.n, "p": report.p, "q": report.q,
@@ -226,7 +223,7 @@ def cmd_corr(args, out: OutputDir) -> None:
 def cmd_pairwise(args, out: OutputDir) -> None:
     from . import corr
     panel = _load_panel(args.input)
-    with _naming(args.input, CorrelationError):
+    with _naming(args.input):
         matrix = corr.pairwise_matrix(panel, args.window)
     out.write("pairwise_pq.csv", corr.format_pq_matrix(matrix))
     out.write("pairwise_tau_z.csv", corr.format_tau_z_matrix(matrix))
@@ -244,7 +241,7 @@ def cmd_fit(args, out: OutputDir) -> None:
         raise RanklawError(f"--drop-top must be in [0, {ranked.n - 1}] for --input {args.input}")
     series = fit.remove_top_outliers(ranked, args.drop_top)
     kind = fit.ModelKind(args.model)
-    with _naming(args.input, FitError):  # every option is checked by now
+    with _naming(args.input):  # every option is checked by now
         result = fit.fit_model(series, kind=kind, A=args.amplitude, scale=args.scale,
                                excluded=ranked.ids[:args.drop_top])
     out.write("fit_report.txt", fit.format_fit_report(result))
@@ -258,7 +255,6 @@ def cmd_regime(args, out: OutputDir) -> None:
     with _naming(args.input):
         text = Path(args.input).read_text(encoding="utf-8")
         points = regime.ScatterSet.from_points(reader.parse_scatter(text))
-    with _naming(args.input, RegimeError):
         split = regime.two_line_split(points, k=args.k_lines, outlier_ids=args.exclude)
         intercept, slope, r2, int_se, slope_se = regime.inertia_axis(points.x, points.y)
         axis = {"intercept": f"{fmt(intercept)} +/- {fmt(int_se)}",
@@ -317,20 +313,20 @@ def cmd_report(args, out: OutputDir) -> None:
     _check_amplitude(args.amplitude)
     ati = _merged(_load_panel(args.input), args.merges)
     pop = _load_panel(args.population)
-    with _naming(args.input, StatsError):
+    with _naming(args.input):
         means = ingest.average_over_years(ati, args.window)
         summary = stats.format_summary(stats.describe(means),
                                        label="[summary: window-average values]")
-    if not pop.years:
-        raise IngestError(f"{args.population}: no census year: the panel has no entity rows")
-    census = pop.values[:, -1]
-    if np.isnan(census).any():
-        raise IngestError(f"{args.population}: missing population for "
-                          f"{pop.ids[np.argmax(np.isnan(census))]!r} in year {pop.years[-1]}")
-    # the city level: every array aligned with the income panel's entities
-    with _naming(args.population, RankingError):
+    with _naming(args.population):
+        if not pop.years:
+            raise IngestError("no census year: the panel has no entity rows")
+        census = pop.values[:, -1]
+        if np.isnan(census).any():
+            raise IngestError(f"missing population for "
+                              f"{pop.ids[np.argmax(np.isnan(census))]!r} in year {pop.years[-1]}")
+        # the city level: every array aligned with the income panel's entities
         census = census[rank.positions_of(ati.ids, pop.ids)]
-    with _naming(args.input, CorrelationError, FitError, RegimeError, StatsError):
+    with _naming(args.input):
         sections = _level_sections(ati.ids, ati.names, means, census, args)
     out.write("report.txt", "\n".join(
         [f"# ranklaw report (schema_version {SCHEMA_VERSION})\n", summary, *sections]))

@@ -111,14 +111,6 @@ def model_jacobian(model: RankSizeModel, r) -> np.ndarray:
     return _jacobian(model.A, model.params, design, "linear")
 
 
-def default_amplitude(values) -> float:
-    """A = 10^floor(log10(max y)), the pre-imposed order-of-magnitude scale."""
-    top = float(np.max(values))
-    if top <= 0:
-        raise FitError("amplitude needs a positive maximum value")
-    return 10.0 ** math.floor(math.log10(top))
-
-
 def _lstsq(design: np.ndarray, target: np.ndarray) -> np.ndarray:
     coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
     if rank < design.shape[1]:
@@ -184,7 +176,7 @@ def fit_model(series: RankedSeries, kind: ModelKind = ModelKind.LAVALETTE3,
         raise FitError("fitting needs strictly positive values")
     N = series.n
     if A is None:
-        A = default_amplitude(y)
+        A = 10.0 ** math.floor(math.log10(y.max()))  # the order of magnitude of max y
     elif not (math.isfinite(A) and A > 0):
         raise FitError(f"amplitude A must be positive and finite; got {A}")
 

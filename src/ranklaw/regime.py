@@ -81,18 +81,17 @@ def inertia_axis(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, flo
 
 
 def _tls_origin_slope(x: np.ndarray, y: np.ndarray) -> float:
-    """Slope of the line through the origin minimizing orthogonal distances.
-
-    The optimal direction is the leading eigenvector of the second-moment
-    matrix of the points.
-    """
-    m = np.array([[np.sum(x * x), np.sum(x * y)],
-                  [np.sum(x * y), np.sum(y * y)]])
-    eigvals, eigvecs = np.linalg.eigh(m)
-    v = eigvecs[:, -1]  # largest eigenvalue last
-    if v[0] == 0:
-        return math.inf
-    return float(v[1] / v[0])
+    """Slope of the line through the origin minimizing orthogonal distances: the leading
+    eigenvector of the second moments [[a, b], [b, c]], from _line_cost's eigenvalue
+    `top`, on moments divided by a power of two (exact) so that top cannot overflow.
+    Each denominator adds non-negative terms, so neither cancels."""
+    moments = float(np.sum(x * x)), float(np.sum(x * y)), float(np.sum(y * y))
+    e = math.frexp(max(moments[0], moments[2]))[1]
+    a, b, c = (math.ldexp(m, -e) for m in moments)
+    top = (a + c) / 2 + math.hypot((a - c) / 2, b)
+    if a > c:
+        return b / (top - c)
+    return (top - a) / b if b else math.inf
 
 
 def _orthogonal_sq_dist(x, y, slope):

@@ -580,6 +580,16 @@ def test_report_checks_the_amplitude_before_reading_a_file(tmp_path, capsys):
         "ranklaw: report: amplitude A must be positive and finite; got -1.0\n")
 
 
+@pytest.mark.parametrize("scale", ["log", "linear"])
+def test_a_fit_of_equal_values_names_the_file(tmp_path, capsys, scale):
+    ranking = tmp_path / "flat.csv"
+    ranking.write_text("rank,entity_id,value\n" + "".join(f"{r},c{r},7\n" for r in range(1, 6)))
+    out = tmp_path / "out"
+    assert cli.main(["fit", "--input", str(ranking), "--scale", scale, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"ranklaw: fit: {ranking}: zero total sum of squares\n"
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "0"])
 def test_fit_rejects_a_bad_threshold(tmp_path, capsys, threshold):
     ranking = _write_region_ranking(tmp_path / "ranked.csv")
@@ -642,10 +652,14 @@ def test_an_empty_exclude_excludes_nothing(tmp_path, command):
         assert (tmp_path / "empty" / path.name).read_bytes() == path.read_bytes()
 
 
-@pytest.mark.parametrize("command", ["regime", "report"])
-def test_too_few_points_for_the_split_names_the_file(tmp_path, capsys, command):
-    rows = [(f"c{i}", 100 * i + 7 * (i % 3), 110 * i) for i in range(1, 5)]
-    data = tmp_path / "four.csv"
+@pytest.mark.parametrize("command, n, message", [
+    ("regime", 4, "need at least 5 points after outlier exclusion"),
+    ("report", 4, "need at least 5 points after outlier exclusion"),
+    ("regime", 1, "scatter set needs at least 2 points"),
+], ids=["regime", "report", "regime_one_point"])
+def test_too_few_points_for_the_split_names_the_file(tmp_path, capsys, command, n, message):
+    rows = [(f"c{i}", 100 * i + 7 * (i % 3), 110 * i) for i in range(1, n + 1)]
+    data = tmp_path / "points.csv"
     if command == "regime":
         data.write_text("entity_id,x,y\n" + "".join(f"{e},{x},{y}\n" for e, x, y in rows))
         argv = ["regime", "--input", str(data)]
@@ -655,8 +669,7 @@ def test_too_few_points_for_the_split_names_the_file(tmp_path, capsys, command):
         argv = ["report", "--input", str(data), "--population", str(data)]
     out = tmp_path / "out"
     assert cli.main(argv + ["--k-lines", "3", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        f"ranklaw: {command}: {data}: need at least 5 points after outlier exclusion\n")
+    assert capsys.readouterr().err == f"ranklaw: {command}: {data}: {message}\n"
     assert list(out.iterdir()) == []
 
 
@@ -881,16 +894,24 @@ def test_describe_runs_without_numpy_ma(tmp_path):
     assert run.stdout == "0 False\n"
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["ingest", "--input", "{empty}", "--population", "{empty}"],
+PANEL_HEADER = "entity_id,name,region,province,2007\n"
+
+
+# a header-only ranking or scatter file is refused as a header-only panel is
+@pytest.mark.parametrize("argv, header, message", [
+    (["ingest", "--input", "{empty}", "--population", "{empty}"], PANEL_HEADER,
      "no census year: the panel has no entity rows"),
-    (["report", "--input", "{income}", "--population", "{empty}"],
+    (["report", "--input", "{income}", "--population", "{empty}"], PANEL_HEADER,
      "no census year: the panel has no entity rows"),
-    (["pairwise", "--input", "{empty}"], "no entity rows to average"),
-], ids=["ingest", "report", "pairwise"])
-def test_a_header_only_panel_is_refused_naming_its_file(tmp_path, capsys, argv, message):
+    (["pairwise", "--input", "{empty}"], PANEL_HEADER, "no entity rows to average"),
+    (["fit", "--input", "{empty}"], "rank,entity_id,value\n", "cannot rank an empty map"),
+    (["corr", "--input", "{income}", "--population", "{empty}"], "rank,entity_id,value\n",
+     "cannot rank an empty map"),
+    (["regime", "--input", "{empty}"], "entity_id,x,y\n", "scatter set needs at least 2 points"),
+], ids=["ingest", "report", "pairwise", "fit", "corr", "regime"])
+def test_a_header_only_panel_is_refused_naming_its_file(tmp_path, capsys, argv, header, message):
     empty, income = tmp_path / "empty.csv", tmp_path / "income.csv"
-    empty.write_text("entity_id,name,region,province,2007\n")
+    empty.write_text(header)
     income.write_text(LONG_PANEL)
     argv = [arg.format(empty=empty, income=income) for arg in argv]
     out = tmp_path / "out"

@@ -3,7 +3,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ranklaw import cli, regime
 from ranklaw.errors import RegimeError
@@ -48,6 +48,45 @@ def test_inertia_axis_standard_errors_positive():
 def test_inertia_axis_degenerate_x():
     with pytest.raises(RegimeError, match="degenerate"):
         regime.inertia_axis(np.ones(3), np.array([1.0, 2.0, 3.0]))
+
+
+def _eigh_slope(x, y):
+    """The reference: the slope of the leading eigenvector of the second moments."""
+    moments = np.array([[x @ x, x @ y], [x @ y, y @ y]])
+    eigvals, eigvecs = np.linalg.eigh(moments)
+    v = eigvecs[:, -1]
+    return (np.inf if v[0] == 0 else v[1] / v[0]), eigvals
+
+
+def _direction(slope):
+    return np.array([0.0, 1.0]) if np.isinf(slope) else np.array([1.0, slope]) / np.hypot(1, slope)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=2, max_size=30))
+def test_tls_slope_is_the_eigh_principal_axis(points):
+    x, y = np.array(points).T
+    reference, (low, top) = _eigh_slope(x, y)
+    assume(top > 0 and top - low > 1e-3 * top)  # a well-conditioned principal axis
+    u, v = _direction(regime._tls_origin_slope(x, y)), _direction(reference)
+    assert abs(u[0] * v[1] - u[1] * v[0]) < 1e-9
+
+
+@pytest.mark.parametrize("x, y, slope", [
+    ([1.0, -2.0, 3.0], [0.0, 0.0, 0.0], 0.0),   # every point on the x axis
+    ([0.0, 0.0], [1.0, -2.0], np.inf),          # every point on the y axis
+    ([0.0, 0.0], [0.0, 0.0], np.inf),           # all-zero moments
+    ([1.0, 0.0], [0.0, -1.0], np.inf),          # isotropic moments
+], ids=["x_axis", "y_axis", "zero", "isotropic"])
+def test_tls_slope_on_the_axis_cases_is_the_eigh_one(x, y, slope):
+    x, y = np.array(x), np.array(y)
+    assert regime._tls_origin_slope(x, y) == slope == _eigh_slope(x, y)[0]
+
+
+def test_tls_slope_of_moments_whose_sum_overflows():
+    x = np.array([6e153, 5e153, 4e153, 4.5e153, 3e153])
+    y = x * np.array([1.01, 0.99, 1.02, 0.98, 1.0])  # x.x + y.y is past the float range
+    assert regime._tls_origin_slope(x, y) == pytest.approx(_eigh_slope(x, y)[0], rel=1e-12)
 
 
 def test_two_line_split_separable_bundles():
