@@ -270,6 +270,8 @@ def cmd_simulate(args, out: OutputDir) -> None:
     from . import urnsim
     if args.replicates < 1:
         raise RanklawError(f"--replicates must be >= 1; got {args.replicates}")
+    if args.seed < 0:
+        raise RanklawError(f"--seed must be >= 0; got {args.seed}")
     config = urnsim.UrnConfig(
         n_urns=args.urns, total_balls=args.balls, a=args.offset,
         k0=args.k0, capacity=args.capacity, seed=args.seed,

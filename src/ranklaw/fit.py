@@ -219,13 +219,13 @@ def fit_model(series: RankedSeries, kind: ModelKind = ModelKind.LAVALETTE3,
     res = logy - log_fitted  # the log path's residual (the linear ssr is its projection's)
     with np.errstate(over="ignore"):  # a yhat or sum past the float range is refused below
         yhat = np.exp(log_fitted)
-        # chi^2, and the projection's ssr, of y and yhat scaled by 2^-top (exact), scaled back
-        chi2 = float(np.ldexp(np.sum(np.ldexp(y - yhat, -top) ** 2), 2 * top))
+        # R^2 and SS_res of y and yhat divided by 2^top (exact); chi^2 and ssr scaled back
+        r2_lin, ss_res = _r_squared(np.ldexp(y, -top), np.ldexp(yhat, -top))
+        chi2 = float(np.ldexp(ss_res, 2 * top))
         ssr = float(res @ res) if scale == "log" else float(np.ldexp(ssr, 2 * top))
     if not (ssr < math.inf and chi2 < math.inf):
         raise FitError("the sum of squared residuals is past the float range")
-    r2_lin = _r_squared(y, yhat)
-    r2 = _r_squared(logy, log_fitted) if scale == "log" else r2_lin
+    r2 = _r_squared(logy, log_fitted)[0] if scale == "log" else r2_lin  # logs lie within +-745
 
     # standard errors from the final unregularized normal matrix; NaN if singular or overflowing
     try:
@@ -240,15 +240,12 @@ def fit_model(series: RankedSeries, kind: ModelKind = ModelKind.LAVALETTE3,
                      r2_lin, chi2, std_err, tuple(excluded), iterations, converged, log_fitted)
 
 
-def _r_squared(obs: np.ndarray, pred: np.ndarray) -> float:
-    """1 - SS_res / SS_tot, with obs and pred first scaled by the power of two of
-    max |obs|: exact, and then no square overflows or underflows."""
-    shift = -math.frexp(np.abs(obs).max())[1]
-    obs, pred = np.ldexp(obs, shift), np.ldexp(pred, shift)
-    ss_tot = float(np.sum((obs - obs.mean()) ** 2))
+def _r_squared(obs: np.ndarray, pred: np.ndarray) -> tuple[float, float]:
+    """(1 - SS_res / SS_tot, SS_res), on obs and pred as given."""
+    ss_tot, ss_res = (float(np.sum(d ** 2)) for d in (obs - obs.mean(), obs - pred))
     if ss_tot == 0:
         raise FitError("zero total sum of squares")
-    return 1.0 - float(np.sum((obs - pred) ** 2)) / ss_tot
+    return 1.0 - ss_res / ss_tot, ss_res
 
 
 def remove_top_outliers(series: RankedSeries, k: int) -> RankedSeries:

@@ -58,13 +58,15 @@ class RegimeSplit(NamedTuple):
 
 
 def inertia_axis(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float, float]:
-    """Ordinary least squares of y on x.
+    """Ordinary least squares of y on x, each divided by its own power of two (exact).
 
     Returns (intercept, slope, r_squared, intercept_std_err, slope_std_err).
     """
     n = x.size
     if n < 3:
         raise RegimeError("a least-squares axis needs at least 3 points")
+    ex, ey = (math.frexp(float(np.abs(v).max()))[1] for v in (x, y))
+    x, y = np.ldexp(x, -ex), np.ldexp(y, -ey)
     sxx = float(np.sum((x - x.mean()) ** 2))
     if sxx == 0:
         raise RegimeError("degenerate x: zero variance")
@@ -77,17 +79,15 @@ def inertia_axis(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, flo
     s2 = ss_res / max(n - 2, 1)
     slope_se = math.sqrt(s2 / sxx)
     intercept_se = math.sqrt(s2 * (1.0 / n + x.mean() ** 2 / sxx))
-    return intercept, slope, r2, intercept_se, slope_se
+    return (math.ldexp(intercept, ey), math.ldexp(slope, ey - ex), r2,
+            math.ldexp(intercept_se, ey), math.ldexp(slope_se, ey - ex))
 
 
 def _tls_origin_slope(x: np.ndarray, y: np.ndarray) -> float:
     """Slope of the line through the origin minimizing orthogonal distances: the leading
-    eigenvector of the second moments [[a, b], [b, c]], from _line_cost's eigenvalue
-    `top`, on moments divided by a power of two (exact) so that top cannot overflow.
-    Each denominator adds non-negative terms, so neither cancels."""
-    moments = float(np.sum(x * x)), float(np.sum(x * y)), float(np.sum(y * y))
-    e = math.frexp(max(moments[0], moments[2]))[1]
-    a, b, c = (math.ldexp(m, -e) for m in moments)
+    eigenvector of the second moments [[a, b], [b, c]] of |x|, |y| < 1 (no overflow), from
+    _line_cost's eigenvalue `top`.  Each denominator adds non-negative terms, so neither cancels."""
+    a, b, c = float(np.sum(x * x)), float(np.sum(x * y)), float(np.sum(y * y))
     top = (a + c) / 2 + math.hypot((a - c) / 2, b)
     if a > c:
         return b / (top - c)
@@ -159,6 +159,9 @@ def two_line_split(points: ScatterSet, k: int = 2,
         ids, x, y = tuple(compress(ids, kept)), x[kept], y[kept]
     if len(ids) < k + 2:
         raise RegimeError(f"need at least {k + 2} points after outlier exclusion")
+    # x and y over one power of two (exact): two would change the orthogonal distances
+    power = math.frexp(float(max(np.abs(x).max(), np.abs(y).max())))[1]
+    x, y = np.ldexp(x, -power), np.ldexp(y, -power)
     overall = _tls_origin_slope(x, y)
 
     # y/x is one value per direction; a point at the origin takes another's
@@ -194,10 +197,12 @@ def two_line_split(points: ScatterSet, k: int = 2,
     slopes = [_tls_origin_slope(x[mask], y[mask]) for mask in masks]
     objective = 0.0 if m < k else float(sum(
         np.sum(_orthogonal_sq_dist(x[mask], y[mask], s)) for mask, s in zip(masks, slopes)))
+    if math.frexp(objective)[1] + 2 * power > 1024:  # its 4^power multiple would overflow
+        raise RegimeError("the sum of squared orthogonal distances is past the float range")
     order = np.argsort(slopes)[::-1]  # class 1 is the steepest line
     assignments = dict(zip(ids, (np.argsort(order)[assign] + 1).tolist()))
-    return RegimeSplit(assignments, tuple(slopes[i] for i in order), overall,
-                       tuple(outlier_ids), objective, iterations=0, degenerate=m < k)
+    return RegimeSplit(assignments, tuple(slopes[i] for i in order), overall, tuple(outlier_ids),
+                       math.ldexp(objective, 2 * power), iterations=0, degenerate=m < k)
 
 
 def loglog_power_fit(points: ScatterSet) -> tuple[float, float, float]:
@@ -209,6 +214,8 @@ def loglog_power_fit(points: ScatterSet) -> tuple[float, float, float]:
     if np.any(x <= 0) or np.any(y <= 0):
         raise RegimeError("loglog_power_fit needs positive coordinates")
     intercept, slope, r2, _, _ = inertia_axis(np.log(x), np.log(y))
+    if intercept > math.log(np.finfo(float).max):
+        raise RegimeError("the log-log amplitude c is past the float range")
     return math.exp(intercept), slope, r2
 
 

@@ -48,37 +48,41 @@ def standard_error(std_dev: float, n: int) -> float:
 
 
 def describe(series) -> SummaryStats:
-    """Summary statistics of a real-valued series (n >= 2)."""
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1:
-        x = x.ravel()
+    """Summary statistics of a real-valued series (n >= 2), with every moment taken on the values
+    divided by the power of two of max |x| (exact) and scaled back last."""
+    x = np.asarray(series, dtype=float).ravel()
     n = x.size
     if n < 2:
         raise StatsError("describe needs at least 2 values")
-    mean = float(x.mean())
+    e = math.frexp(float(np.abs(x).max()))[1]
+    scaled = np.ldexp(x, -e)
+    mu = float(scaled.mean())
     # np.median without its numpy.ma import: a NaN sorts last, else the mean of the middle
     part = np.partition(x, [(n - 1) // 2, n // 2, n - 1])
     median = float(part[-1] if np.isnan(part[-1]) else part[(n - 1) // 2:n // 2 + 1].mean())
-    variance = float(x.var(ddof=1))
-    std = math.sqrt(variance)
-    centered = x - mean
-    m2 = float(np.mean(centered ** 2))
-    if m2 > 0:
-        # standardize before the higher moments so tiny scales do not underflow
-        z = centered / math.sqrt(m2)
-        skew = float(np.mean(z ** 3))
-        kurt = float(np.mean(z ** 4)) - 3.0
-    else:
-        skew = 0.0
-        kurt = 0.0
+    centered = scaled - mu
+    ss = float(np.sum(centered ** 2))
+    skew = kurt = 0.0
+    if ss > 0:  # standardize before the higher moments so tiny scales do not underflow
+        z = centered / math.sqrt(ss / n)
+        skew, kurt = float(np.mean(z ** 3)), float(np.mean(z ** 4)) - 3.0
+    fields = {"sum": (scaled.sum(), e), "mean": (mu, e),
+              "RMS": (math.sqrt(np.mean(scaled ** 2)), e),
+              "standard deviation": (math.sqrt(ss / (n - 1)), e), "variance": (ss / (n - 1), 2 * e)}
+    for name, (value, power) in fields.items():
+        try:  # a field past the float range raises here where np.errstate says so, as in cli.main
+            fields[name] = float(np.ldexp(value, power))
+        except FloatingPointError:
+            raise StatsError(f"the {name} is past the float range") from None
+    total, mean, rms, std, variance = fields.values()
     return SummaryStats(
         n=n,
         min=float(x.min()),
         max=float(x.max()),
-        sum=float(x.sum()),
+        sum=total,
         mean=mean,
         median=median,
-        rms=float(math.sqrt(np.mean(x ** 2))),
+        rms=rms,
         std_dev=std,
         variance=variance,
         std_err=standard_error(std, n),

@@ -1,4 +1,5 @@
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,12 +24,13 @@ def ranked(values, rule=rank.TieBreak.LEXICAL_NAME, names=None):
                           None if names is None else [names.get(e, e) for e in values])
 
 
-def benchmark_inputs():
-    """perfbench/inputs.py, loaded as a module: generate(out_dir, seed) writes the
-    benchmark's input files for that seed."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
+def perfbench_module(name):
+    """perfbench/<name>.py, loaded as a module.  In `inputs`, generate(out_dir, seed)
+    writes the benchmark's input files for that seed; `tracer` times and counts layers."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    # registered before it runs, as a dataclass looks its module up there
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 

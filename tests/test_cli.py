@@ -13,7 +13,7 @@ import pytest
 import ranklaw
 from ranklaw import cli, fit, rank
 from ranklaw.errors import RanklawError
-from tests.conftest import LONG_PANEL, REGION_COUNTS_2011, benchmark_inputs, ranked
+from tests.conftest import LONG_PANEL, REGION_COUNTS_2011, perfbench_module, ranked
 
 # a floating-point fault must end a command as an error, never pass as a warning
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -224,6 +224,12 @@ def test_simulate_rejects_bad_arguments(tmp_path, capsys, flag, value):
     err = capsys.readouterr().err
     assert err.startswith("ranklaw: simulate:") and "Traceback" not in err
     assert list(out.iterdir()) == []
+
+
+def test_simulate_names_a_negative_seed(tmp_path, capsys):
+    assert cli.main(["simulate", "--urns", "3", "--balls", "5", "--seed", "-1",
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "ranklaw: simulate: --seed must be >= 0; got -1\n"
 
 
 def test_report_missing_population_cell(tmp_path, capsys):
@@ -457,10 +463,16 @@ def test_corr_refuses_merges_with_a_ranking_input(tmp_path, capsys):
 
 
 @pytest.fixture(scope="module")
-def seed5_ranking(tmp_path_factory):
+def seed5_inputs(tmp_path_factory):
+    """The directory of the benchmark's input files for seed 5."""
     root = tmp_path_factory.mktemp("benchmark")
-    benchmark_inputs().generate(root, 5)
-    return (root / "ranking.csv").read_text().splitlines()
+    perfbench_module("inputs").generate(root, 5)
+    return root
+
+
+@pytest.fixture(scope="module")
+def seed5_ranking(seed5_inputs):
+    return (seed5_inputs / "ranking.csv").read_text().splitlines()
 
 
 @pytest.mark.parametrize("scale", ["log", "linear"])
@@ -1178,14 +1190,16 @@ def test_a_floating_point_fault_is_one_error_line(tmp_path, capsys, command, sca
             f"c{i},N{i},R1,P1,{scale * (1 + i % 7)!r},{scale * (2 + i % 5)!r}\n" for i in range(40)))
         argv += ["--population", str(path)] if command == "report" else []
     before = np.geterr()
-    assert cli.main(argv) == 1
+    code = cli.main(argv)
     err = capsys.readouterr().err
-    # a ranking whose sum of squared residuals is past the float range is refused by name
-    assert err.startswith(f"ranklaw: fit: {path}: the sum of squared residuals is past the "
-                          "float range" if command == "fit" else
-                          f"ranklaw: {command}: internal error: FloatingPointError: ")
-    assert err.count("\n") == 1
     assert np.geterr() == before  # main leaves the caller's error state as it was
+    if scale == 1e80:  # the split's moments are taken on values divided by a power of two
+        assert (code, err) == (0, "")
+        return
+    # every other input meets a real limit of the float range, refused by name
+    limit = {"regime": "the sum of squared orthogonal distances",
+             "fit": "the sum of squared residuals"}.get(command, "the variance")
+    assert (code, err) == (1, f"ranklaw: {command}: {path}: {limit} is past the float range\n")
     assert not [p for p in (tmp_path / "out").iterdir() if p.suffix in (".csv", ".txt")]
 
 
@@ -1211,6 +1225,94 @@ def test_corr_of_panels_scaled_by_a_power_of_two_writes_the_unscaled_outputs(tmp
     unscaled = corr_of(0)
     assert b"pearson_pi     0.951583815585\n" in unscaled["corr.txt"]
     assert corr_of(exponent) == unscaled
+
+
+# the powers of each machine describe field in the unit of the values: 1 for location
+# and spread, 2 for the variance, 0 for the count and the shape statistics
+DESCRIBE_POWERS = {"min": 1, "max": 1, "sum": 1, "mean": 1, "median": 1, "rms": 1,
+                   "std_dev": 1, "variance": 2, "std_err": 1}
+
+
+def test_describe_of_a_panel_times_a_power_of_two_writes_the_scaled_fields(tmp_path):
+    # below about 1e-154 the squares of the raw values would underflow, to RMS 0,
+    # sigma 0 and skewness 0; a variance below the normal range is written rounded
+    def describe_of(e):
+        path, out = tmp_path / f"panel{e}.csv", tmp_path / f"out{e}"
+        path.write_text("entity_id,name,region,province,2007,2008\n" + "".join(
+            f"c{i},N{i},R1,P1,{math.ldexp(1 + i % 7, e)!r},{math.ldexp(2 + i % 5, e)!r}\n"
+            for i in range(40)))
+        assert cli.main(["describe", "--input", str(path), "--format", "machine",
+                         "--out", str(out)]) == 0
+        return dict(line.split(": ") for line in (out / "describe.txt").read_text().splitlines())
+
+    unscaled, scaled = describe_of(0), describe_of(-600)
+    assert scaled.keys() == unscaled.keys()
+    for key, value in unscaled.items():
+        power = DESCRIBE_POWERS.get(key.partition(".")[2], 0)
+        if power:
+            assert float(scaled[key]) == pytest.approx(math.ldexp(float(value), -600 * power),
+                                                       rel=1e-11, abs=0)
+        else:
+            assert scaled[key] == value
+    assert scaled["avg.variance"] == "0" and float(scaled["avg.std_dev"]) > 0
+
+
+def _noisy_two_slope_scatter(path, exponent):
+    """200 points around the lines y = 5x and y = x with 5 % noise, times 2^exponent."""
+    rng = np.random.default_rng(0)
+    x = rng.uniform(1, 100, 200)
+    y = np.where(np.arange(200) % 2, 5 * x, x) * (1 + 0.05 * rng.standard_normal(200))
+    path.write_text("entity_id,x,y\n" + "".join(
+        f"p{i:03d},{a!r},{b!r}\n"
+        for i, (a, b) in enumerate(zip(np.ldexp(x, exponent).tolist(),
+                                       np.ldexp(y, exponent).tolist()))))
+    return path
+
+
+@pytest.mark.parametrize("k_lines", ["2", "3"])
+@pytest.mark.parametrize("exponent", [-530, -660, 260])
+def test_regime_of_a_scatter_times_a_power_of_two_writes_the_unscaled_split(tmp_path, exponent,
+                                                                           k_lines):
+    # raw moments near 2^-530 gave wrong slopes, near 2^-660 a false zero variance and
+    # near 2^260 an overflow
+    def regime_of(e):
+        path, out = _noisy_two_slope_scatter(tmp_path / f"{e}.csv", e), tmp_path / f"out{e}"
+        assert cli.main(["regime", "--input", str(path), "--k-lines", k_lines,
+                         "--out", str(out)]) == 0
+        rows = (out / "regime_split.csv").read_text().splitlines()
+        axis = (out / "regime_axis.txt").read_text().splitlines()
+        return ([row.rsplit(",", 1)[1] for row in rows[1:] if not row.startswith("#")],
+                [row for row in rows if row.startswith(("# slopes:", "# overall_slope:"))],
+                [row for row in axis if row.startswith(("slope:", "r_squared:"))])
+
+    unscaled = regime_of(0)
+    assert unscaled[1][0] == ("# slopes: 4.96382407712,0.9953580956" if k_lines == "2" else
+                              "# slopes: 5.20998625558,4.77618723328,0.9953580956")
+    assert regime_of(exponent) == unscaled
+
+
+def _power_law_scatter(path, exponent):
+    """40 points around y = x^-2, times 2^exponent: the log-log c is 2^(3 exponent)."""
+    x = 1 + np.arange(40) / 40
+    y = x ** -2 * (1 + 0.01 * (np.arange(40) % 3))
+    path.write_text("entity_id,x,y\n" + "".join(
+        f"p{i},{a!r},{b!r}\n" for i, (a, b) in enumerate(zip(np.ldexp(x, exponent).tolist(),
+                                                              np.ldexp(y, exponent).tolist()))))
+    return path
+
+
+@pytest.mark.parametrize("scatter, exponent, limit", [
+    (_noisy_two_slope_scatter, 530, "the sum of squared orthogonal distances"),
+    (_power_law_scatter, 400, "the log-log amplitude c"),
+], ids=["objective", "loglog_c"])
+def test_a_regime_output_past_the_float_range_is_one_named_line(tmp_path, capsys, scatter,
+                                                                exponent, limit):
+    path = scatter(tmp_path / "scatter.csv", exponent)
+    out = tmp_path / "out"
+    assert cli.main(["regime", "--input", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"ranklaw: regime: {path}: {limit} is past the "
+                                       "float range\n")
+    assert list(out.iterdir()) == []
 
 
 def test_a_linear_fit_whose_amplitude_factor_underflows_is_one_error_line(tmp_path, capsys):
@@ -1281,3 +1383,21 @@ def test_a_linear_fit_rejects_a_step_whose_residuals_overflow(tmp_path, monkeypa
                      "--out", str(out)]) == 0
     assert len(finite) > 2 and all(finite)
     assert "converged: true" in (out / "fit_report.txt").read_text()
+
+
+def test_the_benchmark_tracer_counts_every_traced_command(tmp_path, seed5_inputs):
+    # perfbench --trace 1 counts fields of what the layers return, such as Panel.records,
+    # FitResult.iterations and RegimeSplit.iterations: a command whose result lost one fails
+    tracer = perfbench_module("tracer")
+    income, pop, merges, ranking = (str(seed5_inputs / name) for name in (
+        "income.csv", "population.csv", "merges.csv", "ranking.csv"))
+    argvs = [["report", "--input", income, "--population", pop, "--merges", merges],
+             ["fit", "--input", ranking], ["fit", "--input", ranking, "--scale", "linear"],
+             ["regime", "--input", str(_two_slope_scatter(tmp_path / "scatter.csv"))]]
+    traced = tracer.Tracer()
+    with traced.installed():
+        codes = [cli.main([*argv, "--out", str(tmp_path / str(i))]) for i, argv in enumerate(argvs)]
+    assert codes == [0] * len(argvs)
+    assert list(traced.count_values()) == list(tracer.COUNT_METRICS)
+    assert set(traced.counts) == {"ingest.rows", "rank.tie_groups", "corr.pairs", "fit.iterations",
+                                  "fit.converged", "regime.iterations"}

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ranklaw import fit, rank, reader, urnsim
 from ranklaw.errors import FitError
 from ranklaw.fit import ModelKind, RankSizeModel
-from tests.conftest import benchmark_inputs, ranked
+from tests.conftest import perfbench_module, ranked
 
 
 def _lav3(A, N, m1, m2, m3):
@@ -190,7 +190,7 @@ def test_log_fit_is_the_exact_least_squares_optimum(kind):
 
 def _benchmark_ranking(tmp_path, seed):
     """The benchmark's ranking file for `seed`, ranked as `fit --input` ranks it."""
-    benchmark_inputs().generate(tmp_path, seed)
+    perfbench_module("inputs").generate(tmp_path, seed)
     ids, values = reader.parse_ranking((tmp_path / "ranking.csv").read_text())
     return rank.rank_desc(ids, values, rank.TieBreak.ENTITY_ID)
 

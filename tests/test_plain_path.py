@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from ranklaw import ingest, reader
 from ranklaw.errors import IngestError
 from tests import reference_ingest
-from tests.conftest import benchmark_inputs
+from tests.conftest import perfbench_module
 
 LONG = "entity_id,name,region,province,year,value\n"
 # numpy's bytes-to-float cast is trusted only where it was checked
@@ -201,7 +201,7 @@ def _without_the_chunked_reader():
 @CAST_CHECKED
 @pytest.mark.parametrize("seed", range(1, 9))
 def test_the_benchmark_inputs_take_the_plain_path(tmp_path, seed):
-    benchmark_inputs().generate(tmp_path, seed)
+    perfbench_module("inputs").generate(tmp_path, seed)
     income, population = ((tmp_path / name).read_text()
                           for name in ("income.csv", "population.csv"))
     with _without_the_chunked_reader():

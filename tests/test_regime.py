@@ -1,4 +1,5 @@
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -86,7 +87,45 @@ def test_tls_slope_on_the_axis_cases_is_the_eigh_one(x, y, slope):
 def test_tls_slope_of_moments_whose_sum_overflows():
     x = np.array([6e153, 5e153, 4e153, 4.5e153, 3e153])
     y = x * np.array([1.01, 0.99, 1.02, 0.98, 1.0])  # x.x + y.y is past the float range
-    assert regime._tls_origin_slope(x, y) == pytest.approx(_eigh_slope(x, y)[0], rel=1e-12)
+    split = regime.two_line_split(_scatter(x, y))
+    assert split.overall_slope == pytest.approx(_eigh_slope(x, y)[0], rel=1e-12)
+
+
+_coordinate = st.floats(1e-3, 1e3)
+
+
+def _normal(value):
+    return value == 0 or abs(value) >= np.finfo(float).tiny
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_coordinate, _coordinate), min_size=5, max_size=30),
+       st.sampled_from([2, 3]), st.integers(-1000, 480))
+def test_a_split_of_a_power_of_two_multiple_is_the_same_split(points, k_lines, k):
+    # 2^k times every coordinate stays normal, and 4^k times the objective in range
+    x, y = (np.array(v) for v in zip(*points))
+    split = regime.two_line_split(_scatter(x, y), k=k_lines)
+    scaled = regime.two_line_split(_scatter(np.ldexp(x, k), np.ldexp(y, k)), k=k_lines)
+    assert scaled.assignments == split.assignments
+    assert (scaled.slopes, scaled.overall_slope) == (split.slopes, split.overall_slope)
+    objective = math.ldexp(split.objective, 2 * k)
+    if _normal(objective):  # a subnormal multiple is rounded
+        assert scaled.objective == objective
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_coordinate, _coordinate), min_size=3, max_size=30),
+       st.integers(-500, 400), st.integers(-500, 400))
+def test_inertia_axis_of_power_of_two_multiples_scales_exactly(points, kx, ky):
+    x, y = (np.array(v) for v in zip(*points))
+    assume(np.ptp(x) > 0)
+    intercept, slope, r2, intercept_se, slope_se = regime.inertia_axis(x, y)
+    expected = (math.ldexp(intercept, ky), math.ldexp(slope, ky - kx), r2,
+                math.ldexp(intercept_se, ky), math.ldexp(slope_se, ky - kx))
+    scaled = regime.inertia_axis(np.ldexp(x, kx), np.ldexp(y, ky))
+    for got, want in zip(scaled, expected):
+        if _normal(want):  # a subnormal multiple is rounded
+            assert got == want
 
 
 def test_two_line_split_separable_bundles():

@@ -102,3 +102,28 @@ def test_median_is_np_median_bit_for_bit(values):
         expected = np.median(np.array(values))
         median = stats.describe(values).median
     assert np.float64(median).tobytes() == expected.tobytes()
+
+
+_finite = st.floats(-1e6, 1e6, allow_subnormal=False)
+
+
+def _normal(value):
+    return value == 0 or abs(value) >= np.finfo(float).tiny
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_finite, min_size=2, max_size=40), st.integers(-1100, 600))
+def test_describe_of_a_power_of_two_multiple_scales_exactly(values, k):
+    # k clipped so that 2^k times every value stays normal and the variance in range
+    exps = [math.frexp(v)[1] for v in values if v != 0.0] or [0]
+    k = min(max(k, -1021 - min(exps)), 500 - max(exps))
+    s, t = stats.describe(values), stats.describe(np.ldexp(values, k))
+    for field in ("min", "max", "sum", "mean", "median", "rms", "std_dev", "std_err",
+                  "variance"):
+        expected = math.ldexp(getattr(s, field), 2 * k if field == "variance" else k)
+        if _normal(expected):  # a subnormal multiple is rounded
+            assert getattr(t, field) == expected, field
+    assert (t.skewness, t.kurtosis, t.kurtosis_pearson) == \
+        (s.skewness, s.kurtosis, s.kurtosis_pearson)
+    if all(_normal(math.ldexp(getattr(s, field), k)) for field in ("mean", "median", "std_dev")):
+        assert (t.mu_over_sigma, t.nonparam_skew) == (s.mu_over_sigma, s.nonparam_skew)
