@@ -76,6 +76,13 @@ def require_finite(values, error: type[RanklawError], labels=None) -> None:
         raise error(f"non-finite value {values[i]} {where}")
 
 
+def scaled_back(value: float, power: int, name: str, error: type[RanklawError]) -> float:
+    """value * 2^power, rounded only below the normal range; `error` names `name` past the range."""
+    if not np.isfinite(value) or (value != 0 and np.frexp(value)[1] + power > 1024):
+        raise error(f"the {name} is past the float range")
+    return float(np.ldexp(value, power))
+
+
 def id_sample(ids) -> str:
     """How many ids differ, and at most the first 10 of them, for a message."""
     ids = sorted(ids)

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FitError, checked
+from .errors import FitError, checked, scaled_back
 from .rank import RankedSeries
 from .text import fmt, key_lines
 
@@ -218,13 +218,11 @@ def fit_model(series: RankedSeries, kind: ModelKind = ModelKind.LAVALETTE3,
     log_fitted = _log_predict(A, params, design)
     res = logy - log_fitted  # the log path's residual (the linear ssr is its projection's)
     with np.errstate(over="ignore"):  # a yhat or sum past the float range is refused below
-        yhat = np.exp(log_fitted)
         # R^2 and SS_res of y and yhat divided by 2^top (exact); chi^2 and ssr scaled back
-        r2_lin, ss_res = _r_squared(np.ldexp(y, -top), np.ldexp(yhat, -top))
-        chi2 = float(np.ldexp(ss_res, 2 * top))
-        ssr = float(res @ res) if scale == "log" else float(np.ldexp(ssr, 2 * top))
-    if not (ssr < math.inf and chi2 < math.inf):
-        raise FitError("the sum of squared residuals is past the float range")
+        r2_lin, ss_res = _r_squared(np.ldexp(y, -top), np.ldexp(np.exp(log_fitted), -top))
+    chi2 = scaled_back(ss_res, 2 * top, "sum of squared residuals", FitError)
+    ssr = float(res @ res) if scale == "log" else scaled_back(
+        ssr, 2 * top, "sum of squared residuals", FitError)
     r2 = _r_squared(logy, log_fitted)[0] if scale == "log" else r2_lin  # logs lie within +-745
 
     # standard errors from the final unregularized normal matrix; NaN if singular or overflowing

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import RegimeError, checked, id_sample
+from .errors import RegimeError, checked, id_sample, scaled_back
 from .text import fmt, key_lines
 
 
@@ -79,8 +79,10 @@ def inertia_axis(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, flo
     s2 = ss_res / max(n - 2, 1)
     slope_se = math.sqrt(s2 / sxx)
     intercept_se = math.sqrt(s2 * (1.0 / n + x.mean() ** 2 / sxx))
-    return (math.ldexp(intercept, ey), math.ldexp(slope, ey - ex), r2,
-            math.ldexp(intercept_se, ey), math.ldexp(slope_se, ey - ex))
+    return (scaled_back(intercept, ey, "inertia-axis intercept", RegimeError),
+            scaled_back(slope, ey - ex, "inertia-axis slope", RegimeError), r2,
+            scaled_back(intercept_se, ey, "inertia-axis intercept standard error", RegimeError),
+            scaled_back(slope_se, ey - ex, "inertia-axis slope standard error", RegimeError))
 
 
 def _tls_origin_slope(x: np.ndarray, y: np.ndarray) -> float:
@@ -195,14 +197,13 @@ def two_line_split(points: ScatterSet, k: int = 2,
     assign = labels[group]
     masks = [assign == c for c in range(min(m, k))]
     slopes = [_tls_origin_slope(x[mask], y[mask]) for mask in masks]
-    objective = 0.0 if m < k else float(sum(
-        np.sum(_orthogonal_sq_dist(x[mask], y[mask], s)) for mask, s in zip(masks, slopes)))
-    if math.frexp(objective)[1] + 2 * power > 1024:  # its 4^power multiple would overflow
-        raise RegimeError("the sum of squared orthogonal distances is past the float range")
+    objective = scaled_back(0.0 if m < k else float(sum(
+        np.sum(_orthogonal_sq_dist(x[mask], y[mask], s)) for mask, s in zip(masks, slopes))),
+        2 * power, "sum of squared orthogonal distances", RegimeError)
     order = np.argsort(slopes)[::-1]  # class 1 is the steepest line
     assignments = dict(zip(ids, (np.argsort(order)[assign] + 1).tolist()))
     return RegimeSplit(assignments, tuple(slopes[i] for i in order), overall, tuple(outlier_ids),
-                       math.ldexp(objective, 2 * power), iterations=0, degenerate=m < k)
+                       objective, iterations=0, degenerate=m < k)
 
 
 def loglog_power_fit(points: ScatterSet) -> tuple[float, float, float]:
@@ -214,7 +215,7 @@ def loglog_power_fit(points: ScatterSet) -> tuple[float, float, float]:
     if np.any(x <= 0) or np.any(y <= 0):
         raise RegimeError("loglog_power_fit needs positive coordinates")
     intercept, slope, r2, _, _ = inertia_axis(np.log(x), np.log(y))
-    if intercept > math.log(np.finfo(float).max):
+    if not math.log(np.finfo(float).tiny) <= intercept <= math.log(np.finfo(float).max):
         raise RegimeError("the log-log amplitude c is past the float range")
     return math.exp(intercept), slope, r2
 

@@ -1315,6 +1315,53 @@ def test_a_regime_output_past_the_float_range_is_one_named_line(tmp_path, capsys
     assert list(out.iterdir()) == []
 
 
+def _write_scatter(path, x, y):
+    path.write_text("entity_id,x,y\n" + "".join(
+        f"p{i},{a!r},{b!r}\n" for i, (a, b) in enumerate(zip(x.tolist(), y.tolist()))))
+    return path
+
+
+def _steep_axis_scatter(path):
+    """50 points with x near 1e-200 and y near 1e150: the inertia-axis slope is near 1e350."""
+    rng = np.random.default_rng(1)
+    return _write_scatter(path, 1e-200 * rng.lognormal(0, 1, 50), 1e150 * rng.lognormal(0, 1, 50))
+
+
+def _tiny_power_law_scatter(path):
+    """200 points around y = x^-2 with x near 2^-300, times 2^-1200: the log-log c is near
+    2^-1200, below every double."""
+    rng = np.random.default_rng(2)
+    x = 2.0 ** -300 * rng.lognormal(0, 1, 200)
+    y = x ** -2 * rng.lognormal(0, 0.05, 200) * 2.0 ** -600 * 2.0 ** -600
+    return _write_scatter(path, x, y)
+
+
+@pytest.mark.parametrize("scatter, limit", [
+    (_steep_axis_scatter, "the inertia-axis slope"),
+    (_tiny_power_law_scatter, "the log-log amplitude c"),
+], ids=["inertia_slope", "loglog_c_below"])
+def test_a_regime_axis_past_either_end_of_the_float_range_leaves_the_outputs(tmp_path, capsys,
+                                                                             scatter, limit):
+    out = tmp_path / "out"
+    assert cli.main(["regime", "--input", str(_power_law_scatter(tmp_path / "previous.csv", 0)),
+                     "--out", str(out)]) == 0
+    previous = {p.name: p.read_bytes() for p in out.iterdir()}
+    path = scatter(tmp_path / "scatter.csv")
+    assert cli.main(["regime", "--input", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"ranklaw: regime: {path}: {limit} is past the float range\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == previous
+
+
+def test_a_scatter_on_one_line_near_the_largest_double_splits_with_objective_0(tmp_path):
+    # the objective 0 times 4^997 is 0, not past the float range
+    path = _write_scatter(tmp_path / "line.csv", np.arange(1.0, 6.0) * 1e300,
+                          np.arange(1.0, 6.0) * 1e300)
+    assert cli.main(["regime", "--input", str(path), "--out", str(tmp_path / "out")]) == 0
+    summary = (tmp_path / "out" / "regime_split.csv").read_text().splitlines()[-5:]
+    assert summary == ["# slopes: 1", "# overall_slope: 1", "# objective: 0", "# iterations: 0",
+                       "# degenerate: true"]
+
+
 def test_a_linear_fit_whose_amplitude_factor_underflows_is_one_error_line(tmp_path, capsys):
     # drawn so that the linear-scale lavalette3 optimum has m3 near 213, where m1 is
     # below the smallest double

@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ranklaw import cli, regime
 from ranklaw.errors import RegimeError
@@ -126,6 +126,35 @@ def test_inertia_axis_of_power_of_two_multiples_scales_exactly(points, kx, ky):
     for got, want in zip(scaled, expected):
         if _normal(want):  # a subnormal multiple is rounded
             assert got == want
+
+
+_AXIS_FIELDS = ("inertia-axis intercept", "inertia-axis slope", "r_squared",
+                "inertia-axis intercept standard error", "inertia-axis slope standard error")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_coordinate, _coordinate), min_size=3, max_size=30),
+       st.sampled_from(range(-1000, 1001)), st.sampled_from(range(-1000, 1001)))
+@example(points=[(1.0, 1.0), (2.0, 3.0), (3.0, 2.0)], kx=-1000, ky=1000)  # slope 2^1999
+@example(points=[(1.0, 1.0), (2.0, 3.0), (3.0, 2.0)], kx=1000, ky=-1000)  # slope 2^-2001
+def test_inertia_axis_of_independent_axis_scales_is_exact_or_refused_by_name(points, kx, ky):
+    # every scaled coordinate is normal (1e-3 * 2^-1000 is about 1e-304), and kx - ky
+    # reaches +-2000, past what a slope scaled by 2^(ky - kx) can hold
+    x, y = (np.array(v) for v in zip(*points))
+    assume(np.ptp(x) > 0)
+    unscaled = regime.inertia_axis(x, y)
+    assume(all(map(_normal, unscaled)))  # so each multiple is rounded once, as the scaled call's
+    expected, past = [], []
+    for name, value, power in zip(_AXIS_FIELDS, unscaled, (ky, ky - kx, 0, ky, ky - kx)):
+        try:
+            expected.append(math.ldexp(value, power))
+        except OverflowError:
+            past.append(name)
+    if past:
+        with pytest.raises(RegimeError, match=f"^the {past[0]} is past the float range$"):
+            regime.inertia_axis(np.ldexp(x, kx), np.ldexp(y, ky))
+    else:
+        assert regime.inertia_axis(np.ldexp(x, kx), np.ldexp(y, ky)) == tuple(expected)
 
 
 def test_two_line_split_separable_bundles():
